@@ -193,8 +193,8 @@ def build_report(spec: ProblemSpec, max_k: int, terms: int) -> dict:
     sd = system_data(field, A)
     P = charpoly(polyring(field), A)
     hull = polygon(P)
-    nks = nk_table(field, A, max_k)
-    nks_for_series = nks if terms <= max_k else nk_table(field, A, terms)
+    table = nk_table(field, A, max(max_k, terms))
+    nks, nks_for_series = table[:max_k], table[:terms]
     zres = classify(sd)
     doc = {
         "schema": 1,

@@ -71,16 +71,16 @@ class Entropy:
         return self.E * math.log(self.q)
 
 
-def _charpoly_of(field, A) -> Poly:
-    return charpoly(polyring(field), A)
-
-
 def system_data(field, A) -> SpectralData:
-    """Spectral data of A's characteristic polynomial; rejects singular A."""
-    ring = polyring(field)
-    if not det(ring, A):
+    """Spectral data of A's characteristic polynomial; rejects singular A.
+
+    det A = (-1)^d P(0) for P = charpoly(A), so the constant term of P
+    decides singularity without a determinant of its own.
+    """
+    P = charpoly(polyring(field), A)
+    if not P.coeff(0):
         raise errors.SingularMatrixError("matrix determinant is zero")
-    return spectral_data(field, _charpoly_of(field, A))
+    return spectral_data(field, P)
 
 
 def entropy(field, A) -> Entropy:

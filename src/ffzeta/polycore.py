@@ -21,7 +21,6 @@ distinct-degree split, equal-degree split).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import errors
@@ -590,12 +589,21 @@ def _distinct_degree(field, f: Poly):
 
 
 def _splitter_candidates(field, maxdeg: int, budget: int):
-    """Deterministic enumeration of candidate splitting elements."""
+    """Deterministic enumeration of candidate splitting elements.
+
+    The low coefficients are the base-q digits of a counter, last one
+    fastest (the order of itertools.product), generated lazily so that
+    nothing of size q is built when q is huge.
+    """
+    q = field.q
     count = 0
     for deg in range(1, max(maxdeg, 1) + 1):
-        for lead in range(1, field.q):
-            for rest in itertools.product(range(field.q), repeat=deg):
-                yield Poly(field, list(rest) + [lead])
+        for lead in range(1, q):
+            for n in range(q**deg):
+                rest = [0] * deg
+                for i in range(deg - 1, -1, -1):
+                    n, rest[i] = divmod(n, q)
+                yield Poly(field, rest + [lead])
                 count += 1
                 if count >= budget:
                     return

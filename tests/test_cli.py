@@ -100,6 +100,14 @@ class TestExitCodes:
         path = write_problem(tmp_path, {"p": 2, "d": 1, "matrix": [[[0]]]})
         assert run(capsys, "classify", path)[0] == 2
 
+    @pytest.mark.parametrize("cmd", ["classify", "entropy", "nk", "zeta", "report"])
+    def test_singular_rank_one(self, capsys, tmp_path, cmd):
+        rows = [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]
+        path = write_problem(tmp_path, {"p": 3, "d": 2, "matrix": rows})
+        code, out, err = run(capsys, cmd, path)
+        assert (code, out) == (2, "")
+        assert err == "error: matrix determinant is zero\n"
+
     def test_cap_exceeded(self, capsys, tmp_path):
         one = [1] + [0] * 20
         t = [0] * 21

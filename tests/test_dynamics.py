@@ -89,6 +89,22 @@ class TestEntropy:
         with pytest.raises(errors.SingularMatrixError):
             system_data(F2, tmat(F2, [[(1,), (1,)], [(1,), (1,)]]))
 
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_singular_iff_det_zero(self, data):
+        """system_data reads singularity off charpoly(0) = (-1)^d det A."""
+        from conftest import tpolys
+        from ffzeta.polymat import det
+
+        d = data.draw(st.integers(1, 3))
+        row = st.lists(tpolys(F2, max_deg=1), min_size=d, max_size=d)
+        A = data.draw(st.lists(row, min_size=d, max_size=d))
+        if det(polyring(F2), A):
+            system_data(F2, A)
+        else:
+            with pytest.raises(errors.SingularMatrixError, match="determinant is zero"):
+                system_data(F2, A)
+
 
 class TestNkRoutes:
     def test_direct_anchors(self):

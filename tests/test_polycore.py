@@ -8,6 +8,7 @@ from ffzeta import errors, make_field
 from ffzeta.funfield import FracField, RatFun
 from ffzeta.polycore import (
     Poly,
+    _splitter_candidates,
     factor,
     is_irreducible,
     modpow,
@@ -228,3 +229,19 @@ class TestFactor:
     def test_deterministic(self):
         f = tpoly(F5, 3, 1, 4, 1, 1, 2, 1)
         assert factor(F5, f) == factor(F5, f)
+
+    def test_splitter_candidate_order(self):
+        got = [h.coeffs for h in _splitter_candidates(F3, 2, 100)]
+        want = [(a, 1) for a in range(3)] + [(a, 2) for a in range(3)]
+        want += [(a, b, lead) for lead in (1, 2) for a in range(3) for b in range(3)]
+        assert got == want
+        assert len(list(_splitter_candidates(F3, 2, 5))) == 5
+
+    def test_large_prime_equal_degree_split(self):
+        """Splitting over GF(2^31 - 1) builds nothing of size q."""
+        p = 2147483647
+        F = make_field(p)
+        f1 = Poly(F, [p - 7, 0, 1])  # X^2 - 7, 7 a non-residue mod p
+        f2 = Poly(F, [4, 1, 1])  # X^2 + X + 4, discriminant -15 a non-residue
+        assert is_irreducible(F, f1) and is_irreducible(F, f2)
+        assert factor(F, f1 * f2) == [(f2, 1), (f1, 1)]

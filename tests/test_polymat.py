@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tmat, tpoly, tpolys, xpoly
 from ffzeta import errors, make_field
-from ffzeta.polycore import Poly, polyring, resultant
+from ffzeta.polycore import Poly, PolyRing, polyring, resultant
 from ffzeta.polymat import (
     SmithForm,
     charpoly,
@@ -20,6 +20,8 @@ from ffzeta.polymat import (
 F2 = make_field(2)
 F3 = make_field(3)
 F7 = make_field(7)
+F4 = make_field(2, 2)
+F9 = make_field(3, 2)
 
 
 def matrices(field, dmax=3, tdeg=1):
@@ -29,6 +31,13 @@ def matrices(field, dmax=3, tdeg=1):
             st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d
         )
     )
+
+
+class NoDivRing(PolyRing):
+    """polyring(base) with exact division switched off."""
+
+    def exact_div(self, a, b):
+        raise AssertionError("det must not divide")
 
 
 def cofactor_det(ring, A):
@@ -63,6 +72,32 @@ class TestDet:
     def test_matches_cofactor_expansion(self, A):
         ring = polyring(F3)
         assert det(ring, A) == cofactor_det(ring, A)
+
+    @given(data=st.data())
+    def test_matches_cofactor_expansion_extension_fields(self, data):
+        field = data.draw(st.sampled_from([F4, F9]))
+        A = data.draw(matrices(field, dmax=5))
+        ring = polyring(field)
+        assert det(ring, A) == cofactor_det(ring, A)
+
+    @settings(max_examples=30)
+    @given(A=matrices(F3, dmax=4, tdeg=2))
+    def test_division_free(self, A):
+        inner = polyring(F3)
+        assert det(NoDivRing(F3), A) == cofactor_det(inner, A)
+        d = len(A)
+        char = [
+            [Poly(inner, [-A[i][j], inner.one] if i == j else [-A[i][j]]) for j in range(d)]
+            for i in range(d)
+        ]
+        assert det(NoDivRing(inner), char) == charpoly(inner, A)
+
+    def test_singular_rows(self):
+        ring = polyring(F7)
+        A = tmat(F7, [[(1, 2), (3,), (0, 1)], [(2, 4), (6,), (0, 2)], [(5,), (1,), (1,)]])
+        assert det(ring, A) == ring.zero
+        Z = tmat(F7, [[(1,), (2,)], [(), ()]])
+        assert det(ring, Z) == ring.zero
 
     @settings(max_examples=30)
     @given(data=st.data())
