@@ -29,11 +29,18 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, errors
-from .dynamics import INT_RENDER_CAP, entropy, nk_spectral, nk_table, system_data
+from .dynamics import (
+    INT_RENDER_CAP,
+    checked_charpoly,
+    entropy,
+    nk_spectral,
+    nk_table,
+    system_data,
+)
 from .gf import make_field
 from .newton import polygon
-from .polycore import Poly, polyring
-from .polymat import charpoly, det
+from .polycore import Poly
+from .spectral import spectral_data
 from .zeta import classify, series_from_closed_form, series_from_nk
 
 MAX_DIM = 8
@@ -143,14 +150,14 @@ def load_problem(path: str) -> ProblemSpec:
 
 
 def build_system(spec: ProblemSpec):
-    """Field and matrix from a parsed problem; rejects singular matrices."""
+    """Field and matrix from a parsed problem.
+
+    Singular matrices are rejected by the first analysis step every command
+    takes (checked_charpoly, also inside system_data), not here.
+    """
     field = make_field(spec.p, spec.e, list(spec.modulus) or None)
-    ring = polyring(field)
     A = [[Poly(field, entry) for entry in row] for row in spec.matrix]
-    detA = det(ring, A)
-    if not detA:
-        raise errors.SingularMatrixError("matrix determinant is zero")
-    return field, A, detA
+    return field, A
 
 
 def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
@@ -189,9 +196,9 @@ def _nk_entry(k: int, direct, spect, q: int):
 
 
 def build_report(spec: ProblemSpec, max_k: int, terms: int) -> dict:
-    field, A, detA = build_system(spec)
-    sd = system_data(field, A)
-    P = charpoly(polyring(field), A)
+    field, A = build_system(spec)
+    P = checked_charpoly(field, A)
+    sd = spectral_data(field, P)
     hull = polygon(P)
     table = nk_table(field, A, max(max_k, terms))
     nks, nks_for_series = table[:max_k], table[:terms]
@@ -207,7 +214,8 @@ def build_report(spec: ProblemSpec, max_k: int, terms: int) -> dict:
             "d": spec.d,
             "matrix": _expanded_matrix(spec, spec.p, spec.e),
         },
-        "det_t_degree": detA.degree,
+        # det A = (-1)^d P(0)
+        "det_t_degree": P.coeff(0).degree,
         "entropy": {"E": sd.E, "q": field.q, "log_value": sd.E * math.log(field.q)},
         "abs_spectrum": [
             {
@@ -307,7 +315,7 @@ def _make_parser() -> _Parser:
 
 def _cmd_classify(args) -> int:
     spec = load_problem(args.problem)
-    field, A, _ = build_system(spec)
+    field, A = build_system(spec)
     sd = system_data(field, A)
     zres = classify(sd)
     if zres.algebraic:
@@ -324,7 +332,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_entropy(args) -> int:
     spec = load_problem(args.problem)
-    field, A, _ = build_system(spec)
+    field, A = build_system(spec)
     ent = entropy(field, A)
     print(f"E: {ent.E}")
     print(f"q: {ent.q}")
@@ -336,7 +344,7 @@ def _cmd_nk(args) -> int:
     if args.max < 1:
         raise errors.MalformedInputError("--max must be at least 1")
     spec = load_problem(args.problem)
-    field, A, _ = build_system(spec)
+    field, A = build_system(spec)
     sd = system_data(field, A)
     for k, v in enumerate(nk_table(field, A, args.max), start=1):
         s = nk_spectral(field, sd, k)
@@ -371,7 +379,7 @@ def _cmd_zeta(args) -> int:
     if args.terms < 1:
         raise errors.MalformedInputError("--terms must be at least 1")
     spec = load_problem(args.problem)
-    field, A, _ = build_system(spec)
+    field, A = build_system(spec)
     sd = system_data(field, A)
     zres = classify(sd)
     nk_series = series_from_nk(field.q, nk_table(field, A, args.terms), args.terms)

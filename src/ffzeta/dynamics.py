@@ -71,8 +71,8 @@ class Entropy:
         return self.E * math.log(self.q)
 
 
-def system_data(field, A) -> SpectralData:
-    """Spectral data of A's characteristic polynomial; rejects singular A.
+def checked_charpoly(field, A) -> Poly:
+    """charpoly(A) in F[t][X]; rejects singular A.
 
     det A = (-1)^d P(0) for P = charpoly(A), so the constant term of P
     decides singularity without a determinant of its own.
@@ -80,7 +80,12 @@ def system_data(field, A) -> SpectralData:
     P = charpoly(polyring(field), A)
     if not P.coeff(0):
         raise errors.SingularMatrixError("matrix determinant is zero")
-    return spectral_data(field, P)
+    return P
+
+
+def system_data(field, A) -> SpectralData:
+    """Spectral data of A's characteristic polynomial; rejects singular A."""
+    return spectral_data(field, checked_charpoly(field, A))
 
 
 def entropy(field, A) -> Entropy:

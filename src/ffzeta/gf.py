@@ -7,9 +7,15 @@ elements hashable and lets the bulk polynomial kernels run on int64 numpy
 arrays; every kernel converts back to Python ints on the way out.
 
 Scalar multiplication for e >= 2 goes through discrete log/exp tables over
-a fixed multiplicative generator, built once at construction.  Table
-construction is linear in q, which motivates the hard cap q <= 2**20 for
-extension fields; prime fields only need p < 2**63.
+a fixed multiplicative generator g, built once at construction.  The exp
+table is built from base-p digit columns over GF(p): the powers
+g^0..g^(B-1) form an (e, B) block, grown by doubling with the e x e digit
+map of multiplication by g^s and then stepped forward B powers at a time
+by the map of g^B, B = TABLE_BLOCK.  The log table is one scatter of the
+exp table.  The hard cap q <= 2**20 for extension fields bounds the table
+memory: two Python lists of q ints, which share one int object per value,
+about 48 MB at q = 2**20 (16 MB of list slots, 32 MB of ints).  Prime
+fields need no tables and only p < 2**63.
 
 The public constructors and queries:
 
@@ -30,9 +36,19 @@ from .polycore import Domain, Poly, is_irreducible, modpow
 
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
+# Pollard rho steps one factorint call may take in all, past which it
+# raises CapExceededError: about 2 s of pure Python on a 300-bit composite
+# (2-vCPU Xeon).  Rho needs about sqrt(r) steps to split off a prime r, so
+# this reaches second-largest prime factors of about 40 bits.
+RHO_BUDGET = 2**20
+# Rho steps per gcd.
+RHO_BATCH = 128
 
 # Below this length the scalar loops beat numpy round trips.
 NP_CUTOFF = 24
+
+# Columns per digit block when building the log/exp tables.
+TABLE_BLOCK = 4096
 
 FElem = int
 
@@ -67,25 +83,50 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n."""
-    if n % 2 == 0:
-        return 2
+def _pollard_rho(n: int, budget: int) -> tuple:
+    """(factor, steps) for an odd composite n, by Brent's variant of rho.
+
+    Steps are evaluations of x -> x^2 + c mod n; gcds are taken once per
+    RHO_BATCH steps on the accumulated product of differences.  The factor
+    is None when the budget of steps runs out first.
+    """
+    steps = 0
     for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += RHO_BATCH
+            steps += r + min(k, r)
+            if g == 1 and steps >= budget:
+                return None, steps
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
     raise errors.CapExceededError(f"failed to factor {n}")
 
 
 def factorint(n: int) -> dict:
-    """Prime factorization as {prime: multiplicity}; n >= 1."""
+    """Prime factorization as {prime: multiplicity}; n >= 1.
+
+    Composite parts left after trial division are split by Pollard's rho
+    under one budget of RHO_BUDGET steps for the whole call; past it the
+    call raises CapExceededError.
+    """
     out: dict = {}
     for d in (2, 3, 5):
         while n % d == 0:
@@ -98,6 +139,7 @@ def factorint(n: int) -> dict:
             n //= d
         d += 2
     stack = [n] if n > 1 else []
+    budget = RHO_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -105,7 +147,13 @@ def factorint(n: int) -> dict:
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        f = _pollard_rho(m)
+        f, steps = _pollard_rho(m, budget)
+        if f is None:
+            raise errors.CapExceededError(
+                f"the budget of {RHO_BUDGET} Pollard rho steps ran out "
+                f"on a {m.bit_length()}-bit composite factor"
+            )
+        budget -= steps
         stack.append(f)
         stack.append(m // f)
     return out
@@ -128,11 +176,13 @@ class Field(Domain):
         self.e = e
         self.q = p**e
         self.modulus = modulus  # monic, length e+1, entries in range(p)
-        if e >= 2:
-            self._build_tables()
         self._np_scalar_ok = p < 2**31
         # p-power place values, shared by the digit pack/unpack kernels
         self._pw = np.power(np.int64(p), np.arange(e, dtype=np.int64))
+        # multiplication by z as a digit map: z^e = -(low part of modulus)
+        self._zred = [(-c) % p for c in modulus[:e]]
+        if e >= 2:
+            self._build_tables()
 
     # -- construction helpers ---------------------------------------------
 
@@ -174,17 +224,29 @@ class Field(Domain):
                 break
         if gen is None:
             raise errors.InternalInvariantError("no multiplicative generator found")
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-        # multiplication by z as a digit map, used to build per-scalar maps
-        lowneg = [(-c) % self.p for c in self.modulus[: self.e]]
-        self._zred = lowneg
+        # g^0..g^(n-1) as base-p digit columns, TABLE_BLOCK columns at a
+        # time: multiplying by a fixed c is the digit map _scalar_map(c).
+        # Products sum e terms below p^2, at most 2 * 1020^2 for q <= 2**20.
+        n = q - 1
+        width = min(TABLE_BLOCK, n)
+        block = np.zeros((self.e, 1), dtype=np.int64)
+        block[0, 0] = 1
+        while block.shape[1] < width:
+            shift = self._scalar_map(self._raw_pow(gen, block.shape[1]))
+            block = np.concatenate([block, shift @ block % self.p], axis=1)
+        block = block[:, :width]
+        step = self._scalar_map(self._raw_pow(gen, width))
+        exp = np.empty(n, dtype=np.int64)
+        for start in range(0, n, width):
+            exp[start : start + width] = (self._pw @ block)[: n - start]
+            block = step @ block % self.p
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n, dtype=np.int64)
+        # one int object per value, shared by both tables (48 MB at
+        # q = 2**20 instead of 80 MB with an object per table entry)
+        ints = np.arange(q, dtype=np.int64).astype(object)
+        self._exp = ints[exp].tolist()
+        self._log = ints[log].tolist()
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -534,4 +596,9 @@ def order_of_root(field: Field, f: Poly) -> int:
         return elem_order(field, field.neg(f.coeff(0)))
     x = Poly.x(field)
     one = Poly.const(field, field.one)
-    return _order_from(group, lambda k: modpow(x, k, f) == one)
+    try:
+        return _order_from(group, lambda k: modpow(x, k, f) == one)
+    except errors.CapExceededError as ex:
+        raise errors.CapExceededError(
+            f"order_of_root: cannot factor the group order q^{delta} - 1: {ex}"
+        ) from None

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,27 @@ class TestExitCodes:
         doc = {"p": 2, "e": 21, "d": 1, "matrix": [[[t, one]]]}
         assert run(capsys, "classify", write_problem(tmp_path, doc))[0] == 3
 
+    def test_unfactorable_group_order_ends(self, capsys, tmp_path):
+        """Companion matrix of a degree-8 irreducible over a 61-bit prime.
+
+        q^8 - 1 has a 309-bit composite part that Pollard rho does not split
+        within its step budget; an unbounded rho loop runs forever here.  The
+        budget ends it with exit 3 naming the stage.
+        """
+        p = 2305843009213693921
+        g = [181785116543108203, 1546893918547566459, 960691145375510833,
+             1422198890898970246, 2158787438339059539, 1190864571044349696,
+             2159263096884028552, 697900490548643529]
+        rows = [[[1] if i == j + 1 else [0] for j in range(8)] for i in range(8)]
+        for i in range(8):
+            rows[i][7] = [-g[i] % p]
+        path = write_problem(tmp_path, {"p": p, "d": 8, "matrix": rows})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", path)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err.startswith("error: order_of_root:")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate", DIAG62)[0] == 1
 
@@ -178,6 +200,16 @@ class TestCommands:
         assert lines[1] == "bad_unit_order: 1"
         assert lines[2].startswith("series: 1 + 2z + 4z^2 +")
 
+    def test_classify_at_ext_cap(self, capsys, tmp_path):
+        # A = [[t, 1], [1, z]] over GF(2^20), the largest extension field the
+        # CLI accepts; z is the generator of the digit basis, det A = tz + 1
+        zero, one, z = [0] * 20, [1] + [0] * 19, [0, 1] + [0] * 18
+        rows = [[[zero, one], [one]], [[one], [z]]]
+        path = write_problem(tmp_path, {"p": 2, "e": 20, "d": 2, "matrix": rows})
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0
+        assert out.startswith("classification: ")
+
     def test_stdin(self, capsys, monkeypatch):
         doc = json.dumps({"p": 2, "d": 1, "matrix": [[[0, 1]]]})
         monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(doc))
@@ -202,6 +234,17 @@ class TestReport:
         assert all(e["routes_equal"] for e in doc["nk"])
         assert doc["zeta"]["algebraic"] is False
         assert doc["zeta"]["certificate"]["bad_unit_order"] == 1
+
+    @pytest.mark.parametrize("path", [DIAG62, CUBIC, SHIFT], ids=lambda p: Path(p).stem)
+    def test_det_degree_matches_det(self, capsys, path):
+        # the report reads deg_t det A off charpoly(0); check it against det
+        from ffzeta.cli import build_system, load_problem
+        from ffzeta.polycore import polyring
+        from ffzeta.polymat import det
+
+        field, A = build_system(load_problem(path))
+        _, out, _ = run(capsys, "report", path)
+        assert json.loads(out)["det_t_degree"] == det(polyring(field), A).degree
 
     def test_closed_form_shape(self, capsys):
         _, out, _ = run(capsys, "report", DIAG62)

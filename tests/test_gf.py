@@ -1,10 +1,13 @@
 """Finite field construction, arithmetic, and multiplicative orders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import felems, tpoly
 from ffzeta import elem_order, errors, make_field, order_of_root
+from ffzeta import gf
 from ffzeta.gf import EXT_CAP, PRIME_CAP, Field, factorint
 from ffzeta.polycore import Domain, Poly, is_irreducible
 
@@ -52,6 +55,12 @@ class TestMakeField:
         assert 2**21 > EXT_CAP
         with pytest.raises(errors.CapExceededError):
             make_field(2, 21)
+
+    def test_extension_cap_edge(self):
+        # 1031 is the least prime with p**2 > EXT_CAP; 1021 is the largest below
+        assert 1021**2 <= EXT_CAP < 1031**2
+        with pytest.raises(errors.CapExceededError):
+            make_field(1031, 2)
 
     def test_default_moduli(self):
         assert F4.modulus == (1, 1, 1)
@@ -177,6 +186,66 @@ def test_factorint_frozen():
     assert factorint(10403) == {101: 1, 103: 1}
     assert factorint(97) == {97: 1}
     assert factorint(1) == {}
+    # prime squares and cubes above the trial-division bound
+    assert factorint(65537**3) == {65537: 3}
+    assert factorint(65539**2 * 65543) == {65539: 2, 65543: 1}
+    assert factorint(2**64 + 1) == {274177: 1, 67280421310721: 1}
+
+
+def test_factorint_rho_budget(monkeypatch):
+    n = 4294967311 * 4294967357  # rho needs about 2**16 steps
+    assert factorint(n) == {4294967311: 1, 4294967357: 1}
+    monkeypatch.setattr(gf, "RHO_BUDGET", 64)
+    with pytest.raises(errors.CapExceededError, match="Pollard rho"):
+        factorint(n)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 8), (3, 5), (5, 3), (7, 2)])
+def test_tables_are_sequential_powers(p, e):
+    """The block-built tables equal the powers of _exp[1] one by one."""
+    field = make_field(p, e)
+    g = field._exp[1]
+    powers = [1]
+    for _ in range(field.q - 2):
+        powers.append(field._raw_mul(powers[-1], g))
+    assert field._raw_mul(powers[-1], g) == 1
+    assert field._exp == powers
+    assert len(field._log) == field.q
+    assert all(field._log[v] == i for i, v in enumerate(powers))
+
+
+class TestEdgeFields:
+    """Extension fields at the EXT_CAP edge: 2^20, 1021^2 and 3^12."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(2, 20), (1021, 2), (3, 12)],
+        ids=lambda pe: f"GF({pe[0]}^{pe[1]})",
+    )
+    def field(self, request):
+        p, e = request.param
+        # built outside the make_field cache, so the tables are freed after
+        return Field(p, e, gf._default_modulus(p, e))
+
+    def test_log_inverts_exp(self, field):
+        exp, log = field._exp, field._log
+        assert len(exp) == field.q - 1 and len(log) == field.q
+        assert all(log[v] == i for i, v in enumerate(exp))
+        assert 0 not in exp
+
+    def test_exp_steps_by_generator(self, field):
+        rng = random.Random(f"edge-steps/{field.q}")
+        g = field._exp[1]
+        for i in [0, field.q - 2] + rng.sample(range(field.q - 1), 300):
+            nxt = field._exp[(i + 1) % (field.q - 1)]
+            assert field._raw_mul(field._exp[i], g) == nxt
+
+    def test_mul_inv_match_raw_mul(self, field):
+        rng = random.Random(f"edge-mul/{field.q}")
+        for _ in range(300):
+            a, b = rng.randrange(1, field.q), rng.randrange(field.q)
+            assert field.mul(a, b) == field._raw_mul(a, b)
+            assert field._raw_mul(a, field.inv(a)) == 1
 
 
 class TestBulkKernels:

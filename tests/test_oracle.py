@@ -1,4 +1,4 @@
-"""det and charpoly over GF(p)[t] against sympy, an oracle outside the package.
+"""det, charpoly and factorint against sympy, an oracle outside the package.
 
 Entries are lifted to Z[t], sympy takes the Berkowitz determinant over Z,
 and the result is reduced mod p.  Only prime fields (e = 1), where a
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tpolys
 from ffzeta import make_field
+from ffzeta.gf import factorint
 from ffzeta.polycore import polyring
 from ffzeta.polymat import charpoly, det
 
@@ -81,3 +82,19 @@ def test_corpus_matches_sympy(corp):
         assert ours_charpoly(field, A) == sympy_charpoly(A, field.p)
         checked += 1
     assert checked == 4 * 36
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.integers(2, 2**30).map(lambda n: int(sympy.nextprime(n))),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_factorint_matches_sympy(primes):
+    """Products of primes up to 2**30, so Brent's rho does the splitting."""
+    n = 1
+    for r in primes:
+        n *= r
+    assert factorint(n) == sympy.factorint(n)
