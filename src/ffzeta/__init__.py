@@ -19,19 +19,12 @@ from .dynamics import (
     nk_table,
     system_data,
 )
-from .funfield import AbsExp, FracField, RatFun, abs_value, redunit, valuation
+from .funfield import RatFun, redunit, valuation
 from .gf import Field, elem_order, make_field, order_of_root
-from .newton import NewtonPolygon, abs_spectrum, polygon, unit_residual
+from .newton import NewtonPolygon, polygon, unit_residual
 from .polycore import Poly, factor, modpow, poly_gcd, polyring, resultant
 from .polymat import SmithForm, charpoly, companion, det, matpow_minus_I, smith
-from .spectral import (
-    SpectralData,
-    rou_orders,
-    rou_split,
-    spectral_data,
-    unit_orders,
-    weights,
-)
+from .spectral import SpectralData, rou_orders, rou_split, spectral_data
 from .zeta import (
     SeriesTrunc,
     TranscendenceCertificate,
@@ -46,10 +39,8 @@ from .zeta import (
 
 __all__ = [
     "__version__",
-    "AbsExp",
     "Entropy",
     "Field",
-    "FracField",
     "NewtonPolygon",
     "NkValue",
     "Poly",
@@ -60,8 +51,6 @@ __all__ = [
     "TranscendenceCertificate",
     "ZetaClosedForm",
     "ZetaResult",
-    "abs_spectrum",
-    "abs_value",
     "charpoly",
     "classify",
     "closed_form",
@@ -92,8 +81,6 @@ __all__ = [
     "smith",
     "spectral_data",
     "system_data",
-    "unit_orders",
     "unit_residual",
     "valuation",
-    "weights",
 ]

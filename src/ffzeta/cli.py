@@ -169,10 +169,6 @@ def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
     return out
 
 
-def _fraction_str(fr) -> str:
-    return str(fr)
-
-
 def _nk_render(v, q: int) -> str:
     if v.is_zero:
         return "0"
@@ -252,8 +248,8 @@ def _zeta_doc(field, zres, nks, terms):
             "display": cf.display(),
         }
         cf_series = series_from_closed_form(cf, terms)
-        out["series"] = [_fraction_str(c) for c in cf_series.coeffs]
-        out["series_from_nk"] = [_fraction_str(c) for c in nk_series.coeffs]
+        out["series"] = [str(c) for c in cf_series.coeffs]
+        out["series_from_nk"] = [str(c) for c in nk_series.coeffs]
         out["series_routes_equal"] = cf_series == nk_series
     else:
         cert = zres.certificate
@@ -261,7 +257,7 @@ def _zeta_doc(field, zres, nks, terms):
             "bad_unit_order": cert.bad_unit_order,
             "rou_orders": list(cert.rou_orders),
         }
-        out["series"] = [_fraction_str(c) for c in nk_series.coeffs]
+        out["series"] = [str(c) for c in nk_series.coeffs]
     return out
 
 
@@ -361,7 +357,7 @@ def _series_str(series) -> str:
     for i, c in enumerate(series.coeffs):
         if c == 0:
             continue
-        cs = _fraction_str(c)
+        cs = str(c)
         if "/" in cs and i > 0:
             cs = f"({cs})"
         elif cs == "1" and i > 0:

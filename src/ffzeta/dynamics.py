@@ -27,6 +27,7 @@ from itertools import product
 
 from . import errors
 from .funfield import RatFun
+from .newton import polygon
 from .polycore import Poly, polyring
 from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
@@ -89,7 +90,8 @@ def system_data(field, A) -> SpectralData:
 
 
 def entropy(field, A) -> Entropy:
-    return Entropy(system_data(field, A).E, field.q)
+    """E from the Newton polygon of charpoly(A) alone: no factoring."""
+    return Entropy(polygon(checked_charpoly(field, A)).entropy_exponent, field.q)
 
 
 def nk_direct(field, A, k: int) -> NkValue:

@@ -1,60 +1,24 @@
-r"""The rational function field F(t) and its valuation at infinity.
+r"""Rational functions over F[t] and the valuation at infinity.
 
 Polynomials in t over a finite field F sit inside the Laurent series field
 F((1/t)); the valuation there is v(f) = -deg f, extended to fractions by
 v(num/den) = deg den - deg num and to 0 by v(0) = +infinity.  The induced
-absolute value is |x| = q**(-v(x)) with q = |F|.  Working with eigenvalues
-in extensions forces rational exponents, so absolute values are carried
-around as exact base-q exponents (AbsExp) rather than floats.
+absolute value is |x| = q**(-v(x)) with q = |F|; Newton polygons read it
+off as slopes, so no absolute value is ever materialized.
 
 RatFun is a reduced fraction with a monic denominator, which makes equality
-of torus points (fractions mod F[t]) a plain structural comparison.
-FracField wraps RatFun as a coefficient domain, with hooks that let the
-resultant routine clear denominators into F[t] and divide back out.
+of torus points (fractions mod F[t]) a plain structural comparison; the
+brute-force fixed-point count uses it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors
-from .polycore import Domain, Poly, poly_gcd, polyring
+from .polycore import Poly, poly_gcd
 
 INFINITY = math.inf
-
-PolyT = Poly
-
-
-@dataclass(frozen=True)
-class AbsExp:
-    """An absolute value, stored as its exact base-q exponent.
-
-    The value is q**exponent, except when is_zero is set, which encodes
-    |0| = 0 (exponent -infinity, unrepresentable as a Fraction).
-    """
-
-    is_zero: bool
-    exponent: Fraction
-
-    @classmethod
-    def zero(cls) -> "AbsExp":
-        return cls(True, Fraction(0))
-
-    @classmethod
-    def of(cls, exponent) -> "AbsExp":
-        return cls(False, Fraction(exponent))
-
-    def __le__(self, other: "AbsExp") -> bool:
-        if self.is_zero:
-            return True
-        if other.is_zero:
-            return False
-        return self.exponent <= other.exponent
-
-    def __lt__(self, other: "AbsExp") -> bool:
-        return self <= other and self != other
 
 
 class RatFun:
@@ -90,9 +54,6 @@ class RatFun:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __add__(self, other):
         return RatFun(
@@ -137,75 +98,9 @@ class RatFun:
         return hash((RatFun, self.num.coeffs, self.den.coeffs))
 
     def __repr__(self):
-        if self.is_polynomial():
+        if self.den.degree == 0:
             return f"RatFun({self.num.format('t')})"
         return f"RatFun(({self.num.format('t')})/({self.den.format('t')}))"
-
-
-class FracField(Domain):
-    """F(t) as a coefficient domain for polynomials in X."""
-
-    is_field = True
-
-    def __init__(self, field):
-        self.field = field
-        self.zero = RatFun.from_poly(field, Poly(field))
-        self.one = RatFun.from_poly(field, Poly.const(field, field.one))
-
-    def is_zero(self, a):
-        return not a
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def inv(self, a):
-        return self.one / a
-
-    def from_int(self, n):
-        return RatFun.from_poly(self.field, Poly.const(self.field, self.field.from_int(n)))
-
-    # Hooks used by polycore.resultant to work in F[t] instead of F(t).
-
-    def clear_denominators(self, f: Poly):
-        """Rewrite f with coefficients in F[t]: returns (f * d, d) pieces.
-
-        The result polynomial lives over the PolyRing(F) domain and equals
-        d * f coefficient-wise, where d is the lcm of the denominators.
-        """
-        ring = polyring(self.field)
-        d = Poly.const(self.field, self.field.one)
-        for c in f.coeffs:
-            if c and c.den.degree > 0:
-                g = poly_gcd(d, c.den)
-                d = d * c.den.exact_div(g) if g.degree > 0 else d * c.den
-        coeffs = []
-        for c in f.coeffs:
-            coeffs.append(c.num * d.exact_div(c.den) if c else Poly(self.field))
-        return Poly(ring, coeffs), d
-
-    def from_fraction(self, num: Poly, den: Poly) -> RatFun:
-        return RatFun(self.field, num, den)
-
-    def __eq__(self, other):
-        return isinstance(other, FracField) and self.field == other.field
-
-    def __hash__(self):
-        return hash((FracField, self.field))
-
-    def __repr__(self):
-        return f"FracField({self.field!r})"
 
 
 def valuation(x):
@@ -219,14 +114,6 @@ def valuation(x):
             return INFINITY
         return -x.degree
     raise TypeError(f"no valuation for {type(x).__name__}")
-
-
-def abs_value(field, x) -> AbsExp:
-    """|x| as an exact base-q exponent; |x| = q**(-v(x))."""
-    v = valuation(x)
-    if v is INFINITY:
-        return AbsExp.zero()
-    return AbsExp.of(-v)
 
 
 def redunit(x):

@@ -22,141 +22,28 @@ The public constructors and queries:
     make_field(p, e=1, modulus=None)   build (and cache) a field
     elem_order(field, a)               multiplicative order of a nonzero a
     order_of_root(field, f)            order of a root of an irreducible f
+
+Group orders are factored by ``integers.factorint``, under its step budget.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from . import errors
+from .integers import factorint, is_prime
 from .polycore import Domain, Poly, is_irreducible, modpow
 
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
-# Pollard rho steps one factorint call may take in all, past which it
-# raises CapExceededError: about 2 s of pure Python on a 300-bit composite
-# (2-vCPU Xeon).  Rho needs about sqrt(r) steps to split off a prime r, so
-# this reaches second-largest prime factors of about 40 bits.
-RHO_BUDGET = 2**20
-# Rho steps per gcd.
-RHO_BATCH = 128
 
 # Below this length the scalar loops beat numpy round trips.
 NP_CUTOFF = 24
 
 # Columns per digit block when building the log/exp tables.
 TABLE_BLOCK = 4096
-
-FElem = int
-
-
-# ---------------------------------------------------------------------------
-# integer utilities
-# ---------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, budget: int) -> tuple:
-    """(factor, steps) for an odd composite n, by Brent's variant of rho.
-
-    Steps are evaluations of x -> x^2 + c mod n; gcds are taken once per
-    RHO_BATCH steps on the accumulated product of differences.  The factor
-    is None when the budget of steps runs out first.
-    """
-    steps = 0
-    for c in range(1, 64):
-        y, r, g, acc = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * abs(x - y) % n
-                g = math.gcd(acc, n)
-                k += RHO_BATCH
-            steps += r + min(k, r)
-            if g == 1 and steps >= budget:
-                return None, steps
-            r *= 2
-        if g == n:
-            # the batch overshot: redo it one gcd per step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g, steps
-    raise errors.CapExceededError(f"failed to factor {n}")
-
-
-def factorint(n: int) -> dict:
-    """Prime factorization as {prime: multiplicity}; n >= 1.
-
-    Composite parts left after trial division are split by Pollard's rho
-    under one budget of RHO_BUDGET steps for the whole call; past it the
-    call raises CapExceededError.
-    """
-    out: dict = {}
-    for d in (2, 3, 5):
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    d = 7
-    while d * d <= n and d < 1 << 16:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    budget = RHO_BUDGET
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f, steps = _pollard_rho(m, budget)
-        if f is None:
-            raise errors.CapExceededError(
-                f"the budget of {RHO_BUDGET} Pollard rho steps ran out "
-                f"on a {m.bit_length()}-bit composite factor"
-            )
-        budget -= steps
-        stack.append(f)
-        stack.append(m // f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +424,7 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
         raise errors.MalformedInputError("extension degree must be at least 1")
     if p >= PRIME_CAP:
         raise errors.CapExceededError(f"prime modulus must be below 2**63, got {p}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise errors.NotPrimeError(f"{p} is not prime")
     if e >= 2 and p**e > EXT_CAP:
         raise errors.CapExceededError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .funfield import AbsExp, RatFun, redunit, valuation
+from .funfield import redunit, valuation
 from .polycore import Poly
 
 
@@ -40,10 +40,6 @@ class NewtonPolygon:
         if total.denominator != 1:
             raise errors.NonIntegralError("positive hull rise is not an integer")
         return int(total)
-
-    @property
-    def total_rise(self) -> int:
-        return self.vertices[-1][1] - self.vertices[0][1]
 
     def slope_zero_span(self):
         """(start index, end index) of the slope-zero edge, or None."""
@@ -69,7 +65,7 @@ def _lower_hull(points):
 
 
 def polygon(P: Poly) -> NewtonPolygon:
-    """Newton polygon of a monic nonconstant P with coefficients in F[t] or F(t).
+    """Newton polygon of a monic nonconstant P with coefficients in F[t].
 
     A vanishing constant term is allowed; the hull then starts at the first
     nonzero coefficient and the missing columns account for zero roots.
@@ -90,28 +86,12 @@ def polygon(P: Poly) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), tuple(edges))
 
 
-def abs_spectrum(P: Poly) -> list:
-    """Absolute values of the roots of P, with multiplicity, as AbsExp."""
-    if P.degree >= 1 and P.dom.is_zero(P.coeff(0)):
-        raise errors.ZeroRootError("zero constant term means a zero root")
-    np = polygon(P)
-    out = []
-    for slope, length in np.edges:
-        out.extend([AbsExp.of(slope)] * length)
-    if len(out) != P.degree:
-        raise errors.InternalInvariantError("hull does not span the degree")
-    return out
-
-
 def unit_residual(field, P: Poly, np: NewtonPolygon = None) -> Poly:
     """Residual polynomial of the slope-zero edge, or 1 if there is none.
 
     The residual lives in F[X]; its roots with multiplicity are the residue
     classes of the absolute-value-one roots of P.
     """
-    for c in P.coeffs:
-        if isinstance(c, RatFun) and c.den.degree > 0:
-            raise errors.NonIntegralError("residual needs integral coefficients")
     if np is None:
         np = polygon(P)
     span = np.slope_zero_span()

@@ -11,7 +11,7 @@ Polynomials are immutable: a tuple of coefficients, low degree first, with
 no trailing zeros.  The zero polynomial has an empty tuple.  The same class
 serves for polynomials in t over a finite field, polynomials in X over a
 finite field, and polynomials in X whose coefficients are themselves
-polynomials or rational functions; the coefficient domain decides.
+polynomials in t; the coefficient domain decides.
 
 Beyond arithmetic this module provides monic gcd, modular exponentiation,
 resultants by fraction-free polynomial remainder sequences, irreducibility
@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import errors
+from .integers import factorint
 
 
 class Domain:
@@ -427,21 +428,11 @@ def resultant(f: Poly, g: Poly):
     remainder is divided by the content of its coefficients, and the exact
     scalar corrections are folded back through the chain at the end.  Over a
     finite field this degenerates to the ordinary remainder sequence; over
-    F[t] no fractions ever appear.  Inputs over the fraction field F(t) are
-    cleared to F[t] first.
+    F[t] no fractions ever appear.
     """
     if not f or not g:
         raise errors.ZeroInputError("resultant of the zero polynomial")
     dom = f.dom
-    clear = getattr(dom, "clear_denominators", None)
-    if clear is not None:
-        # Rational-function coefficients: clear to the polynomial ring,
-        # compute there, and divide the homogeneity correction back out.
-        fi, df = clear(f)
-        gi, dg = clear(g)
-        r = resultant(fi, gi)
-        return dom.from_fraction(r, df ** g.degree * dg ** f.degree)
-
     sign_flip = False
     if f.degree < g.degree:
         sign_flip = (f.degree * g.degree) % 2 == 1
@@ -493,21 +484,6 @@ def resultant(f: Poly, g: Poly):
 # ---------------------------------------------------------------------------
 
 
-def _small_prime_factors(n: int):
-    """Distinct prime factors by trial division; fine at 64-bit desk scale."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _frobenius_powers(field, f: Poly, upto: int):
     """[X mod f, X^q mod f, X^(q^2) mod f, ...] up to exponent q^upto."""
     x = Poly.x(field) % f
@@ -527,7 +503,7 @@ def is_irreducible(field, f: Poly) -> bool:
     x = Poly.x(field)
     if (pows[n] - x) % f:
         return False
-    for r in _small_prime_factors(n):
+    for r in factorint(n):
         h = pows[n // r] - x
         if not h:
             return False

@@ -18,8 +18,6 @@ import dataclasses
 from . import errors
 from .polycore import Poly, polyring
 
-MatT = list
-
 
 @dataclasses.dataclass(frozen=True)
 class SmithForm:
@@ -33,11 +31,11 @@ class SmithForm:
             raise errors.InternalInvariantError("rank disagrees with factor count")
 
 
-def identity(dom, d: int) -> MatT:
+def identity(dom, d: int) -> list:
     return [[dom.one if i == j else dom.zero for j in range(d)] for i in range(d)]
 
 
-def mat_mul(dom, A: MatT, B: MatT) -> MatT:
+def mat_mul(dom, A: list, B: list) -> list:
     n, mid, m = len(A), len(B), len(B[0])
     out = []
     for i in range(n):
@@ -54,13 +52,13 @@ def mat_mul(dom, A: MatT, B: MatT) -> MatT:
     return out
 
 
-def mat_sub(dom, A: MatT, B: MatT) -> MatT:
+def mat_sub(dom, A: list, B: list) -> list:
     return [
         [dom.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)
     ]
 
 
-def matpow(dom, A: MatT, k: int) -> MatT:
+def matpow(dom, A: list, k: int) -> list:
     if k < 0:
         raise ValueError("negative matrix power")
     out = identity(dom, len(A))
@@ -74,11 +72,11 @@ def matpow(dom, A: MatT, k: int) -> MatT:
     return out
 
 
-def matpow_minus_I(dom, A: MatT, k: int) -> MatT:
+def matpow_minus_I(dom, A: list, k: int) -> list:
     return mat_sub(dom, matpow(dom, A, k), identity(dom, len(A)))
 
 
-def det(dom, A: MatT):
+def det(dom, A: list):
     """Division-free determinant by subset-minor expansion.
 
     Goes down the rows in order, like a Laplace expansion, keeping the
@@ -110,7 +108,7 @@ def det(dom, A: MatT):
     return minors[(1 << len(A)) - 1]
 
 
-def charpoly(ring, A: MatT) -> Poly:
+def charpoly(ring, A: list) -> Poly:
     """det(X*I - A) for a matrix with entries in ring; monic of degree d."""
     outer = polyring(ring)
     d = len(A)
@@ -129,7 +127,7 @@ def charpoly(ring, A: MatT) -> Poly:
     return f
 
 
-def companion(ring, f: Poly) -> MatT:
+def companion(ring, f: Poly) -> list:
     """Companion matrix of a monic f over ring; charpoly(companion(f)) = f."""
     if not f.is_monic() or f.degree < 1:
         raise errors.NonMonicError("companion matrix needs a monic polynomial")
@@ -142,7 +140,7 @@ def companion(ring, f: Poly) -> MatT:
     return M
 
 
-def smith(field, A: MatT) -> SmithForm:
+def smith(field, A: list) -> SmithForm:
     """Smith form of a square matrix over F[t].
 
     Returns the chain of monic invariant factors b_1 | b_2 | ... | b_r;

@@ -20,8 +20,12 @@ Weights come from resultants.  For an irreducible h in F[X] whose roots
 have order n, deg_t Res_X(P', h) counts deg(h) * E plus the (negative)
 valuation defects of the unit roots whose residues are roots of h; summing
 over the h of order n and subtracting deg(h) * E leaves w_n.  A slower
-textbook route through Res_X(P', X^n - 1) and divisor inversion is kept
-for cross-checking on small inputs.
+textbook route through Res_X(P', X^n - 1) and divisor inversion,
+weights_by_divisibility, is kept as an independent oracle for tests.
+
+spectral_data is the one entry point that computes all of this; the
+orders of G's roots come from rou_orders, those of the residual's roots
+and the weights from the same factorization of the residual.
 """
 
 from __future__ import annotations
@@ -121,16 +125,6 @@ def rou_orders(field, G: Poly):
     return _orders_of_factors(field, G)
 
 
-def unit_orders(field, Pprime: Poly):
-    """Order multiset of the residues of the non-rou unit eigenvalues."""
-    if Pprime.degree < 1:
-        return ()
-    residual = unit_residual(field, Pprime)
-    if residual.degree < 1:
-        return ()
-    return _orders_of_factors(field, residual)
-
-
 def _lift(ring, field, f: Poly) -> Poly:
     return f.map(ring, lambda c: Poly.const(field, c))
 
@@ -174,19 +168,6 @@ def weights_by_divisibility(field, Pprime: Poly, E: int, unit_orders):
     return tuple(sorted(out.items()))
 
 
-def weights(field, Pprime: Poly, E: int, unit_orders) -> dict:
-    """Map order n -> w_n < 0 over the distinct unit orders.
-
-    Computed by the divisibility route; spectral_data itself uses the
-    per-factor route, and the two are compared in tests.
-    """
-    out = dict(weights_by_divisibility(field, Pprime, E, unit_orders))
-    for n, w in out.items():
-        if w >= 0:
-            raise errors.NonNegativeWeightError(f"weight at order {n} is {w}")
-    return out
-
-
 def spectral_data(field, P: Poly) -> SpectralData:
     """Full spectral decomposition of a monic P in F[t][X], P(0) != 0."""
     if not P.is_monic():
@@ -194,7 +175,7 @@ def spectral_data(field, P: Poly) -> SpectralData:
     np_all = polygon(P)
     E = np_all.entropy_exponent
     G, Pprime = rou_split(field, P)
-    rou = _orders_of_factors(field, G) if G.degree > 0 else ()
+    rou = rou_orders(field, G)
     if Pprime.degree > 0:
         residual = unit_residual(field, Pprime)
     else:

@@ -4,11 +4,14 @@ The zeta function of the system is exp(sum_k N_k z^k / k).  Whether it is
 an algebraic function is decided by divisibility: every unit order must be
 divisible by some root-of-unity order (vacuously true when there are no
 unit roots).  In the algebraic case N_k = q^{kE} exactly when no
-root-of-unity order divides k and is 0 otherwise, and inclusion-exclusion
-over the multiset of root-of-unity orders turns the exponential sum into a
-finite product of factors (1 - (q^E z)^L)^{+-1/L} collected here with
-exact rational exponents.  In the transcendental case a certificate
-records the smallest offending unit order.
+root-of-unity order divides k and is 0 otherwise.  Inclusion-exclusion
+over the multiset of root-of-unity orders m writes the indicator of "no m
+divides k" as the product of (1 - [m | k]); expanded in the algebra where
+[a | k][b | k] = [lcm(a, b) | k] it is sum_L c_L [L | k], and the
+exponential sum becomes the finite product of (1 - (q^E z)^L)^{-c_L/L}.
+The expansion is one pass over the distinct orders with a dict keyed by
+lcm, so it has no more terms than there are distinct lcms.  In the transcendental
+case a certificate records the smallest offending unit order.
 
 Series expansions come from two independent directions: the exponential
 recurrence n c_n = sum N_k c_{n-k} driven by any N_k source, and the
@@ -24,8 +27,6 @@ from math import lcm
 
 from . import errors
 from .spectral import SpectralData
-
-SUBSET_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,16 @@ def closed_form(sd: SpectralData) -> ZetaClosedForm:
         raise errors.NotAlgebraicError(
             f"unit order {bad} is not divisible by any root-of-unity order"
         )
-    ms = []
-    for m, mult in sd.rou_orders:
-        ms.extend([m] * mult)
-    if len(ms) > SUBSET_CAP:
-        raise errors.CapExceededError(
-            f"{len(ms)} unit-root eigenvalues exceed the subset expansion cap"
-        )
-    acc = {}
-    for bits in range(1 << len(ms)):
-        chosen = [ms[i] for i in range(len(ms)) if bits >> i & 1]
-        L = lcm(*chosen) if chosen else 1
-        sign = -1 if len(chosen) % 2 == 0 else 1
-        acc[L] = acc.get(L, Fraction(0)) + Fraction(sign, L)
-    factors = tuple(sorted((L, g) for L, g in acc.items() if g != 0))
+    # c holds the product of (1 - [m]) over the orders so far, in the
+    # algebra where [a][b] = [lcm(a, b)].  There [m]^2 = [m], so
+    # (1 - [m])^mult = 1 - [m]: each distinct order enters once, and the
+    # keys of c are lcms of distinct orders.
+    c = {1: 1}
+    for m, _mult in sd.rou_orders:
+        for L, v in list(c.items()):
+            Lm = lcm(L, m)
+            c[Lm] = c.get(Lm, 0) - v
+    factors = tuple(sorted((L, Fraction(-v, L)) for L, v in c.items() if v))
     return ZetaClosedForm(q=sd.field.q, E=sd.E, factors=factors)
 
 

@@ -30,6 +30,18 @@ def write_problem(tmp_path, doc, name="prob.json"):
     return str(path)
 
 
+def unfactorable_problem():
+    """Companion matrix of a degree-8 irreducible over a 61-bit prime."""
+    p = 2305843009213693921
+    g = [181785116543108203, 1546893918547566459, 960691145375510833,
+         1422198890898970246, 2158787438339059539, 1190864571044349696,
+         2159263096884028552, 697900490548643529]
+    rows = [[[1] if i == j + 1 else [0] for j in range(8)] for i in range(8)]
+    for i in range(8):
+        rows[i][7] = [-g[i] % p]
+    return {"p": p, "d": 8, "matrix": rows}
+
+
 class TestParseProblem:
     def test_minimal(self):
         spec = parse_problem({"p": 2, "d": 1, "matrix": [[[0, 1]]]})
@@ -116,25 +128,25 @@ class TestExitCodes:
         assert run(capsys, "classify", write_problem(tmp_path, doc))[0] == 3
 
     def test_unfactorable_group_order_ends(self, capsys, tmp_path):
-        """Companion matrix of a degree-8 irreducible over a 61-bit prime.
-
-        q^8 - 1 has a 309-bit composite part that Pollard rho does not split
-        within its step budget; an unbounded rho loop runs forever here.  The
-        budget ends it with exit 3 naming the stage.
+        """q^8 - 1 has a 309-bit composite part that Pollard rho does not
+        split within its step budget; an unbounded rho loop runs forever
+        here.  The budget ends it with exit 3 naming the stage.
         """
-        p = 2305843009213693921
-        g = [181785116543108203, 1546893918547566459, 960691145375510833,
-             1422198890898970246, 2158787438339059539, 1190864571044349696,
-             2159263096884028552, 697900490548643529]
-        rows = [[[1] if i == j + 1 else [0] for j in range(8)] for i in range(8)]
-        for i in range(8):
-            rows[i][7] = [-g[i] % p]
-        path = write_problem(tmp_path, {"p": p, "d": 8, "matrix": rows})
+        path = write_problem(tmp_path, unfactorable_problem())
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", path)
         assert time.perf_counter() - start < 10
         assert (code, out) == (3, "")
         assert err.startswith("error: order_of_root:")
+
+    def test_entropy_needs_no_group_order(self, capsys, tmp_path):
+        """E comes from the Newton polygon alone, so nothing is factored."""
+        path = write_problem(tmp_path, unfactorable_problem())
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entropy", path)
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "E: 0"
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate", DIAG62)[0] == 1

@@ -90,6 +90,13 @@ class TestEntropy:
             system_data(F2, tmat(F2, [[(1,), (1,)], [(1,), (1,)]]))
 
     @settings(max_examples=40)
+    @given(A=nonsingular_matrices(F3, dmax=3, tdeg=2))
+    def test_matches_spectral_E(self, A):
+        """entropy reads E off the polygon; spectral_data gets it the same way
+        but only after the full split, which entropy no longer runs."""
+        assert entropy(F3, A).E == system_data(F3, A).E
+
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_singular_iff_det_zero(self, data):
         """system_data reads singularity off charpoly(0) = (-1)^d det A."""

@@ -5,7 +5,7 @@ from hypothesis import assume, given
 
 from conftest import tpoly, tpolys
 from ffzeta import errors, make_field
-from ffzeta.funfield import INFINITY, AbsExp, FracField, RatFun, abs_value, redunit, valuation
+from ffzeta.funfield import INFINITY, RatFun, redunit, valuation
 from ffzeta.polycore import Poly
 
 F2 = make_field(2)
@@ -49,20 +49,6 @@ class TestValuation:
     def test_multiplicative(self, a, b):
         assume(a and b)
         assert valuation(a * b) == valuation(a) + valuation(b)
-
-
-class TestAbsExp:
-    def test_zero_is_smallest(self):
-        z = AbsExp.zero()
-        assert z <= AbsExp.of(-5) and z <= z
-        assert not (AbsExp.of(-5) <= z)
-        assert AbsExp.of(1) < AbsExp.of(2)
-
-    def test_abs_value(self):
-        assert abs_value(F2, Poly(F2)).is_zero
-        assert abs_value(F2, tpoly(F2, 0, 1)) == AbsExp.of(1)
-        t = tpoly(F3, 0, 1)
-        assert abs_value(F3, RatFun(F3, tpoly(F3, 1), t)) == AbsExp.of(-1)
 
 
 class TestRatFun:
@@ -116,16 +102,3 @@ class TestRedunit:
         with pytest.raises(errors.ZeroInputError):
             redunit(Poly(F7))
 
-
-class TestFracFieldHooks:
-    @given(fracs=ratfuns(F3).flatmap(lambda a: ratfuns(F3).map(lambda b: (a, b))))
-    def test_clear_denominators_roundtrip(self, fracs):
-        FF = FracField(F3)
-        f = Poly(FF, list(fracs))
-        cleared, d = FF.clear_denominators(f)
-        for i in range(len(f.coeffs)):
-            assert FF.from_fraction(cleared.coeff(i), d) == f.coeff(i)
-
-    def test_from_int(self):
-        FF = FracField(F3)
-        assert FF.from_int(5) == RatFun.from_poly(F3, tpoly(F3, 2))

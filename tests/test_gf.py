@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import felems, tpoly
 from ffzeta import elem_order, errors, make_field, order_of_root
-from ffzeta import gf
-from ffzeta.gf import EXT_CAP, PRIME_CAP, Field, factorint
+from ffzeta import gf, integers
+from ffzeta.gf import EXT_CAP, PRIME_CAP, Field
+from ffzeta.integers import factorint
 from ffzeta.polycore import Domain, Poly, is_irreducible
 
 F2 = make_field(2)
@@ -195,7 +196,7 @@ def test_factorint_frozen():
 def test_factorint_rho_budget(monkeypatch):
     n = 4294967311 * 4294967357  # rho needs about 2**16 steps
     assert factorint(n) == {4294967311: 1, 4294967357: 1}
-    monkeypatch.setattr(gf, "RHO_BUDGET", 64)
+    monkeypatch.setattr(integers, "RHO_BUDGET", 64)
     with pytest.raises(errors.CapExceededError, match="Pollard rho"):
         factorint(n)
 

@@ -1,8 +1,10 @@
-"""det, charpoly and factorint against sympy, an oracle outside the package.
+"""det, charpoly, factor, is_irreducible, factorint and is_prime against
+sympy, an oracle outside the package.
 
-Entries are lifted to Z[t], sympy takes the Berkowitz determinant over Z,
-and the result is reduced mod p.  Only prime fields (e = 1), where a
-packed field element is its own residue.
+Matrix entries are lifted to Z[t], sympy takes the Berkowitz determinant
+over Z, and the result is reduced mod p.  Polynomials are factored by
+sympy over GF(p) directly.  Only prime fields (e = 1), where a packed field
+element is its own residue.
 """
 
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tpolys
 from ffzeta import make_field
-from ffzeta.gf import factorint
-from ffzeta.polycore import polyring
+from ffzeta.integers import factorint, is_prime
+from ffzeta.polycore import factor, is_irreducible, polyring
 from ffzeta.polymat import charpoly, det
 
 sympy = pytest.importorskip("sympy")
@@ -20,8 +22,8 @@ t, x = sympy.symbols("t x")
 PRIMES = (2, 3, 5, 7)
 
 
-def lift(f):
-    return sum(int(c) * t**i for i, c in enumerate(f.coeffs))
+def lift(f, var=t):
+    return sum(int(c) * var**i for i, c in enumerate(f.coeffs))
 
 
 def reduced(expr, p, *gens):
@@ -98,3 +100,44 @@ def test_factorint_matches_sympy(primes):
     for r in primes:
         n *= r
     assert factorint(n) == sympy.factorint(n)
+
+
+def sympy_factors(f, p):
+    """Monic irreducible factors of f over GF(p) as (coefficient tuple, mult)."""
+    _, facs = sympy.Poly(lift(f, x), x, modulus=p).factor_list()
+    out = []
+    for g, mult in facs:
+        cs = [int(c) % p for c in reversed(g.all_coeffs())]
+        inv = pow(cs[-1], -1, p)
+        out.append((tuple(c * inv % p for c in cs), mult))
+    return sorted(out)
+
+
+@settings(max_examples=80)
+@given(
+    case=st.sampled_from(PRIMES).flatmap(
+        lambda p: tpolys(make_field(p), max_deg=12, min_deg=1).map(lambda f: (p, f))
+    )
+)
+def test_factor_and_irreducibility_match_sympy(case):
+    """Every factor of ours must pass is_irreducible, whose Rabin test takes
+    the prime divisors of the degree from factorint.  is_irreducible wants
+    a monic input, as all its callers give it."""
+    p, f = case
+    field = make_field(p)
+    ours = factor(field, f)
+    assert sorted((g.coeffs, mult) for g, mult in ours) == sympy_factors(f, p)
+    assert all(is_irreducible(field, g) for g, _ in ours)
+    want = sympy.Poly(lift(f, x), x, modulus=p).is_irreducible
+    assert is_irreducible(field, f.monic()) == want
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.integers(0, 2**70),
+        st.integers(2, 2**62).map(lambda n: int(sympy.nextprime(n))),
+    )
+)
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)

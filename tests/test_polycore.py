@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpoly, tpolys, xpoly, xpolys
 from ffzeta import errors, make_field
-from ffzeta.funfield import FracField, RatFun
 from ffzeta.polycore import (
     Poly,
     _splitter_candidates,
@@ -153,24 +152,6 @@ class TestResultant:
     def test_swap_sign(self, f, g):
         sign = (-1) ** (f.degree * g.degree) % 7
         assert resultant(f, g) == F7.mul(sign, resultant(g, f))
-
-    def test_fracfield_matches_integral(self):
-        ring = polyring(F3)
-        FF = FracField(F3)
-        P = xpoly(F3, (1, 2), (0, 1), (1,))
-        Q = xpoly(F3, (2,), (1, 1), (1,))
-        lift = lambda f: f.map(FF, lambda c: RatFun.from_poly(F3, c))
-        assert resultant(lift(P), lift(Q)) == RatFun.from_poly(F3, resultant(P, Q))
-
-    def test_fracfield_with_denominators(self):
-        # Res(X - 1/t, X - t) = (X - t) evaluated at 1/t = (1 - t^2)/t
-        FF = FracField(F3)
-        t = tpoly(F3, 0, 1)
-        one = tpoly(F3, 1)
-        f = Poly(FF, [RatFun(F3, one.scale(F3.neg(1)), t), FF.one])
-        g = Poly(FF, [RatFun.from_poly(F3, -t), FF.one])
-        expected = RatFun(F3, tpoly(F3, 1, 0, 2), t)
-        assert resultant(f, g) == expected
 
 
 class TestIrreducibility:

@@ -11,8 +11,6 @@ from ffzeta.spectral import (
     rou_orders,
     rou_split,
     spectral_data,
-    unit_orders,
-    weights,
     weights_by_divisibility,
     weights_from_residual,
 )
@@ -84,33 +82,38 @@ class TestRouOrders:
 
 
 class TestUnitOrders:
+    """Orders of the unit-circle residues, as spectral_data reports them."""
+
     def test_anchors(self):
-        assert unit_orders(F2, CUBIC) == ((1, 1),)
-        assert unit_orders(F2, xpoly(F2, (0, 1), (1,))) == ()
+        assert spectral_data(F2, CUBIC).unit_orders == ((1, 1),)
+        assert spectral_data(F2, xpoly(F2, (0, 1), (1,))).unit_orders == ()
 
     def test_quadratic_residual(self):
         # X^3 + tX^2 + tX + t has residual X^2 + X + 1: conjugate order-3 pair
         P = xpoly(F2, (0, 1), (0, 1), (0, 1), (1,))
-        assert unit_orders(F2, P) == ((3, 2),)
+        assert spectral_data(F2, P).unit_orders == ((3, 2),)
 
     def test_constant_input(self):
-        assert unit_orders(F2, xpoly(F2, (1,))) == ()
+        # every root is a root of unity, so the cofactor P' is constant
+        sd = spectral_data(F2, xpoly(F2, (1,), (1,)))
+        assert sd.Pprime.is_one() and sd.unit_orders == ()
 
 
 class TestWeights:
     def test_anchor(self):
-        assert weights(F2, CUBIC, 2, ((1, 1),)) == {1: -1}
+        assert dict(weights_by_divisibility(F2, CUBIC, 2, ((1, 1),))) == {1: -1}
 
     def test_routes_agree_on_anchor(self):
         sd = spectral_data(F2, CUBIC)
-        assert dict(sd.weights) == weights(F2, sd.Pprime, sd.E, sd.unit_orders)
+        slow = weights_by_divisibility(F2, sd.Pprime, sd.E, sd.unit_orders)
+        assert dict(sd.weights) == dict(slow)
 
     def test_divisibility_inversion(self):
         # two orders with 1 | 3: w_3 = W(3) - w_1
         P = xpoly(F2, (0, 1), (0, 1), (0, 1), (1,))
         sd = spectral_data(F2, P)
         assert sd.unit_orders == ((3, 2),)
-        w = weights(F2, sd.Pprime, sd.E, sd.unit_orders)
+        w = dict(weights_by_divisibility(F2, sd.Pprime, sd.E, sd.unit_orders))
         assert dict(sd.weights) == w
         ring = polyring(F2)
         x3 = Poly(ring, [ring.neg(ring.one), ring.zero, ring.zero, ring.one])

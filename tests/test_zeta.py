@@ -1,15 +1,18 @@
 """Zeta classification, closed forms, and exact series expansion routes."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import tmat, tpoly, xpoly
 from ffzeta import errors, make_field
 from ffzeta.dynamics import NkValue, nk_direct, nk_table, system_data
 from ffzeta.spectral import SpectralData
 from ffzeta.zeta import (
-    SUBSET_CAP,
     SeriesTrunc,
     ZetaClosedForm,
     classify,
@@ -46,6 +49,20 @@ def fake_sd(field, E, rou, unit, weights=()):
         Pprime=xpoly(field, (1,)),
         residual=one,
     )
+
+
+def subset_expansion(orders):
+    """Inclusion-exclusion over all 2^n subsets of the order multiset.
+
+    The factor at L collects (-1)^(|S| + 1) / L over the subsets S whose
+    lcm is L, the empty subset giving L = 1.
+    """
+    acc = {}
+    for r in range(len(orders) + 1):
+        for chosen in combinations(orders, r):
+            L = lcm(*chosen) if chosen else 1
+            acc[L] = acc.get(L, Fraction(0)) + Fraction((-1) ** (r + 1), L)
+    return tuple(sorted((L, g) for L, g in acc.items() if g))
 
 
 class TestClassify:
@@ -104,10 +121,19 @@ class TestClosedForm:
         with pytest.raises(errors.NotAlgebraicError):
             closed_form(system_data(F2, CUBIC_COMP))
 
-    def test_subset_cap(self):
-        sd = fake_sd(F2, 0, rou=((1, SUBSET_CAP + 1),), unit=())
-        with pytest.raises(errors.CapExceededError):
-            closed_form(sd)
+    def test_copies_of_one_order_collapse(self):
+        """[m | k] is idempotent: 17 copies of order 1 act like one copy."""
+        many = closed_form(fake_sd(F2, 0, rou=((1, 17),), unit=()))
+        one = closed_form(fake_sd(F2, 0, rou=((1, 1),), unit=()))
+        assert many.factors == one.factors == ()
+
+    @given(
+        orders=st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), max_size=8)
+    )
+    def test_matches_subset_expansion(self, orders):
+        rou = tuple(sorted(Counter(orders).items()))
+        cf = closed_form(fake_sd(F7, 1, rou=rou, unit=()))
+        assert cf.factors == subset_expansion(orders)
 
 
 class TestSeriesFromNk:
