@@ -144,7 +144,7 @@ def load_problem(path: str) -> ProblemSpec:
             raise errors.MalformedInputError(f"cannot read {path}: {ex}")
     try:
         doc = json.loads(raw)
-    except ValueError as ex:
+    except (ValueError, RecursionError) as ex:
         raise errors.MalformedInputError(f"invalid JSON: {ex}")
     return parse_problem(doc)
 

@@ -375,6 +375,7 @@ class Field(Domain):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _default_modulus(p: int, e: int) -> tuple:
     """First monic irreducible of degree e over GF(p), by packed-int order."""
     base = Field(p, 1, (0, 1))

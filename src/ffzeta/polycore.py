@@ -17,10 +17,20 @@ Beyond arithmetic this module provides monic gcd, modular exponentiation,
 resultants by fraction-free polynomial remainder sequences, irreducibility
 testing, and full factorization over a finite field (squarefree split,
 distinct-degree split, equal-degree split).
+
+The equal-degree split is Cantor-Zassenhaus.  For a product f of distinct
+degree-d irreducibles and a random alpha mod f, the map T(alpha) is
+alpha^((q^d - 1)/2) - 1 in odd characteristic and the absolute trace
+alpha + alpha^2 + ... + alpha^(2^(ed - 1)) over GF(2^e); each root of f
+sends it to zero or not independently with probability about 1/2, so
+gcd(f, T(alpha)) is a proper factor with probability about 1/2 or more.  The
+alphas come from one random.Random(0) stream per factor call: the sorted
+factorization is unique, so the stream only decides how fast it is found.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from . import errors
@@ -499,6 +509,7 @@ def is_irreducible(field, f: Poly) -> bool:
         return False
     if n == 1:
         return True
+    f = f.monic()
     pows = _frobenius_powers(field, f, n)
     x = Poly.x(field)
     if (pows[n] - x) % f:
@@ -564,38 +575,15 @@ def _distinct_degree(field, f: Poly):
     return out
 
 
-def _splitter_candidates(field, maxdeg: int, budget: int):
-    """Deterministic enumeration of candidate splitting elements.
-
-    The low coefficients are the base-q digits of a counter, last one
-    fastest (the order of itertools.product), generated lazily so that
-    nothing of size q is built when q is huge.
-    """
-    q = field.q
-    count = 0
-    for deg in range(1, max(maxdeg, 1) + 1):
-        for lead in range(1, q):
-            for n in range(q**deg):
-                rest = [0] * deg
-                for i in range(deg - 1, -1, -1):
-                    n, rest[i] = divmod(n, q)
-                yield Poly(field, rest + [lead])
-                count += 1
-                if count >= budget:
-                    return
-
-
 def _try_split(field, f: Poly, d: int, alpha: Poly):
+    """A proper factor gcd(f, T(alpha)) of f, or None when alpha fails."""
     if field.p == 2:
         # Absolute trace to GF(2): alpha + alpha^2 + ... + alpha^(2^(ed-1))
-        k = field.e * d
         u = alpha % f
-        s = u
-        for _ in range(k - 1):
+        cand = u
+        for _ in range(field.e * d - 1):
             u = modpow(u, 2, f)
-            s = s + u
-        s = s % f
-        cand = s
+            cand = cand + u
     else:
         s = modpow(alpha, (field.q ** d - 1) // 2, f)
         cand = s - Poly.const(field, field.one)
@@ -607,42 +595,35 @@ def _try_split(field, f: Poly, d: int, alpha: Poly):
     return None
 
 
-def _equal_degree(field, f: Poly, d: int, seed: int):
+def _equal_degree(field, f: Poly, d: int, rng):
+    """The factors of f, a product of distinct monic degree-d irreducibles."""
     if f.degree == d:
         return [f]
-    for alpha in _splitter_candidates(field, min(f.degree - 1, 3), 5000):
-        g = _try_split(field, f, d, alpha)
-        if g is not None:
-            rest = f.exact_div(g)
-            return _equal_degree(field, g, d, seed) + _equal_degree(field, rest, d, seed)
-    # Seeded fallback for fields too large to enumerate quickly.
-    import random
-
-    rng = random.Random(seed)
     while True:
         alpha = Poly(field, [rng.randrange(field.q) for _ in range(f.degree)] + [1])
-        if alpha.degree < 1:
-            continue
         g = _try_split(field, f, d, alpha)
         if g is not None:
-            rest = f.exact_div(g)
-            return _equal_degree(field, g, d, seed) + _equal_degree(field, rest, d, seed)
+            return _equal_degree(field, g, d, rng) + _equal_degree(
+                field, f.exact_div(g), d, rng
+            )
 
 
-def factor(field, f: Poly, seed: int = 0):
+def factor(field, f: Poly):
     """Full factorization over GF(q).
 
     Returns a list of (irreducible monic factor, multiplicity), sorted by
-    degree then by coefficient tuple, so the output is deterministic.  The
-    leading coefficient is dropped: f = lc(f) * prod factor**mult.
+    degree then by coefficient tuple; the factorization is unique, so the
+    output does not depend on the splitting elements drawn.  The leading
+    coefficient is dropped: f = lc(f) * prod factor**mult.
     """
     if not f:
         raise errors.ZeroInputError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
     found = {}
+    rng = random.Random(0)
     for g, mult in squarefree_parts(field, f.monic()):
         for part, d in _distinct_degree(field, g):
-            for irr in _equal_degree(field, part, d, seed):
+            for irr in _equal_degree(field, part, d, rng):
                 found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda it: (it[0].degree, it[0].coeffs))

@@ -16,16 +16,22 @@ coefficients are the t-power slices S_j in F[X], that divisor is
 gcd_j S_j: it divides every slice, and conversely a common divisor of the
 slices divides P.  This stays cheap no matter how large the orders are.
 
-Weights come from resultants.  For an irreducible h in F[X] whose roots
-have order n, deg_t Res_X(P', h) counts deg(h) * E plus the (negative)
-valuation defects of the unit roots whose residues are roots of h; summing
-over the h of order n and subtracting deg(h) * E leaves w_n.  A slower
-textbook route through Res_X(P', X^n - 1) and divisor inversion,
-weights_by_divisibility, is kept as an independent oracle for tests.
+Weights come from slice divisibility.  Write P' = sum_j S_j(X) t^j.  For
+a monic irreducible h in F[X] and a root beta of h, P'(beta) has t-degree
+j_h = max{j : h does not divide S_j}, the same at every conjugate root, so
+deg_t Res_X(P', h) = deg(h) * j_h.  That degree counts deg(h) * E plus the
+(negative) valuation defects of the unit roots whose residues are roots
+of h; summing deg(h) * (j_h - E) over the h of order n leaves w_n.  No
+resultant is computed.  A slower textbook route through
+Res_X(P', X^n - 1) and divisor inversion, weights_by_divisibility, is
+kept as an independent oracle for tests.
 
-spectral_data is the one entry point that computes all of this; the
-orders of G's roots come from rou_orders, those of the residual's roots
-and the weights from the same factorization of the residual.
+spectral_data is the one entry point that computes all of this.  It
+factors G and the residual once each and takes one order_of_root per
+irreducible factor: rou_orders reads the orders of G's roots off its
+factorization, and weights_from_residual reads the orders of the
+residual's roots and the weights off the same factorization of the
+residual.
 """
 
 from __future__ import annotations
@@ -67,18 +73,18 @@ class SpectralData:
 
 
 def _slices(field, P: Poly):
-    """Write P = sum_j S_j(X) t^j; returns the nonzero S_j in F[X]."""
+    """Write P = sum_j S_j(X) t^j; returns {j: S_j} for the nonzero S_j."""
     maxdeg = max(c.degree for c in P.coeffs if c)
-    out = []
+    out = {}
     for j in range(maxdeg + 1):
         s = Poly(field, [c.coeff(j) for c in P.coeffs])
         if s:
-            out.append(s)
+            out[j] = s
     return out
 
 
 def _slice_gcd(field, P: Poly) -> Poly:
-    slices = _slices(field, P)
+    slices = list(_slices(field, P).values())
     g = slices[0]
     for s in slices[1:]:
         g = poly_gcd(g, s)
@@ -107,44 +113,41 @@ def rou_split(field, P: Poly):
     return G, Pprime
 
 
-def _orders_of_factors(field, f: Poly):
-    """[(order, eigenvalue multiplicity)] for the roots of f in F[X]."""
+def rou_orders(field, G: Poly):
+    """Order multiset of the root-of-unity eigenvalues (roots of G in F[X])."""
+    if G.degree >= 1 and not G.coeff(0):
+        raise errors.ZeroRootError("zero is not a root of unity")
     agg = {}
-    for h, mult in factor(field, f):
+    for h, mult in factor(field, G):
         n = order_of_root(field, h)
         agg[n] = agg.get(n, 0) + h.degree * mult
     return tuple(sorted(agg.items()))
 
 
-def rou_orders(field, G: Poly):
-    """Order multiset of the root-of-unity eigenvalues (roots of G in F[X])."""
-    if G.degree >= 1 and not G.coeff(0):
-        raise errors.ZeroRootError("zero is not a root of unity")
-    if G.degree < 1:
-        return ()
-    return _orders_of_factors(field, G)
-
-
-def _lift(ring, field, f: Poly) -> Poly:
-    return f.map(ring, lambda c: Poly.const(field, c))
-
-
 def weights_from_residual(field, Pprime: Poly, E: int, residual: Poly):
-    """w_n per distinct unit order n, via per-factor resultants."""
-    ring = polyring(field)
-    agg = {}
-    for h, _mult in factor(field, residual):
+    """(unit_orders, weights) from one factorization of the residual.
+
+    unit_orders holds (n, eigenvalue multiplicity) and weights (n, w_n),
+    both sorted by the order n of the roots; w_n sums deg(h) * (j_h - E)
+    over the irreducible factors h of order n, j_h being the top t-degree
+    of a slice of P' that h does not divide.
+    """
+    slices = _slices(field, Pprime)
+    top_down = sorted(slices, reverse=True)
+    orders, weights = {}, {}
+    for h, mult in factor(field, residual):
         n = order_of_root(field, h)
-        r = resultant(Pprime, _lift(ring, field, h))
-        if not r:
+        orders[n] = orders.get(n, 0) + h.degree * mult
+        j = next((j for j in top_down if slices[j] % h), None)
+        if j is None:
             raise errors.InternalInvariantError(
-                "resultant with the unit factor vanished"
+                "the unit factor divides every slice of P'"
             )
-        agg[n] = agg.get(n, 0) + r.degree - h.degree * E
-    for n, w in agg.items():
+        weights[n] = weights.get(n, 0) + h.degree * (j - E)
+    for n, w in weights.items():
         if w >= 0:
             raise errors.NonNegativeWeightError(f"weight at order {n} is {w}")
-    return tuple(sorted(agg.items()))
+    return tuple(sorted(orders.items())), tuple(sorted(weights.items()))
 
 
 def weights_by_divisibility(field, Pprime: Poly, E: int, unit_orders):
@@ -180,12 +183,7 @@ def spectral_data(field, P: Poly) -> SpectralData:
         residual = unit_residual(field, Pprime)
     else:
         residual = Poly.const(field, field.one)
-    if residual.degree > 0:
-        unit = _orders_of_factors(field, residual)
-        weights = weights_from_residual(field, Pprime, E, residual)
-    else:
-        unit = ()
-        weights = ()
+    unit, weights = weights_from_residual(field, Pprime, E, residual)
     span = np_all.slope_zero_span()
     zero_len = span[1] - span[0] if span else 0
     if G.degree + residual.degree != zero_len:

@@ -105,6 +105,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert run(capsys, "classify", str(path))[0] == 1
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 1 and "invalid JSON" in err
+
     def test_nonprime(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"p": 6, "d": 1, "matrix": [[[0, 1]]]})
         assert run(capsys, "classify", path)[0] == 1

@@ -81,6 +81,22 @@ class TestMakeField:
         assert make_field(7) is F7
         assert make_field(3, 2) is F9
 
+    @pytest.mark.parametrize("p, e", [(2, 16), (3, 10)])
+    def test_repeat_call_searches_no_modulus(self, monkeypatch, p, e):
+        from ffzeta import gf
+
+        first = make_field(p, e)
+        calls = []
+        real = gf.is_irreducible
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(gf, "is_irreducible", counting)
+        assert make_field(p, e) is first
+        assert calls == []
+
 
 class TestArithmetic:
     def test_gf4_table(self):

@@ -1,22 +1,32 @@
-"""det, charpoly, factor, is_irreducible, factorint and is_prime against
-sympy, an oracle outside the package.
+"""det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint
+and is_prime against sympy, an oracle outside the package; order_of_root
+against a direct power search in plain integers.
 
-Matrix entries are lifted to Z[t], sympy takes the Berkowitz determinant
-over Z, and the result is reduced mod p.  Polynomials are factored by
-sympy over GF(p) directly.  Only prime fields (e = 1), where a packed field
-element is its own residue.
+Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
+computes over Z, and the result is reduced mod p: determinants and
+resultants are integer polynomials in the entries, so reduction commutes
+with them.  Polynomials over GF(p) go to sympy over GF(p) directly.  Only
+prime fields (e = 1), where a packed field element is its own residue.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tpolys
-from ffzeta import make_field
+from conftest import monic_tpolys, tpolys, xpolys
+from ffzeta import make_field, order_of_root
 from ffzeta.integers import factorint, is_prime
-from ffzeta.polycore import factor, is_irreducible, polyring
+from ffzeta.polycore import (
+    Poly,
+    factor,
+    is_irreducible,
+    poly_gcd,
+    polyring,
+    resultant,
+)
 from ffzeta.polymat import charpoly, det
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 t, x = sympy.symbols("t x")
 PRIMES = (2, 3, 5, 7)
@@ -121,15 +131,99 @@ def sympy_factors(f, p):
 )
 def test_factor_and_irreducibility_match_sympy(case):
     """Every factor of ours must pass is_irreducible, whose Rabin test takes
-    the prime divisors of the degree from factorint.  is_irreducible wants
-    a monic input, as all its callers give it."""
+    the prime divisors of the degree from factorint."""
     p, f = case
     field = make_field(p)
     ours = factor(field, f)
     assert sorted((g.coeffs, mult) for g, mult in ours) == sympy_factors(f, p)
     assert all(is_irreducible(field, g) for g, _ in ours)
     want = sympy.Poly(lift(f, x), x, modulus=p).is_irreducible
-    assert is_irreducible(field, f.monic()) == want
+    assert is_irreducible(field, f) == want
+
+
+def prime_field_pairs(make):
+    """(p, f, g) with f, g drawn by make(field)."""
+    return st.sampled_from(PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), make(make_field(p)), make(make_field(p)))
+    )
+
+
+@settings(max_examples=60)
+@given(case=prime_field_pairs(lambda F: tpolys(F, max_deg=8, min_deg=1)))
+def test_resultant_over_gf_p_matches_sympy(case):
+    """Against the Sylvester determinant: sympy's own resultant (1.14) has
+    the wrong sign when deg f < deg g and both degrees are odd."""
+    p, f, g = case
+    want = sylvester(lift(f, x), lift(g, x), x).det()
+    assert resultant(f, g) == int(want) % p
+
+
+def lift_xpoly(P):
+    return sum(lift(c) * x**i for i, c in enumerate(P.coeffs))
+
+
+@settings(max_examples=40)
+@given(
+    case=prime_field_pairs(
+        lambda F: xpolys(F, max_xdeg=4, max_tdeg=2, monic=False)
+    )
+)
+def test_resultant_over_f_t_matches_sympy(case):
+    """Res_X over F[t], against the Sylvester determinant over Z[t] mod p."""
+    p, f, g = case
+    want = sylvester(lift_xpoly(f), lift_xpoly(g), x).det(method="berkowitz")
+    r = resultant(f, g)
+    ours = {(j,): c for j, c in enumerate(r.coeffs) if c}
+    assert ours == (reduced(want, p, t) if want else {})
+
+
+@settings(max_examples=60)
+@given(case=prime_field_pairs(lambda F: tpolys(F, max_deg=8)))
+def test_gcd_matches_sympy(case):
+    p, f, g = case
+    if not f and not g:
+        return
+    h = sympy.Poly(sympy.gcd(lift(f, x), lift(g, x), modulus=p), x, modulus=p)
+    cs = [int(c) % p for c in reversed(h.all_coeffs())]
+    inv = pow(cs[-1], -1, p)
+    assert poly_gcd(f, g).coeffs == tuple(c * inv % p for c in cs)
+
+
+def power_search_order(h, p):
+    """Least k >= 1 with X^k = 1 mod the monic h, stepping X^k -> X^(k+1)."""
+    cs = [int(c) for c in h.coeffs]
+    n = len(cs) - 1
+    r = [0] * n
+    r[0] = 1
+    k = 0
+    while True:
+        top = r[-1]
+        r = [0] + r[:-1]  # times X; reduce X^n = -(cs[0] + ... + cs[n-1] X^(n-1))
+        r = [(a - top * c) % p for a, c in zip(r, cs)]
+        k += 1
+        if r[0] == 1 and not any(r[1:]):
+            return k
+
+
+@settings(max_examples=60)
+@given(
+    case=st.sampled_from(
+        [(p, delta) for p in PRIMES for delta in range(1, 14) if p**delta <= 10**4]
+    ).flatmap(
+        lambda pd: monic_tpolys(make_field(pd[0]), min_deg=pd[1], max_deg=pd[1]).map(
+            lambda f: (pd[0], f)
+        )
+    )
+)
+def test_order_of_root_matches_power_search(case):
+    """Roots of each irreducible factor (by sympy) of a drawn polynomial;
+    q^delta <= 10^4 bounds the search at q^delta - 1 steps."""
+    p, f = case
+    field = make_field(p)
+    for cs, _ in sympy_factors(f, p):
+        if cs[0]:
+            h = Poly(field, cs)
+            assert order_of_root(field, h) == power_search_order(h, p)
 
 
 @settings(max_examples=200)

@@ -7,7 +7,6 @@ from conftest import monic_tpolys, tpoly, tpolys, xpoly, xpolys
 from ffzeta import errors, make_field
 from ffzeta.polycore import (
     Poly,
-    _splitter_candidates,
     factor,
     is_irreducible,
     modpow,
@@ -163,6 +162,10 @@ class TestIrreducibility:
         assert is_irreducible(F2, tpoly(F2, 1, 1, 0, 0, 1))
         assert is_irreducible(F2, tpoly(F2, 1, 1, 1, 1, 1))
 
+    def test_non_monic_input(self):
+        assert not is_irreducible(F3, tpoly(F3, 0, 0, 2))  # 2X^2
+        assert is_irreducible(F3, tpoly(F3, 2, 0, 2))  # 2(X^2 + 1)
+
     @given(f=monic_tpolys(F4, max_deg=3), g=monic_tpolys(F4, max_deg=3))
     def test_products_are_reducible(self, f, g):
         assert not is_irreducible(F4, f * g)
@@ -211,13 +214,6 @@ class TestFactor:
         f = tpoly(F5, 3, 1, 4, 1, 1, 2, 1)
         assert factor(F5, f) == factor(F5, f)
 
-    def test_splitter_candidate_order(self):
-        got = [h.coeffs for h in _splitter_candidates(F3, 2, 100)]
-        want = [(a, 1) for a in range(3)] + [(a, 2) for a in range(3)]
-        want += [(a, b, lead) for lead in (1, 2) for a in range(3) for b in range(3)]
-        assert got == want
-        assert len(list(_splitter_candidates(F3, 2, 5))) == 5
-
     def test_large_prime_equal_degree_split(self):
         """Splitting over GF(2^31 - 1) builds nothing of size q."""
         p = 2147483647
@@ -226,3 +222,25 @@ class TestFactor:
         f2 = Poly(F, [4, 1, 1])  # X^2 + X + 4, discriminant -15 a non-residue
         assert is_irreducible(F, f1) and is_irreducible(F, f2)
         assert factor(F, f1 * f2) == [(f2, 1), (f1, 1)]
+
+    def test_gf2_16_equal_trace_roots_split(self, monkeypatch):
+        """X + 2 and X + 3 over GF(2^16) have roots of equal absolute trace.
+
+        No splitting element X + c separates them, so the split must come
+        from random elements of higher degree, and it does at once.
+        """
+        from ffzeta import polycore
+
+        F = make_field(2, 16)
+        calls = []
+        real = polycore._try_split
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(polycore, "_try_split", counting)
+        lin = [Poly(F, [c, 1]) for c in (1, 2, 3)]
+        got = factor(F, lin[0] * lin[1] * lin[2])
+        assert got == [(h, 1) for h in lin]
+        assert len(calls) <= 50

@@ -141,9 +141,71 @@ class TestWeights:
         sd = spectral_data(F3, P)
         if not sd.unit_orders:
             return
-        fast = weights_from_residual(F3, sd.Pprime, sd.E, sd.residual)
+        unit, fast = weights_from_residual(F3, sd.Pprime, sd.E, sd.residual)
         slow = weights_by_divisibility(F3, sd.Pprime, sd.E, sd.unit_orders)
+        assert unit == sd.unit_orders
         assert fast == slow == sd.weights
+
+
+    def test_unit_factor_dividing_every_slice(self):
+        # X + 1 divides every t-slice of (X + 1) * CUBIC: P'(1) = 0
+        Pprime = lift(F2, tpoly(F2, 1, 1)) * CUBIC
+        with pytest.raises(errors.InternalInvariantError):
+            weights_from_residual(F2, Pprime, 2, tpoly(F2, 1, 1))
+
+    def test_nonnegative_weight_rejected(self):
+        # the top slice of CUBIC that X + 1 does not divide is S_1 = 1
+        with pytest.raises(errors.NonNegativeWeightError):
+            weights_from_residual(F2, CUBIC, 1, tpoly(F2, 1, 1))
+
+
+# G = (X + 1)^2 (X^2 + X + 1); the residual of P' is (X + 1)(X^2 + X + 1)
+MIXED = (
+    lift(F2, tpoly(F2, 1, 1) ** 2 * tpoly(F2, 1, 1, 1))
+    * CUBIC
+    * xpoly(F2, (0, 1), (0, 1), (0, 1), (1,))
+)
+
+
+class TestOnePass:
+    def test_one_factorization_per_polynomial(self, monkeypatch):
+        from ffzeta import spectral
+
+        factored, ordered = [], []
+        real_factor, real_order = spectral.factor, spectral.order_of_root
+
+        def counting_factor(field, f):
+            factored.append(f)
+            return real_factor(field, f)
+
+        def counting_order(field, h):
+            ordered.append(h)
+            return real_order(field, h)
+
+        monkeypatch.setattr(spectral, "factor", counting_factor)
+        monkeypatch.setattr(spectral, "order_of_root", counting_order)
+        sd = spectral_data(F2, MIXED)
+        assert factored == [sd.G, sd.residual]
+        distinct = [h for f in factored for h, _ in real_factor(F2, f)]
+        assert len(distinct) == 4
+        assert ordered == distinct
+        assert (sd.rou_orders, sd.unit_orders, sd.weights) == (
+            ((1, 2), (3, 2)),
+            ((1, 1), (3, 2)),
+            ((1, -1), (3, -2)),
+        )
+
+    def test_no_resultant_on_the_pipeline(self, monkeypatch):
+        from ffzeta import polycore, spectral
+
+        want = [spectral_data(F2, P) for P in (MIXED, CUBIC)]
+
+        def refuse(*args):
+            raise AssertionError("resultant called")
+
+        monkeypatch.setattr(spectral, "resultant", refuse)
+        monkeypatch.setattr(polycore, "resultant", refuse)
+        assert [spectral_data(F2, P) for P in (MIXED, CUBIC)] == want
 
 
 class TestSpectralData:
