@@ -19,7 +19,6 @@ from .dynamics import (
     nk_table,
     system_data,
 )
-from .funfield import RatFun, redunit, valuation
 from .gf import Field, elem_order, make_field, order_of_root
 from .newton import NewtonPolygon, polygon, unit_residual
 from .polycore import Poly, factor, modpow, poly_gcd, polyring, resultant
@@ -44,7 +43,6 @@ __all__ = [
     "NewtonPolygon",
     "NkValue",
     "Poly",
-    "RatFun",
     "SeriesTrunc",
     "SmithForm",
     "SpectralData",
@@ -72,7 +70,6 @@ __all__ = [
     "poly_gcd",
     "polygon",
     "polyring",
-    "redunit",
     "resultant",
     "rou_orders",
     "rou_split",
@@ -82,5 +79,4 @@ __all__ = [
     "spectral_data",
     "system_data",
     "unit_residual",
-    "valuation",
 ]

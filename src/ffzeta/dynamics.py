@@ -16,7 +16,9 @@ Two independent routes compute N_k:
 
 Fixed points (k = 1) get two more routes: the Smith normal form of A - I,
 and explicit enumeration of solutions of (A - I)x = 0 on the torus, the
-latter only for tiny instances.
+latter only for tiny instances.  The enumeration solves over F(t) by
+Cramer's rule and keys each solution coordinate num/den by its class mod
+F[t]: the reduced fraction with den monic and deg num < deg den.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import errors
-from .funfield import RatFun
 from .newton import polygon
-from .polycore import Poly, polyring
+from .polycore import Poly, poly_gcd, polyring
 from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
 
@@ -143,6 +144,20 @@ def fixed_points_smith(field, A) -> NkValue:
     return NkValue.of(sum(b.degree for b in sf.invariant_factors))
 
 
+def _torus_point(field, num: Poly, den: Poly):
+    """Hashable key (num, den) of num/den mod F[t], den nonzero.
+
+    The fraction is reduced by the monic gcd, den is made monic and num is
+    taken mod den, so two fractions get one key exactly when they differ by
+    a polynomial; 0 gets (0, 1).
+    """
+    g = poly_gcd(num, den)
+    den = den.exact_div(g)
+    c = field.inv(den.lc)
+    den = den.scale(c)
+    return (num.exact_div(g).scale(c) % den, den)
+
+
 def _poly_tuples(field, degree_bound: int):
     """All polynomials over F of degree < degree_bound, as coefficient tuples."""
     return product(range(field.q), repeat=degree_bound)
@@ -170,14 +185,14 @@ def fixed_points_bruteforce(field, A, cap: int = 100_000) -> int:
         out = []
         for i in range(d):
             M = [[B[r][c] if c != i else z[r] for c in range(d)] for r in range(d)]
-            out.append(RatFun(field, det(ring, M), detB).frac_part())
+            out.append(_torus_point(field, det(ring, M), detB))
         return tuple(out)
 
     den_deg = 0
     for i in range(d):
         unit = [Poly.const(field, field.one) if r == i else Poly(field) for r in range(d)]
-        for x in solve(unit):
-            den_deg = max(den_deg, x.den.degree)
+        for _num, den in solve(unit):
+            den_deg = max(den_deg, den.degree)
 
     def count(D):
         if field.q ** (d * D) > cap:

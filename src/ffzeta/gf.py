@@ -270,18 +270,6 @@ class Field(Domain):
             return ((-a) % self.p).tolist()
         return self._pack(-self._unpack(a) + self.p).tolist()
 
-    def poly_scale(self, xs, c):
-        if c == 0:
-            return []
-        if c == 1:
-            return list(xs)
-        if len(xs) < NP_CUTOFF or not self._np_scalar_ok:
-            return super().poly_scale(xs, c)
-        a = np.asarray(xs, dtype=np.int64)
-        if self.e == 1:
-            return ((a * c) % self.p).tolist()
-        return self._pack(self._scalar_map(c) @ self._unpack(a)).tolist()
-
     def poly_mul(self, xs, ys):
         if min(len(xs), len(ys)) == 0:
             return []
@@ -316,40 +304,6 @@ class Field(Domain):
                     acc[k - e + i] += row * self._zred[i]
         out = acc[:e] % self.p
         return self._pack(out).tolist()
-
-    def poly_divmod(self, xs, ys):
-        m = len(ys) - 1
-        if len(xs) <= m or len(xs) < NP_CUTOFF or not self._np_scalar_ok:
-            return super().poly_divmod(xs, ys)
-        dlc_inv = self.inv(ys[-1])
-        if self.e == 1:
-            rem = np.asarray(xs, dtype=np.int64).copy()
-            div = np.asarray(ys[:m], dtype=np.int64)
-            quo = [0] * (len(xs) - m)
-            for j in range(len(xs) - m - 1, -1, -1):
-                lead = int(rem[j + m])
-                if lead == 0:
-                    continue
-                c = lead * dlc_inv % self.p
-                quo[j] = c
-                if m:
-                    rem[j : j + m] = (rem[j : j + m] - c * div) % self.p
-            return quo, rem[:m].tolist()
-        dd = self._unpack(np.asarray(xs, dtype=np.int64))
-        dv = self._unpack(np.asarray(ys[:m], dtype=np.int64)) if m else None
-        quo = [0] * (len(xs) - m)
-        pwl = [self.p**i for i in range(self.e)]
-        for j in range(len(xs) - m - 1, -1, -1):
-            lead = int(sum(int(dd[i, j + m]) * pwl[i] for i in range(self.e)))
-            if lead == 0:
-                continue
-            c = self.mul(lead, dlc_inv)
-            quo[j] = c
-            dd[:, j + m] = 0
-            if m:
-                dd[:, j : j + m] = (dd[:, j : j + m] - self._scalar_map(c) @ dv) % self.p
-        rem = self._pack(dd[:, :m]).tolist() if m else []
-        return quo, rem
 
     # -- identity ---------------------------------------------------------------
 
@@ -427,7 +381,9 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
         raise errors.CapExceededError(f"prime modulus must be below 2**63, got {p}")
     if not is_prime(p):
         raise errors.NotPrimeError(f"{p} is not prime")
-    if e >= 2 and p**e > EXT_CAP:
+    # p >= 2, so p**e > EXT_CAP whenever 2**e is: decide those e without
+    # computing p**e, which has millions of digits for e = 10**8
+    if e >= 2 and (e >= EXT_CAP.bit_length() or p**e > EXT_CAP):
         raise errors.CapExceededError(
             f"extension field order {p}**{e} exceeds the 2**20 table cap"
         )

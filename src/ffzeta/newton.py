@@ -1,8 +1,8 @@
 r"""Newton polygons of polynomials over F[t] at the infinite place.
 
-For P = sum c_i X^i with c_i in F[t], plot the points (i, v(c_i)) where
-v = -deg is the valuation at infinity, and take the lower convex hull.
-An edge of slope s and horizontal length l says that P has exactly l roots
+For P = sum c_i X^i with c_i in F[t], plot the points (i, v(c_i)), where
+v(c) = -deg c is the valuation at infinity (the place with uniformizer
+1/t), and take the lower convex hull.  An edge of slope s and horizontal length l says that P has exactly l roots
 of absolute value q**s (counted with multiplicity) in an algebraic closure
 of the Laurent series field.  Collinear segments are merged, so slopes
 strictly increase left to right.
@@ -10,7 +10,9 @@ strictly increase left to right.
 The slope-zero edge carries more structure: dividing each on-edge
 coefficient by the power of t fixed by the hull height and reducing leaves
 the residual polynomial over F, whose roots are the reductions of the
-absolute-value-one roots of P.
+absolute-value-one roots of P.  The reduction of a polynomial c of the
+edge's height is its leading coefficient c.lc, the unit part of c at
+infinity.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .funfield import redunit, valuation
 from .polycore import Poly
 
 
@@ -75,7 +76,7 @@ def polygon(P: Poly) -> NewtonPolygon:
     if not P.is_monic():
         raise errors.NonMonicError("polygon needs a monic polynomial")
     points = [
-        (i, valuation(c))
+        (i, -c.degree)
         for i, c in enumerate(P.coeffs)
         if not P.dom.is_zero(c)
     ]
@@ -86,26 +87,25 @@ def polygon(P: Poly) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull), tuple(edges))
 
 
-def unit_residual(field, P: Poly, np: NewtonPolygon = None) -> Poly:
+def unit_residual(field, P: Poly) -> Poly:
     """Residual polynomial of the slope-zero edge, or 1 if there is none.
 
     The residual lives in F[X]; its roots with multiplicity are the residue
     classes of the absolute-value-one roots of P.
     """
-    if np is None:
-        np = polygon(P)
-    span = np.slope_zero_span()
+    poly = polygon(P)
+    span = poly.slope_zero_span()
     if span is None:
         return Poly.const(field, field.one)
     a, b = span
-    height = next((y for x, y in np.vertices if x == a), None)
+    height = next((y for x, y in poly.vertices if x == a), None)
     if height is None:
         raise errors.InternalInvariantError("slope-zero edge without a vertex")
     out = []
     for i in range(a, b + 1):
         c = P.coeff(i)
-        if not P.dom.is_zero(c) and valuation(c) == height:
-            out.append(redunit(c))
+        if not P.dom.is_zero(c) and -c.degree == height:
+            out.append(c.lc)
         else:
             out.append(field.zero)
     res = Poly(field, out)

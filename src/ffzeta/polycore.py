@@ -14,9 +14,10 @@ finite field, and polynomials in X whose coefficients are themselves
 polynomials in t; the coefficient domain decides.
 
 Beyond arithmetic this module provides monic gcd, modular exponentiation,
-resultants by fraction-free polynomial remainder sequences, irreducibility
-testing, and full factorization over a finite field (squarefree split,
-distinct-degree split, equal-degree split).
+resultants by the subresultant pseudo-remainder sequence, and full
+factorization over a finite field (squarefree split, distinct-degree split,
+equal-degree split); a polynomial is irreducible when its factorization is
+itself with multiplicity one.
 
 The equal-degree split is Cantor-Zassenhaus.  For a product f of distinct
 degree-d irreducibles and a random alpha mod f, the map T(alpha) is
@@ -34,7 +35,6 @@ import random
 from functools import lru_cache
 
 from . import errors
-from .integers import factorint
 
 
 class Domain:
@@ -56,14 +56,6 @@ class Domain:
         if self.is_field:
             return self.div(a, b)
         raise NotImplementedError("domain has no exact division")
-
-    def from_int(self, n: int):
-        """Image of the integer n under the unique ring map from Z."""
-        out = self.zero
-        step = self.one if n >= 0 else self.neg(self.one)
-        for _ in range(abs(n)):
-            out = self.add(out, step)
-        return out
 
     # -- bulk kernels on raw coefficient lists ----------------------------
 
@@ -253,19 +245,12 @@ class Poly:
         return self.scale(self.dom.inv(self.lc))
 
     def derivative(self):
+        """Formal derivative over a field, whose ``from_int`` reduces i mod p."""
         dom = self.dom
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(dom.mul(self.coeffs[i], dom.from_int(i)))
         return Poly(dom, out)
-
-    def eval(self, x):
-        """Horner evaluation at a domain element."""
-        dom = self.dom
-        acc = dom.zero
-        for c in reversed(self.coeffs):
-            acc = dom.add(dom.mul(acc, x), c)
-        return acc
 
     def map(self, new_dom, fn):
         """Apply fn to every coefficient, landing in new_dom."""
@@ -333,9 +318,6 @@ class PolyRing(Domain):
 
     def exact_div(self, a, b):
         return a.exact_div(b)
-
-    def from_int(self, n):
-        return Poly.const(self.base, self.base.from_int(n))
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.base == other.base
@@ -410,43 +392,18 @@ def _prem(f: Poly, g: Poly) -> Poly:
     return r
 
 
-def _coeff_content(f: Poly):
-    """Content of the coefficients, used to keep remainder chains primitive.
-
-    Over a field everything is a unit, so the content is one and the chain
-    degenerates to the plain remainder sequence.  Over F[t] the content is
-    the monic gcd of the coefficients.
-    """
-    dom = f.dom
-    if dom.is_field:
-        return dom.one
-    cont = None
-    for c in f.coeffs:
-        if dom.is_zero(c):
-            continue
-        cont = c if cont is None else poly_gcd(cont, c)
-        if cont.is_one():
-            return dom.one
-    return cont.monic()
-
-
 def resultant(f: Poly, g: Poly):
     """Resultant of f and g as an element of the coefficient domain.
 
     Res(f, g) = lc(f)**deg(g) * product of g over the roots of f.  Computed
-    by a primitive (fraction-free) pseudo-remainder sequence: every stored
-    remainder is divided by the content of its coefficients, and the exact
-    scalar corrections are folded back through the chain at the end.  Over a
-    finite field this degenerates to the ordinary remainder sequence; over
-    F[t] no fractions ever appear.
+    by the subresultant pseudo-remainder sequence (Cohen, Algorithm 3.3.7,
+    without the content step): each pseudo-remainder is divided exactly by
+    lead * h**delta, so over F[t] no fractions appear, and over a finite
+    field it is a remainder sequence with rescaled remainders.
     """
     if not f or not g:
         raise errors.ZeroInputError("resultant of the zero polynomial")
     dom = f.dom
-    sign_flip = False
-    if f.degree < g.degree:
-        sign_flip = (f.degree * g.degree) % 2 == 1
-        f, g = g, f
 
     def dpow(c, k):
         out = dom.one
@@ -454,73 +411,31 @@ def resultant(f: Poly, g: Poly):
             out = dom.mul(out, c)
         return out
 
-    if g.degree == 0:
-        r = dpow(g.coeffs[0], f.degree)
-        return dom.neg(r) if sign_flip else r
-
-    # Walk the remainder chain, recording per-level correction data.
-    levels = []
-    a, b = f, g
-    while True:
-        m, n = a.degree, b.degree
-        ell = b.lc
-        rem = _prem(a, b)
-        if not rem:
+    neg = False
+    if f.degree < g.degree:
+        f, g = g, f
+        neg = f.degree % 2 == 1 and g.degree % 2 == 1
+    lead = h = dom.one
+    while g.degree > 0:
+        delta = f.degree - g.degree
+        if f.degree % 2 == 1 and g.degree % 2 == 1:
+            neg = not neg
+        r = _prem(f, g)
+        if not r:
             return dom.zero
-        beta = _coeff_content(rem)
-        if beta != dom.one:
-            rem = Poly(dom, dom.poly_exact_div(list(rem.coeffs), [beta]))
-        s = rem.degree
-        # Res(a, b) = (-1)^(m n) * beta^n * Res(b, rem) / ell^((m-n+1)n - m + s)
-        levels.append(((m * n) % 2 == 1, beta, n, ell, (m - n + 1) * n - m + s))
-        if s == 0:
-            base = dpow(rem.coeffs[0], b.degree)
-            break
-        a, b = b, rem
-
-    res = base
-    for odd, beta, n, ell, k in reversed(levels):
-        num = dom.mul(dpow(beta, n), res)
-        res = dom.exact_div(num, dpow(ell, k)) if k else num
-        if odd:
-            res = dom.neg(res)
-    if sign_flip:
-        res = dom.neg(res)
-    return res
+        c = dom.mul(lead, dpow(h, delta))
+        f, g = g, Poly(dom, [dom.exact_div(x, c) for x in r.coeffs])
+        lead = f.lc
+        if delta:
+            h = dom.exact_div(dpow(lead, delta), dpow(h, delta - 1))
+    # h is still one here when the loop never ran, so deg f = 0 is fine
+    res = dom.exact_div(dpow(g.lc, f.degree), dpow(h, f.degree - 1))
+    return dom.neg(res) if neg else res
 
 
 # ---------------------------------------------------------------------------
 # irreducibility and factorization over a finite field
 # ---------------------------------------------------------------------------
-
-
-def _frobenius_powers(field, f: Poly, upto: int):
-    """[X mod f, X^q mod f, X^(q^2) mod f, ...] up to exponent q^upto."""
-    x = Poly.x(field) % f
-    out = [x]
-    for _ in range(upto):
-        out.append(modpow(out[-1], field.q, f))
-    return out
-
-def is_irreducible(field, f: Poly) -> bool:
-    """Rabin test: X^(q^n) = X mod f and gcd checks at maximal subexponents."""
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    f = f.monic()
-    pows = _frobenius_powers(field, f, n)
-    x = Poly.x(field)
-    if (pows[n] - x) % f:
-        return False
-    for r in factorint(n):
-        h = pows[n // r] - x
-        if not h:
-            return False
-        if not poly_gcd(f, h).is_one():
-            return False
-    return True
 
 
 def _pth_root(field, f: Poly) -> Poly:
@@ -627,3 +542,8 @@ def factor(field, f: Poly):
             for irr in _equal_degree(field, part, d, rng):
                 found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda it: (it[0].degree, it[0].coeffs))
+
+
+def is_irreducible(field, f: Poly) -> bool:
+    """True when f is irreducible over GF(q): one factor, multiplicity one."""
+    return f.degree >= 1 and factor(field, f) == [(f.monic(), 1)]

@@ -14,7 +14,7 @@ lcm, so it has no more terms than there are distinct lcms.  In the transcendenta
 case a certificate records the smallest offending unit order.
 
 Series expansions come from two independent directions: the exponential
-recurrence n c_n = sum N_k c_{n-k} driven by any N_k source, and the
+recurrence n c_n = sum N_k c_{n-k} driven by N_k from any route, and the
 generalized binomial expansion of the closed-form product.  The inverse
 recurrence recovers the N_k from a series, closing the loop for tests.
 """
@@ -154,13 +154,9 @@ def _nk_ints(q: int, nks) -> list:
 def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
     """exp(sum N_k z^k / k) truncated at z^order, exactly.
 
-    nk_source is either a callable k -> NkValue or a sequence of NkValue
-    covering k = 1..order.
+    nk_source is a sequence of NkValue covering k = 1..order.
     """
-    if callable(nk_source):
-        nks = [nk_source(k) for k in range(1, order + 1)]
-    else:
-        nks = list(nk_source)
+    nks = list(nk_source)
     if len(nks) < order:
         raise errors.MalformedInputError("not enough N_k values for the order")
     N = _nk_ints(q, nks)

@@ -133,6 +133,15 @@ class TestExitCodes:
         doc = {"p": 2, "e": 21, "d": 1, "matrix": [[[t, one]]]}
         assert run(capsys, "classify", write_problem(tmp_path, doc))[0] == 3
 
+    def test_huge_extension_degree_ends(self, capsys, tmp_path):
+        """The cap rejects e before computing p**e, 47 million digits here."""
+        doc = {"p": 3, "e": 100000000, "d": 1, "matrix": [[[]]]}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entropy", write_problem(tmp_path, doc))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unfactorable_group_order_ends(self, capsys, tmp_path):
         """q^8 - 1 has a 309-bit composite part that Pollard rho does not
         split within its step budget; an unbounded rho loop runs forever

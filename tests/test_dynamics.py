@@ -5,12 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tmat, tpoly
+from conftest import tmat, tpoly, tpolys
 from ffzeta import errors, make_field
 from ffzeta.dynamics import (
     INT_RENDER_CAP,
     Entropy,
     NkValue,
+    _torus_point,
     entropy,
     fixed_points_bruteforce,
     fixed_points_smith,
@@ -173,6 +174,36 @@ class TestNkRoutes:
         sd = system_data(F2, CUBIC_COMP)
         for k in range(1, 30):
             assert not nk_spectral(F2, sd, k).is_zero
+
+
+class TestTorusPoint:
+    """The brute-force key of num/den mod F[t]."""
+
+    def test_one_class(self):
+        t = tpoly(F3, 0, 1)
+        want = (tpoly(F3, 1), t)
+        assert _torus_point(F3, tpoly(F3, 2), tpoly(F3, 0, 2)) == want  # 2/(2t)
+        assert _torus_point(F3, tpoly(F3, 1), t) == want  # 1/t
+        assert _torus_point(F3, tpoly(F3, 1, 0, 1), t) == want  # (t^2+1)/t
+
+    def test_zero(self):
+        zero = (Poly(F3), tpoly(F3, 1))
+        assert _torus_point(F3, Poly(F3), tpoly(F3, 1, 2, 2)) == zero
+        # (t^2 - 1)/(t - 1) = t + 1 reduces to a polynomial
+        assert _torus_point(F3, tpoly(F3, 2, 0, 1), tpoly(F3, 2, 1)) == zero
+
+    @given(
+        num=tpolys(F3, max_deg=4),
+        den=tpolys(F3, min_deg=0, max_deg=3).filter(bool),
+        f=tpolys(F3, max_deg=3),
+        c=st.integers(1, 2),
+    )
+    def test_invariant_under_shift_and_scaling(self, num, den, f, c):
+        key = _torus_point(F3, num, den)
+        assert _torus_point(F3, num + f * den, den) == key
+        assert _torus_point(F3, num.scale(c), den.scale(c)) == key
+        knum, kden = key
+        assert kden.is_monic() and knum.degree < kden.degree
 
 
 class TestFixedPointRoutes:

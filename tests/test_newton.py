@@ -35,6 +35,13 @@ class TestPolygon:
         assert np.vertices[0][0] == 1
         assert np.edges == ((Fraction(1), 1),)
 
+    def test_zero_middle_coefficient(self):
+        # X^2 + 0 X + t^2: the empty column 1 is skipped, one edge of slope 1
+        np = polygon(xpoly(F2, (0, 0, 1), (), (1,)))
+        assert np.vertices == ((0, -2), (2, 0))
+        assert np.edges == ((Fraction(1), 2),)
+        assert unit_residual(F2, xpoly(F2, (1,), (), (1,))) == tpoly(F2, 1, 0, 1)
+
     def test_rejects_constant(self):
         with pytest.raises(errors.ZeroInputError):
             polygon(xpoly(F2, (1,)))
@@ -106,9 +113,8 @@ class TestUnitResidual:
 
     @given(P=xpolys(F5, max_xdeg=4, max_tdeg=2, nonzero_const=True))
     def test_degree_matches_edge(self, P):
-        np = polygon(P)
-        res = unit_residual(F5, P, np)
-        span = np.slope_zero_span()
+        res = unit_residual(F5, P)
+        span = polygon(P).slope_zero_span()
         want = span[1] - span[0] if span else 0
         assert res.degree == want
         assert res.coeff(0) != 0  # nonzero constant term by construction

@@ -130,8 +130,8 @@ def sympy_factors(f, p):
     )
 )
 def test_factor_and_irreducibility_match_sympy(case):
-    """Every factor of ours must pass is_irreducible, whose Rabin test takes
-    the prime divisors of the degree from factorint."""
+    """Every factor of ours must come back whole from is_irreducible, which
+    factors it again; sympy decides the irreducibility of f on its own."""
     p, f = case
     field = make_field(p)
     ours = factor(field, f)

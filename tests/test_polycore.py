@@ -1,10 +1,12 @@
 """Polynomial arithmetic, gcd, modpow, resultants, and factorization."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpoly, tpolys, xpoly, xpolys
-from ffzeta import errors, make_field
+from ffzeta import errors, make_field, order_of_root
 from ffzeta.polycore import (
     Poly,
     factor,
@@ -20,6 +22,25 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F7 = make_field(7)
+F9 = make_field(3, 2)
+
+
+def mobius(n):
+    out = 1
+    ell = 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            n //= ell
+            if n % ell == 0:
+                return 0
+            out = -out
+        ell += 1
+    return -out if n > 1 else out
+
+
+def gauss_count(q, n):
+    """Number of monic irreducibles of degree n over GF(q)."""
+    return sum(mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
 
 
 class TestPolyBasics:
@@ -39,10 +60,6 @@ class TestPolyBasics:
     def test_pow(self):
         f = tpoly(F2, 1, 1)
         assert f**2 == tpoly(F2, 1, 0, 1)  # freshman's dream
-
-    def test_eval_horner(self):
-        f = tpoly(F7, 1, 2, 3)  # 1 + 2t + 3t^2
-        assert f.eval(2) == (1 + 4 + 12) % 7
 
     def test_monic_over_nonfield(self):
         f = xpoly(F7, (1,), (0, 1))  # t X + 1: no normalization over F[t]
@@ -169,6 +186,26 @@ class TestIrreducibility:
     @given(f=monic_tpolys(F4, max_deg=3), g=monic_tpolys(F4, max_deg=3))
     def test_products_are_reducible(self, f, g):
         assert not is_irreducible(F4, f * g)
+
+    @pytest.mark.parametrize(
+        "field, nmax", [(F2, 7), (F3, 5), (F4, 4), (F5, 3), (F9, 3)], ids=repr
+    )
+    def test_counts_match_gauss_formula(self, field, nmax):
+        """All monic polynomials of each degree, against (1/n) sum mu(d) q^(n/d)."""
+        for n in range(1, nmax + 1):
+            count = sum(
+                is_irreducible(field, Poly(field, list(low) + [1]))
+                for low in product(range(field.q), repeat=n)
+            )
+            assert count == gauss_count(field.q, n)
+
+    def test_non_squarefree(self):
+        assert not is_irreducible(F2, tpoly(F2, 1, 0, 1))  # (X + 1)^2
+        cube = tpoly(F3, 2, 0, 0, 1)  # (X - 1)^3 = X^3 - 1, derivative zero
+        assert not cube.derivative()
+        assert not is_irreducible(F3, cube)
+        with pytest.raises(errors.ReducibleError):
+            order_of_root(F3, tpoly(F3, 1, 2, 1))  # (X + 1)^2
 
 
 class TestFactor:
