@@ -6,7 +6,7 @@ corpus matrix and k <= KMAX, then the three fixed-point routes where each
 applies.  Prints one summary line per stage and exits 1 if any route
 disagrees:
 
-    PYTHONPATH=src python3 scripts/corpus_regression.py --kmax 5
+    PYTHONPATH=src python3 scripts/corpus_regression.py --kmax 20
 """
 
 import argparse

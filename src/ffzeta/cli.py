@@ -45,6 +45,10 @@ from .zeta import classify, series_from_closed_form, series_from_nk
 
 MAX_DIM = 8
 MAX_ENTRY_DEG = 32
+# Largest --max and --terms.  At 60, nk, zeta and report on a d = 8,
+# entry-degree-32 GF(2) input each end in about 11 s; at 70 that input's
+# zeta series has coefficients past Python's 4300-digit str() limit.
+MAX_K = 60
 FACTOR_SEED = 0
 
 
@@ -158,6 +162,13 @@ def build_system(spec: ProblemSpec):
     field = make_field(spec.p, spec.e, list(spec.modulus) or None)
     A = [[Poly(field, entry) for entry in row] for row in spec.matrix]
     return field, A
+
+
+def _check_k(option: str, value: int) -> None:
+    if value < 1:
+        raise errors.MalformedInputError(f"{option} must be at least 1")
+    if value > MAX_K:
+        raise errors.CapExceededError(f"{option} {value} exceeds the limit {MAX_K}")
 
 
 def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
@@ -337,8 +348,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_nk(args) -> int:
-    if args.max < 1:
-        raise errors.MalformedInputError("--max must be at least 1")
+    _check_k("--max", args.max)
     spec = load_problem(args.problem)
     field, A = build_system(spec)
     sd = system_data(field, A)
@@ -372,8 +382,7 @@ def _series_str(series) -> str:
 
 
 def _cmd_zeta(args) -> int:
-    if args.terms < 1:
-        raise errors.MalformedInputError("--terms must be at least 1")
+    _check_k("--terms", args.terms)
     spec = load_problem(args.problem)
     field, A = build_system(spec)
     sd = system_data(field, A)
@@ -394,8 +403,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.max < 1 or args.terms < 1:
-        raise errors.MalformedInputError("--max and --terms must be at least 1")
+    _check_k("--max", args.max)
+    _check_k("--terms", args.terms)
     spec = load_problem(args.problem)
     doc = build_report(spec, args.max, args.terms)
     if args.fmt == "json":

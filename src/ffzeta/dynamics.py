@@ -9,7 +9,15 @@ a cap, since exponents grow linearly in k.
 
 Two independent routes compute N_k:
 
-  * nk_direct / nk_table: power the matrix and take the determinant;
+  * nk_direct / nk_table: the determinant, read in the 1/t-adic
+    completion F((s)), s = 1/t.  With a the largest entry degree and
+    B = s^a A(1/s), det(B^k - s^(ak) I) = s^(akd) det(A^k - I)(1/s), so
+    N_k = q^(akd - v) for v the s-adic valuation of the left side.  v is
+    the lowest nonzero coefficient of the division-free ``det`` over
+    F[s]/(s^N).  N starts at a precision predicted from the last values
+    of v and doubles on a zero result, up to akd + 1, where nothing is
+    truncated and a zero proves N_k = 0.  No charpoly, factoring or root
+    order is involved;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -29,8 +37,8 @@ from itertools import product
 
 from . import errors
 from .newton import polygon
-from .polycore import Poly, poly_gcd, polyring
-from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
+from .polycore import Poly, TruncRing, poly_gcd, polyring
+from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow, smith
 from .spectral import SpectralData, spectral_data
 
 INT_RENDER_CAP = 10**4
@@ -95,27 +103,171 @@ def entropy(field, A) -> Entropy:
     return Entropy(polygon(checked_charpoly(field, A)).entropy_exponent, field.q)
 
 
+def _reversal(field, A):
+    """(a, B): a the largest entry degree (0 for a zero matrix), B = s^a A(1/s).
+
+    Each entry x of degree at most a becomes s^a x(1/s), its coefficient
+    list reversed and padded at the low end to length a + 1.
+    """
+    a = max(0, max((x.degree for row in A for x in row), default=0))
+    B = [
+        [
+            Poly(field, (field.zero,) * (a - x.degree) + x.coeffs[::-1]) if x else x
+            for x in row
+        ]
+        for row in A
+    ]
+    return a, B
+
+
+def _lowest(field, coeffs) -> int:
+    """Index of the first nonzero coefficient of a nonzero polynomial."""
+    return next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
+
+
+class _ReversedPowers:
+    """B^k = s^m C mod s^P for B = s^a A(1/s); the precision P only grows.
+
+    m is the least entry valuation of B^k mod s^P (P if B^k = 0 mod s^P)
+    and C is known mod s^(P - m).  Once B^k is exact, C = s^(deg A^k)
+    A^k(1/s), so its entries are no longer than those of A^k over F[t],
+    whose degree falls below ak when the leading-coefficient matrix is
+    singular.
+    ``advance`` steps k by one product C B.  ``at(N)`` makes P >= N,
+    rebuilding B^k by binary powering unless it is already exact (P > ak,
+    since deg_s B^k <= ak).  An exact B^k is kept exact from then on, so
+    each later step is one exact product.  A rebuild at least doubles P,
+    so there are few of them.
+    """
+
+    def __init__(self, field, A, k: int = 1):
+        self.field = field
+        self.a, self.B = _reversal(field, A)
+        self.k = k
+        self._rebuild(1)
+
+    def _rebuild(self, P: int):
+        self.P = P
+        self.m = 0
+        self._strip(matpow(TruncRing(self.field, P), self.B, self.k))
+
+    def _strip(self, C: list):
+        """Store s^m C as s^(m + j) (C / s^j) for the largest such j."""
+        j = min(
+            (_lowest(self.field, x.coeffs) for row in C for x in row if x),
+            default=self.P - self.m,
+        )
+        self.m += j
+        if j:
+            C = [[Poly(self.field, x.coeffs[j:]) for x in row] for row in C]
+        self.C = C
+
+    def advance(self):
+        if self.a * self.k < self.P:
+            self.P = max(self.P, self.a * (self.k + 1) + 1)
+        self.k += 1
+        if self.m < self.P:
+            self._strip(mat_mul(TruncRing(self.field, self.P - self.m), self.C, self.B))
+
+    def at(self, N: int):
+        """(m, C) with B^k = s^m C mod s^N, C known mod s^(N - m)."""
+        if N > self.P:
+            if self.a * self.k < self.P:
+                self.P = N
+            else:
+                self._rebuild(max(N, 2 * self.P))
+        return self.m, self.C
+
+
+def _nk_value(powers: _ReversedPowers, start: int | None):
+    """(N_k, v) at k = powers.k, with v = v_s det(B^k - s^(ak) I), None if zero.
+
+    The determinant is taken mod s^N, where the division-free ``det`` is
+    exact, and N_k = q^(akd - v).  With B^k = s^m C and u = min(m, ak),
+    det(B^k - s^(ak) I) = s^(ud) det(s^(m-u) C - s^(ak-u) I), where
+    s^(m-u) C = C (m > ak only for C = 0); a nonzero value of the last
+    det mod s^(N - ud) has v - ud as its lowest nonzero index.  Otherwise
+    N doubles, from ``start`` (at least 1; None starts at the end) up to
+    akd + 1.  There the whole determinant, of s-degree at most akd, is
+    kept, so a zero proves N_k = 0.
+    """
+    field = powers.field
+    ak = powers.a * powers.k
+    d = len(powers.B)
+    full = ak * d + 1
+    N = full if start is None else min(start, full)
+    while True:
+        m, C = powers.at(N)
+        u = min(m, ak)
+        Q = N - u * d
+        if Q > 0:
+            # C has a nonzero entry only if m <= ak, that is u = m
+            M = [[Poly(field, x.coeffs[:Q]) for x in row] for row in C]
+            if ak - u < Q:
+                shift = Poly(field, (field.zero,) * (ak - u) + (field.one,))
+                for i in range(d):
+                    M[i][i] = M[i][i] - shift
+            cs = det(TruncRing(field, Q), M).coeffs
+            if cs:
+                v = u * d + _lowest(field, cs)
+                return NkValue.of(ak * d - v), v
+        if N == full:
+            return NkValue.zero(), None
+        N = min(2 * N, full)
+
+
 def nk_direct(field, A, k: int) -> NkValue:
-    """N_k via det(A^k - I)."""
+    """N_k = q^D with D = deg_t det(A^k - I), read off at s = 1/t.
+
+    With a the largest entry degree and B = s^a A(1/s),
+    det(B^k - s^(ak) I) = s^(akd) det(A^k - I)(1/s), so
+    D = akd - v_s(det(B^k - s^(ak) I)).  The valuation is found over
+    F[s]/(s^N) with N doubling from 1 (see ``_nk_value``).
+    """
     if k < 1:
         raise errors.MalformedInputError("k must be a positive integer")
-    ring = polyring(field)
-    d = det(ring, matpow_minus_I(ring, A, k))
-    if not d:
-        return NkValue.zero()
-    return NkValue.of(d.degree)
+    return _nk_value(_ReversedPowers(field, A, k), 1)[0]
+
+
+def _predicted_valuation(vs: list, p: int):
+    """A guess at v_k from vs = [v_1, ..., v_(k-1)], None where N_j = 0.
+
+    For p | k it is p * v_(k/p), which is exact: A^(pj) - I = (A^j - I)^p
+    in characteristic p, so D_(pj) = p * D_j.  Otherwise it is v_(k-1)
+    plus its last rise (none if v fell), with v_0 = 0.  None, a guess of
+    N_k = 0, follows N_(k/p) = 0 or N_(k-1) = 0: zeros repeat, for every k
+    at an eigenvalue 1 and at every multiple of a root-of-unity order.
+    """
+    k = len(vs) + 1
+    if k % p == 0:
+        w = vs[k // p - 1]
+        return None if w is None else p * w
+    last = vs[-1] if vs else 0
+    prev = vs[-2] if len(vs) > 1 else 0
+    if last is None or prev is None or last <= prev:
+        return last
+    return 2 * last - prev
 
 
 def nk_table(field, A, kmax: int) -> list:
-    """[N_1, ..., N_kmax] with one matrix product per step."""
-    ring = polyring(field)
-    ident = identity(ring, len(A))
+    """[N_1, ..., N_kmax] by the valuation route of ``nk_direct``.
+
+    B^k advances by one product per k.  Each k starts at the precision
+    N = w + 1 for the guess w of ``_predicted_valuation``, or at akd + 1
+    when the guess is N_k = 0; N doubles on a zero result.  When v does
+    not grow, as for a nonsingular leading-coefficient matrix (v = 0),
+    every k takes one determinant over F[s]/(s).
+    """
+    powers = _ReversedPowers(field, A)
     out = []
-    Ak = ident
-    for _ in range(kmax):
-        Ak = mat_mul(ring, Ak, A)
-        d = det(ring, mat_sub(ring, Ak, ident))
-        out.append(NkValue.zero() if not d else NkValue.of(d.degree))
+    vs = []
+    for k in range(1, kmax + 1):
+        if k > 1:
+            powers.advance()
+        w = _predicted_valuation(vs, field.p)
+        val, v = _nk_value(powers, None if w is None else w + 1)
+        out.append(val)
+        vs.append(v)
     return out
 
 

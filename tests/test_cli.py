@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ffzeta import errors
-from ffzeta.cli import main, parse_problem
+from ffzeta.cli import MAX_K, main, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DIAG62 = str(PROBLEMS / "diag_6_2_gf7.json")
@@ -168,6 +168,20 @@ class TestExitCodes:
 
     def test_bad_max(self, capsys):
         assert run(capsys, "nk", SHIFT, "--max", "0")[0] == 1
+
+    @pytest.mark.parametrize(
+        "cmd, option",
+        [("nk", "--max"), ("zeta", "--terms"), ("report", "--max"), ("report", "--terms")],
+    )
+    def test_k_cap_edges(self, capsys, cmd, option):
+        """MAX_K is accepted; one more exits 3 at once, before any analysis."""
+        code, out, err = run(capsys, cmd, SHIFT, option, str(MAX_K))
+        assert (code, err) == (0, "") and out
+        start = time.perf_counter()
+        code, out, err = run(capsys, cmd, SHIFT, option, str(MAX_K + 1))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"error: {option} {MAX_K + 1} exceeds the limit {MAX_K}\n"
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:

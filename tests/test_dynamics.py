@@ -236,3 +236,120 @@ class TestFixedPointRoutes:
 
         if det(ring, mat_sub(ring, A, identity(ring, len(A)))):
             assert fixed_points_bruteforce(F2, A, cap=10**5) == direct.as_int(2)
+
+
+F4 = make_field(2, 2)
+F9 = make_field(3, 2)
+
+# GF(2), d = 3, entry degree 1, all-ones leading matrix (corpus-routes shapes)
+NONLINEAR_V = [[(1, 1), (1, 1), (0, 1)], [(0, 1), (0, 1), (1, 1)], [(1, 1), (0, 1), (0, 1)]]
+ALL_ZERO = [[(1, 1), (0, 1), (0, 1)], [(1, 1), (0, 1), (1, 1)], [(1, 1), (1, 1), (1, 1)]]
+PERIODIC_ZERO = [[(0, 1), (1, 1), (0, 1)], [(0, 1), (0, 1), (1, 1)], [(0, 1), (1, 1), (1, 1)]]
+
+
+def exact_nk(field, A, k):
+    """N_k from the full determinant over F[t], no valuation route."""
+    ring = polyring(field)
+    from ffzeta.polymat import det, matpow_minus_I
+
+    D = det(ring, matpow_minus_I(ring, A, k))
+    return NkValue.of(D.degree) if D else NkValue.zero()
+
+
+def valuations(field, A, kmax):
+    """v_k = akd - D_k of the table, None where N_k = 0."""
+    a = max(0, max(x.degree for row in A for x in row))
+    d = len(A)
+    return [
+        None if v.is_zero else a * k * d - v.exponent
+        for k, v in enumerate(nk_table(field, A, kmax), start=1)
+    ]
+
+
+class TestValuationRoute:
+    """nk_table and nk_direct read D off det(B^k - s^(ak) I) mod s^N."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_matches_full_determinant(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F4, F9]))
+        d = data.draw(st.integers(1, 4))
+        entry = tpolys(field, max_deg=3)
+        A = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        kmax = data.draw(st.integers(1, 12))
+        want = [exact_nk(field, A, k) for k in range(1, kmax + 1)]
+        assert nk_table(field, A, kmax) == want
+        k = data.draw(st.integers(1, kmax))
+        assert nk_direct(field, A, k) == want[k - 1]
+
+    @pytest.mark.parametrize(
+        "field, rows",
+        [
+            (F3, [[(), (1, 2)], [(2,), ()]]),  # zero entries
+            (F3, [[(0, 1), (1, 1)], [(2, 2), (1, 2)]]),  # singular L, rank one
+            (F9, [[(5,), (1,)], [(0,), (7,)]]),  # constant matrix, a = 0
+            (F2, [[(1,), (0, 1)], [(0,), (1,)]]),  # eigenvalue 1, N_k = 0 for all k
+            (F2, [[(), ()], [(), ()]]),  # zero matrix
+            (F3, [[(), (0, 1)], [(), ()]]),  # nilpotent: B^k = 0 for k >= 2
+            (F2, NONLINEAR_V),
+            (F2, ALL_ZERO),
+            (F2, PERIODIC_ZERO),
+        ],
+    )
+    def test_edge_cases(self, field, rows):
+        A = tmat(field, rows)
+        want = [exact_nk(field, A, k) for k in range(1, 13)]
+        assert nk_table(field, A, 12) == want
+        assert [nk_direct(field, A, k) for k in range(1, 13)] == want
+
+    def test_edge_cases_reach_their_branch(self):
+        assert valuations(F2, tmat(F2, NONLINEAR_V), 6) == [3, 6, 7, 12, 11, 14]
+        assert valuations(F2, tmat(F2, ALL_ZERO), 12) == [None] * 12
+        assert valuations(F2, tmat(F2, PERIODIC_ZERO), 6) == [2, 4, None, 8, 10, None]
+        unipotent = tmat(F2, [[(1,), (0, 1)], [(0,), (1,)]])
+        assert nk_table(F2, unipotent, 12) == [NkValue.zero()] * 12
+        assert nk_table(F9, tmat(F9, [[(5,), (1,)], [(0,), (7,)]]), 3) == [NkValue.of(0)] * 3
+
+    def test_nonsingular_leading_matrix_needs_one_coefficient(self, monkeypatch):
+        """v = 0 for every k, so each k is one det over F[s]/(s)."""
+        from ffzeta import dynamics
+
+        A = tmat(F7, [[(1, 2, 3), (0, 0, 1), (4, 0, 2)],
+                      [(2, 1, 5), (3, 3, 6), (0, 1, 1)],
+                      [(6, 0, 2), (1, 2, 4), (5, 5, 3)]])
+        L = tmat(F7, [[(x.lc,) for x in row] for row in A])
+        assert dynamics.det(polyring(F7), L)
+        rings = []
+        real_det = dynamics.det
+
+        def recording_det(ring, M):
+            rings.append(ring)
+            return real_det(ring, M)
+
+        monkeypatch.setattr(dynamics, "det", recording_det)
+        tab = nk_table(F7, A, 40)
+        assert tab == [NkValue.of(6 * k) for k in range(1, 41)]
+        assert len(rings) == 40
+        assert all(getattr(r, "N", None) == 1 for r in rings)
+
+    def test_independent_of_spectral_route(self, monkeypatch):
+        """No charpoly, factor or order_of_root on the direct route."""
+        import sys
+
+        from ffzeta import gf, polycore, polymat
+
+        A = tmat(F2, PERIODIC_ZERO)
+        want_table = nk_table(F2, A, 9)
+        want_direct = nk_direct(F2, A, 6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectral routine on the direct route")
+
+        for fn in (polymat.charpoly, polycore.factor, gf.order_of_root):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("ffzeta"):
+                    for attr, val in list(vars(module).items()):
+                        if val is fn:
+                            monkeypatch.setattr(module, attr, forbidden)
+        assert nk_table(F2, A, 9) == want_table
+        assert nk_direct(F2, A, 6) == want_direct
