@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Run a fixed set of CLI cases in-process and compare their output digests.
+
+The cases are every command line below on every problem below, run through
+``ffzeta.cli.main`` with the problem JSON on stdin (448 cases):
+
+  * the three sample problems in ``problems/``;
+  * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
+    GF(9), with d = 1..5 and entry degree 1..3, singular ones kept so that
+    exit 2 stays covered;
+  * one d = 1 problem of entry degree 8 over the prime 2^61 - 1;
+
+  under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
+  ``report`` and ``report --text``.
+
+Each case gets one line: the sha256 of its exit code and stdout, then its
+name.  ``--write FILE`` stores the digests; ``--check FILE`` recomputes
+them and exits 1 naming each case that differs:
+
+    PYTHONPATH=src python3 scripts/cli_cases.py --check scripts/cli_cases.sha256
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+from ffzeta import cli
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+COMMANDS = (
+    ["classify"],
+    ["entropy"],
+    ["nk"],
+    ["nk", "--max", "20"],
+    ["zeta"],
+    ["report"],
+    ["report", "--text"],
+)
+FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))
+RANDOM_PER_FIELD = 10
+M61 = 2**61 - 1
+
+
+def _random_problem(rng, p, e):
+    def coeff():
+        return rng.randrange(p) if e == 1 else [rng.randrange(p) for _ in range(e)]
+
+    d = rng.randint(1, 5)
+    deg = rng.randint(1, 3)
+    matrix = [
+        [[coeff() for _ in range(rng.randint(1, deg + 1))] for _ in range(d)]
+        for _ in range(d)
+    ]
+    return {"p": p, "e": e, "d": d, "matrix": matrix}
+
+
+def problems():
+    """(name, JSON text) of every problem, in a fixed order."""
+    out = [(path.stem, path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))]
+    rng = random.Random(20211)
+    for p, e in FIELDS:
+        for i in range(RANDOM_PER_FIELD):
+            name = f"random_gf{p}^{e}_{i}"
+            out.append((name, json.dumps(_random_problem(rng, p, e))))
+    entry = [rng.randrange(M61) for _ in range(8)] + [rng.randrange(1, M61)]
+    out.append(("m61_deg8", json.dumps({"p": M61, "d": 1, "matrix": [[entry]]})))
+    return out
+
+
+def run_case(argv, text):
+    """sha256 over the exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                status = str(cli.main(argv + ["-"]))
+            except Exception as ex:  # a traceback is an outcome to record too
+                status = f"raised {type(ex).__name__}"
+    finally:
+        sys.stdin = stdin
+    return hashlib.sha256(f"{status}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def digests():
+    out = {}
+    for name, text in problems():
+        for argv in COMMANDS:
+            out[f"{name} {' '.join(argv)}"] = run_case(list(argv), text)
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="FILE", help="store the digests in FILE")
+    mode.add_argument("--check", metavar="FILE", help="compare against FILE")
+    args = ap.parse_args()
+
+    got = digests()
+    if args.write:
+        lines = [f"{digest}  {case}\n" for case, digest in got.items()]
+        Path(args.write).write_text("".join(lines))
+        print(f"cli cases: wrote {len(got)} digests to {args.write}")
+        return 0
+    want = {}
+    for line in Path(args.check).read_text().splitlines():
+        digest, case = line.split("  ", 1)
+        want[case] = digest
+    cases = list(got) + [case for case in want if case not in got]
+    bad = [case for case in cases if got.get(case) != want.get(case)]
+    for case in bad:
+        print(f"differs: {case}")
+    print(f"cli cases: {len(cases) - len(bad)} of {len(cases)} match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

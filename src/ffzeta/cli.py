@@ -23,6 +23,7 @@ was exceeded, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -39,17 +40,17 @@ from .dynamics import (
 )
 from .gf import make_field
 from .newton import polygon
-from .polycore import Poly
+from .polycore import FACTOR_SEED, Poly
 from .spectral import spectral_data
 from .zeta import classify, series_from_closed_form, series_from_nk
 
 MAX_DIM = 8
 MAX_ENTRY_DEG = 32
-# Largest --max and --terms.  At 60, nk, zeta and report on a d = 8,
-# entry-degree-32 GF(2) input each end in about 11 s; at 70 that input's
-# zeta series has coefficients past Python's 4300-digit str() limit.
+# Largest --max and --terms, a bound on time and output size: at 60, nk,
+# zeta and report on a d = 8, entry-degree-32 GF(2) input each end in
+# about 11 s, and zeta on t^32 I_8 over GF(2^61 - 1) takes about 92 s and
+# prints 17 MB.
 MAX_K = 60
-FACTOR_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,26 @@ def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
     return out
 
 
+@contextlib.contextmanager
+def _long_int_str():
+    """Let str() print ints of any length, then restore the caller's limit.
+
+    N_k values and series terms can pass Python's default limit of 4300
+    digits.  The problem JSON is parsed outside this block, so the limit
+    still rejects a p with thousands of digits at once.  Pythons before
+    3.10.7 have no limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _nk_render(v, q: int) -> str:
     if v.is_zero:
         return "0"
@@ -195,10 +216,8 @@ def _nk_entry(k: int, direct, spect, q: int):
         "q_exponent": 0 if direct.is_zero else direct.exponent,
         "routes_equal": direct == spect,
     }
-    if not direct.is_zero and direct.exponent <= INT_RENDER_CAP:
-        entry["value"] = str(q**direct.exponent)
-    if direct.is_zero:
-        entry["value"] = "0"
+    if direct.is_zero or direct.exponent <= INT_RENDER_CAP:
+        entry["value"] = _nk_render(direct, q)
     return entry
 
 
@@ -320,8 +339,7 @@ def _make_parser() -> _Parser:
     return parser
 
 
-def _cmd_classify(args) -> int:
-    spec = load_problem(args.problem)
+def _cmd_classify(args, spec) -> int:
     field, A = build_system(spec)
     sd = system_data(field, A)
     zres = classify(sd)
@@ -337,8 +355,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_entropy(args) -> int:
-    spec = load_problem(args.problem)
+def _cmd_entropy(args, spec) -> int:
     field, A = build_system(spec)
     ent = entropy(field, A)
     print(f"E: {ent.E}")
@@ -347,9 +364,7 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _cmd_nk(args) -> int:
-    _check_k("--max", args.max)
-    spec = load_problem(args.problem)
+def _cmd_nk(args, spec) -> int:
     field, A = build_system(spec)
     sd = system_data(field, A)
     for k, v in enumerate(nk_table(field, A, args.max), start=1):
@@ -381,9 +396,7 @@ def _series_str(series) -> str:
     return " + ".join(pieces) or "0"
 
 
-def _cmd_zeta(args) -> int:
-    _check_k("--terms", args.terms)
-    spec = load_problem(args.problem)
+def _cmd_zeta(args, spec) -> int:
     field, A = build_system(spec)
     sd = system_data(field, A)
     zres = classify(sd)
@@ -402,10 +415,7 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    _check_k("--max", args.max)
-    _check_k("--terms", args.terms)
-    spec = load_problem(args.problem)
+def _cmd_report(args, spec) -> int:
     doc = build_report(spec, args.max, args.terms)
     if args.fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -426,7 +436,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _make_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        for option in ("max", "terms"):
+            if option in vars(args):
+                _check_k(f"--{option}", getattr(args, option))
+        spec = load_problem(args.problem)
+        with _long_int_str():
+            return _COMMANDS[args.command](args, spec)
     except errors.MalformedInputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -1,11 +1,12 @@
 """Dense univariate polynomial engine over pluggable coefficient domains.
 
-A coefficient domain is any object exposing ``zero``, ``one``, the scalar
-operations ``add/sub/neg/mul`` (plus ``inv/div`` when ``is_field`` is true,
-``exact_div`` otherwise) and the bulk kernels ``poly_add``, ``poly_mul``,
-``poly_divmod`` and friends.  The kernels work on plain coefficient lists,
-low degree first, so a domain backed by array arithmetic can override them
-wholesale; the generic versions here just loop over scalar operations.
+A coefficient domain is a ``Domain`` subclass with ``zero``, ``one`` and
+the scalar interface ``add/sub/neg/mul/is_zero/exact_div`` (plus
+``inv/div`` when ``is_field`` is true; a field's ``exact_div`` is ``div``).
+``Domain`` supplies the bulk kernels ``poly_add``, ``poly_mul``,
+``poly_divmod`` and friends on plain coefficient lists, low degree first,
+as loops over the scalar operations; a domain backed by array arithmetic
+may override one wholesale, as ``gf.Field`` does for long ``poly_mul``.
 
 Polynomials are immutable: a tuple of coefficients, low degree first, with
 no trailing zeros.  The zero polynomial has an empty tuple.  The same class
@@ -25,8 +26,9 @@ alpha^((q^d - 1)/2) - 1 in odd characteristic and the absolute trace
 alpha + alpha^2 + ... + alpha^(2^(ed - 1)) over GF(2^e); each root of f
 sends it to zero or not independently with probability about 1/2, so
 gcd(f, T(alpha)) is a proper factor with probability about 1/2 or more.  The
-alphas come from one random.Random(0) stream per factor call: the sorted
-factorization is unique, so the stream only decides how fast it is found.
+alphas come from one random.Random(FACTOR_SEED) stream per factor call: the
+sorted factorization is unique, so the stream only decides how fast it is
+found.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from functools import lru_cache
 
 from . import errors
 
+# Seed of the equal-degree splitting stream; the CLI report prints it.
+FACTOR_SEED = 0
+
 
 class Domain:
     """Generic coefficient kernels; scalar ops come from subclasses."""
@@ -44,34 +49,19 @@ class Domain:
     zero = None
     one = None
 
-    # -- scalar interface -------------------------------------------------
-
-    def is_zero(self, a):
-        return a == self.zero
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def exact_div(self, a, b):
-        if self.is_field:
-            return self.div(a, b)
-        raise NotImplementedError("domain has no exact division")
-
     # -- bulk kernels on raw coefficient lists ----------------------------
 
     def poly_add(self, xs, ys):
-        if len(xs) < len(ys):
-            xs, ys = ys, xs
-        out = list(xs)
-        for i, c in enumerate(ys):
-            out[i] = self.add(out[i], c)
-        return out
+        add = self.add
+        return [add(a, b) for a, b in zip(xs, ys)] + xs[len(ys) :] + ys[len(xs) :]
 
     def poly_neg(self, xs):
         return [self.neg(c) for c in xs]
 
     def poly_sub(self, xs, ys):
-        return self.poly_add(xs, self.poly_neg(ys))
+        sub = self.sub
+        tail = self.poly_neg(ys[len(xs) :])
+        return [sub(a, b) for a, b in zip(xs, ys)] + xs[len(ys) :] + tail
 
     def poly_scale(self, xs, c):
         return [self.mul(x, c) for x in xs]
@@ -90,9 +80,9 @@ class Domain:
     def poly_divmod(self, xs, ys):
         """Long division; leading-coefficient steps must divide exactly.
 
-        Always valid over a field or for a monic divisor.  Over a mere
-        integral domain each step uses exact_div, which raises when the
-        division is not exact.
+        Always valid over a field or for a monic divisor.  Otherwise each
+        step uses exact_div, which over a mere integral domain raises when
+        the division is not exact.
         """
         m = len(ys) - 1
         dlc = ys[-1]
@@ -105,12 +95,7 @@ class Domain:
             lead = rem[j + m]
             if self.is_zero(lead):
                 continue
-            if monic:
-                c = lead
-            elif self.is_field:
-                c = self.div(lead, dlc)
-            else:
-                c = self.exact_div(lead, dlc)
+            c = lead if monic else self.exact_div(lead, dlc)
             quo[j] = c
             rem[j + m] = self.zero
             for i in range(m):
@@ -571,7 +556,7 @@ def factor(field, f: Poly):
     if f.degree == 0:
         return []
     found = {}
-    rng = random.Random(0)
+    rng = random.Random(FACTOR_SEED)
     for g, mult in squarefree_parts(field, f.monic()):
         for part, d in _distinct_degree(field, g):
             for irr in _equal_degree(field, part, d, rng):

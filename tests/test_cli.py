@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ffzeta import errors
-from ffzeta.cli import MAX_K, main, parse_problem
+from ffzeta.cli import MAX_K, _long_int_str, main, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DIAG62 = str(PROBLEMS / "diag_6_2_gf7.json")
@@ -188,6 +188,48 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
         assert "exit codes" in capsys.readouterr().out
+
+
+def int_str_limit():
+    """Python's digit limit for int/str conversion; None before 3.10.7."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+class TestLongIntegers:
+    """N_k and series terms past Python's 4300-digit str() limit print in
+    full, while the problem JSON stays parsed under the caller's limit."""
+
+    # A = t^32 over GF(2^61 - 1): N_k = q^(32k) and zeta = 1/(1 - q^32 z),
+    # so N_8 = q^256 (4700 digits) is also the series term of z^8.
+    M61_T32 = {"p": 2**61 - 1, "d": 1, "matrix": [[[0] * 32 + [1]]]}
+
+    @pytest.mark.parametrize("argv", [["nk"], ["zeta", "--terms", "20"], ["report"]])
+    def test_printed_in_full(self, capsys, tmp_path, argv):
+        limit = int_str_limit()
+        code, out, err = run(capsys, *argv, write_problem(tmp_path, self.M61_T32))
+        assert (code, err) == (0, "")
+        assert int_str_limit() == limit
+        with _long_int_str():
+            n8 = str((2**61 - 1) ** 256)
+        assert len(n8) > 4300
+        assert n8 in out
+
+    @pytest.mark.skipif(int_str_limit() is None, reason="no int/str digit limit")
+    def test_huge_p_rejected_at_parse(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"p": 1' + "0" * 4999 + ', "d": 1, "matrix": [[[1]]]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nk", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON")
+
+    def test_limit_restored_after_error(self, capsys, tmp_path):
+        limit = int_str_limit()
+        singular = {"p": 2, "d": 1, "matrix": [[[0]]]}
+        assert run(capsys, "zeta", write_problem(tmp_path, singular))[0] == 2
+        assert int_str_limit() == limit
 
 
 class TestCommands:

@@ -142,6 +142,72 @@ class TestArithmetic:
             assert fpow(field, a, field.q - 1) == 1
 
 
+def digits(field, a):
+    return [a // field.p**i % field.p for i in range(field.e)]
+
+
+def from_digits(field, ds):
+    return sum(d % field.p * field.p**i for i, d in enumerate(ds))
+
+
+def digit_add(field, a, b, sign=1):
+    """a + sign * b, one base-p digit at a time."""
+    pairs = zip(digits(field, a), digits(field, b))
+    return from_digits(field, [x + sign * y for x, y in pairs])
+
+
+class TestScalarAddition:
+    """add, sub and neg against base-p digit arithmetic written here."""
+
+    FIELDS = [F4, F9, make_field(5, 3), make_field(7, 2), make_field(3, 10)]
+
+    def pairs(self, field):
+        rng = random.Random(f"scalar-add/{field.q}")
+        out = []
+        for _ in range(200):
+            a = rng.randrange(1, field.q)
+            # a = 0, b = 0, b = -a (the Zech "zero" entry), a = b, random
+            minus_a = from_digits(field, [-d for d in digits(field, a)])
+            out += [(0, a), (a, 0), (a, minus_a), (a, a), (a, rng.randrange(field.q))]
+        return out + [(0, 0)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_matches_digit_reference(self, field):
+        for a, b in self.pairs(field):
+            assert field.add(a, b) == digit_add(field, a, b)
+            assert field.sub(a, b) == digit_add(field, a, b, -1)
+            assert field.neg(a) == digit_add(field, 0, a, -1)
+
+    @pytest.mark.parametrize("field", [F4, F9], ids=repr)
+    def test_exhaustive_small(self, field):
+        for a in range(field.q):
+            for b in range(field.q):
+                assert field.add(a, b) == digit_add(field, a, b)
+                assert field.sub(a, b) == digit_add(field, a, b, -1)
+
+
+class TestPolyAddition:
+    """poly_add, poly_sub and poly_neg against coefficient-wise references."""
+
+    FIELDS = [F2, F7, F4, F9, make_field(3, 10), M61]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_reference(self, field, data):
+        xs = data.draw(st.lists(felems(field), max_size=300))
+        ys = data.draw(st.lists(felems(field), max_size=300))
+        n = max(len(xs), len(ys))
+        a = xs + [0] * (n - len(xs))
+        b = ys + [0] * (n - len(ys))
+        assert field.poly_add(xs, ys) == [digit_add(field, x, y) for x, y in zip(a, b)]
+        assert field.poly_sub(xs, ys) == [
+            digit_add(field, x, y, -1) for x, y in zip(a, b)
+        ]
+        assert field.poly_neg(xs) == [digit_add(field, 0, x, -1) for x in xs]
+        assert field.poly_add(xs, field.poly_neg(xs)) == [0] * len(xs)
+
+
 class TestOrders:
     def test_elem_order_frozen(self):
         assert elem_order(F7, 3) == 6
@@ -237,6 +303,13 @@ def test_tables_are_sequential_powers(p, e):
     assert field._exp == powers
     assert len(field._log) == field.q
     assert all(field._log[v] == i for i, v in enumerate(powers))
+    if p != 2:
+        # Zech logs: 1 + g^i = g^Z(i), and no Z(i) where 1 + g^i = 0
+        assert len(field._zech) == field.q - 1
+        for z, g_i in zip(field._zech, powers):
+            one_plus = digit_add(field, 1, g_i)
+            assert one_plus if z is not None else not one_plus
+            assert z is None or powers[z] == one_plus
 
 
 class TestEdgeFields:
@@ -264,6 +337,18 @@ class TestEdgeFields:
         for i in [0, field.q - 2] + rng.sample(range(field.q - 1), 300):
             nxt = field._exp[(i + 1) % (field.q - 1)]
             assert field._raw_mul(field._exp[i], g) == nxt
+
+    def test_zech_adds_one(self, field):
+        if field.p == 2:
+            assert not hasattr(field, "_zech")
+            return
+        n = field.q - 1
+        rng = random.Random(f"edge-zech/{field.q}")
+        assert field._zech[n // 2] is None
+        for i in [0, n - 1] + rng.sample(range(n), 300):
+            if i != n // 2:
+                want = digit_add(field, 1, field._exp[i])
+                assert field._exp[field._zech[i]] == want
 
     def test_mul_inv_match_raw_mul(self, field):
         rng = random.Random(f"edge-mul/{field.q}")
