@@ -2,13 +2,15 @@
 """Run a fixed set of CLI cases in-process and compare their output digests.
 
 The cases are every command line below on every problem below, run through
-``ffzeta.cli.main`` with the problem JSON on stdin (448 cases):
+``ffzeta.cli.main`` with the problem JSON on stdin (469 cases):
 
   * the three sample problems in ``problems/``;
   * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
     GF(9), with d = 1..5 and entry degree 1..3, singular ones kept so that
     exit 2 stays covered;
   * one d = 1 problem of entry degree 8 over the prime 2^61 - 1;
+  * three zero-heavy problems, where N_k = 0 at every k, at even k and at
+    k divisible by 3;
 
   under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
   ``report`` and ``report --text``.
@@ -44,6 +46,35 @@ COMMANDS = (
 FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))
 RANDOM_PER_FIELD = 10
 M61 = 2**61 - 1
+# (name, p, blocks, steps): a block whose N_k vanish (an eigenvalue 1, or a
+# root of unity of order 2 or 3) beside the block [[t, 1], [1, 0]] with
+# nonzero N_k, conjugated by I + f E_(i,j) for each (i, j, f) of steps.
+# Entries are coefficient lists, lowest degree first.
+ZERO_HEAVY = (
+    (
+        "zero_eig1_gf2",
+        2,
+        [[[1], [0], [0]], [[0], [0, 1], [1]], [[0], [1], [0]]],
+        ((0, 1, [0, 1]), (2, 0, [1])),
+    ),
+    (
+        "zero_rou2_gf3",
+        3,
+        [[[2], [0], [0]], [[0], [0, 1], [1]], [[0], [1], [0]]],
+        ((1, 0, [0, 1]), (0, 2, [1, 1])),
+    ),
+    (
+        "zero_rou3_gf2",
+        2,
+        [
+            [[0], [1], [0], [0]],
+            [[1], [1], [0], [0]],
+            [[0], [0], [0, 1], [1]],
+            [[0], [0], [1], [0]],
+        ],
+        ((0, 2, [0, 1]), (3, 1, [1])),
+    ),
+)
 
 
 def _random_problem(rng, p, e):
@@ -59,6 +90,32 @@ def _random_problem(rng, p, e):
     return {"p": p, "e": e, "d": d, "matrix": matrix}
 
 
+def _conjugated(p, blocks, steps):
+    """U A U^-1 over GF(p) for A = blocks and U the product of the steps.
+
+    A step (i, j, f) is U = I + f E_(i,j), i != j, with U^-1 = I - f E_(i,j):
+    row i gains f times row j, then column j loses f times column i.
+    Conjugation over F[t] leaves every N_k unchanged.
+    """
+
+    def axpy(x, f, y):  # x + f*y, trimmed to its degree
+        out = x + [0] * (len(f) + len(y))
+        for a, fa in enumerate(f):
+            for b, yb in enumerate(y):
+                out[a + b] = (out[a + b] + fa * yb) % p
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
+
+    M = [list(row) for row in blocks]
+    for i, j, f in steps:
+        M[i] = [axpy(x, f, y) for x, y in zip(M[i], M[j])]
+        neg = [-c % p for c in f]
+        for row in M:
+            row[j] = axpy(row[j], neg, row[i])
+    return M
+
+
 def problems():
     """(name, JSON text) of every problem, in a fixed order."""
     out = [(path.stem, path.read_text()) for path in sorted(PROBLEMS.glob("*.json"))]
@@ -69,6 +126,9 @@ def problems():
             out.append((name, json.dumps(_random_problem(rng, p, e))))
     entry = [rng.randrange(M61) for _ in range(8)] + [rng.randrange(1, M61)]
     out.append(("m61_deg8", json.dumps({"p": M61, "d": 1, "matrix": [[entry]]})))
+    for name, p, blocks, steps in ZERO_HEAVY:
+        matrix = _conjugated(p, blocks, steps)
+        out.append((name, json.dumps({"p": p, "d": len(matrix), "matrix": matrix})))
     return out
 
 

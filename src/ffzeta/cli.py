@@ -278,9 +278,12 @@ def _zeta_doc(field, zres, nks, terms):
             "display": cf.display(),
         }
         cf_series = series_from_closed_form(cf, terms)
+        equal = cf_series == nk_series
         out["series"] = [str(c) for c in cf_series.coeffs]
-        out["series_from_nk"] = [str(c) for c in nk_series.coeffs]
-        out["series_routes_equal"] = cf_series == nk_series
+        out["series_from_nk"] = (
+            out["series"] if equal else [str(c) for c in nk_series.coeffs]
+        )
+        out["series_routes_equal"] = equal
     else:
         cert = zres.certificate
         out["certificate"] = {
@@ -404,9 +407,12 @@ def _cmd_zeta(args, spec) -> int:
     if zres.algebraic:
         print(f"zeta: {zres.closed_form.display()}")
         cf_series = series_from_closed_form(zres.closed_form, args.terms)
-        print(f"series: {_series_str(cf_series)}")
-        flag = "yes" if cf_series == nk_series else "NO"
-        print(f"series from N_k: {_series_str(nk_series)} (equal {flag})")
+        shown = _series_str(cf_series)
+        print(f"series: {shown}")
+        if cf_series == nk_series:
+            print(f"series from N_k: {shown} (equal yes)")
+        else:
+            print(f"series from N_k: {_series_str(nk_series)} (equal NO)")
     else:
         cert = zres.certificate
         print("zeta: transcendental")

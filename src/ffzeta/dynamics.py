@@ -16,8 +16,8 @@ Two independent routes compute N_k:
     the lowest nonzero coefficient of the division-free ``det`` over
     F[s]/(s^N).  N starts at a precision predicted from the last values
     of v and doubles on a zero result, up to akd + 1, where nothing is
-    truncated and a zero proves N_k = 0.  No charpoly, factoring or root
-    order is involved;
+    truncated and a zero proves N_k = 0.  Then N_jk = 0 for every j, as
+    A^k - I divides A^jk - I.  No charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -179,7 +179,7 @@ class _ReversedPowers:
         return self.m, self.C
 
 
-def _nk_value(powers: _ReversedPowers, start: int | None):
+def _nk_value(powers: _ReversedPowers, start: int):
     """(N_k, v) at k = powers.k, with v = v_s det(B^k - s^(ak) I), None if zero.
 
     The determinant is taken mod s^N, where the division-free ``det`` is
@@ -187,7 +187,7 @@ def _nk_value(powers: _ReversedPowers, start: int | None):
     det(B^k - s^(ak) I) = s^(ud) det(s^(m-u) C - s^(ak-u) I), where
     s^(m-u) C = C (m > ak only for C = 0); a nonzero value of the last
     det mod s^(N - ud) has v - ud as its lowest nonzero index.  Otherwise
-    N doubles, from ``start`` (at least 1; None starts at the end) up to
+    N doubles, from ``start`` (at least 1) up to
     akd + 1.  There the whole determinant, of s-degree at most akd, is
     kept, so a zero proves N_k = 0.
     """
@@ -195,7 +195,7 @@ def _nk_value(powers: _ReversedPowers, start: int | None):
     ak = powers.a * powers.k
     d = len(powers.B)
     full = ak * d + 1
-    N = full if start is None else min(start, full)
+    N = min(start, full)
     while True:
         m, C = powers.at(N)
         u = min(m, ak)
@@ -229,43 +229,42 @@ def nk_direct(field, A, k: int) -> NkValue:
     return _nk_value(_ReversedPowers(field, A, k), 1)[0]
 
 
-def _predicted_valuation(vs: list, p: int):
+def _predicted_valuation(vs: list, p: int) -> int:
     """A guess at v_k from vs = [v_1, ..., v_(k-1)], None where N_j = 0.
 
     For p | k it is p * v_(k/p), which is exact: A^(pj) - I = (A^j - I)^p
-    in characteristic p, so D_(pj) = p * D_j.  Otherwise it is v_(k-1)
-    plus its last rise (none if v fell), with v_0 = 0.  None, a guess of
-    N_k = 0, follows N_(k/p) = 0 or N_(k-1) = 0: zeros repeat, for every k
-    at an eigenvalue 1 and at every multiple of a root-of-unity order.
+    in characteristic p, so D_(pj) = p * D_j.  v_(k/p) is known there,
+    since ``nk_table`` settles k without a guess when N_j = 0 at a proper
+    divisor j of k.  Otherwise it is the last known v plus its last rise
+    (none if v fell), with zeros skipped and v_0 = 0.
     """
     k = len(vs) + 1
     if k % p == 0:
-        w = vs[k // p - 1]
-        return None if w is None else p * w
-    last = vs[-1] if vs else 0
-    prev = vs[-2] if len(vs) > 1 else 0
-    if last is None or prev is None or last <= prev:
-        return last
-    return 2 * last - prev
+        return p * vs[k // p - 1]
+    known = [0, 0] + [v for v in vs if v is not None]
+    prev, last = known[-2:]
+    return last if last <= prev else 2 * last - prev
 
 
 def nk_table(field, A, kmax: int) -> list:
     """[N_1, ..., N_kmax] by the valuation route of ``nk_direct``.
 
-    B^k advances by one product per k.  Each k starts at the precision
-    N = w + 1 for the guess w of ``_predicted_valuation``, or at akd + 1
-    when the guess is N_k = 0; N doubles on a zero result.  When v does
-    not grow, as for a nonsingular leading-coefficient matrix (v = 0),
-    every k takes one determinant over F[s]/(s).
+    N_k = 0, with no determinant, when N_j = 0 at a proper divisor j of k
+    (A^j - I divides A^k - I).  Otherwise B^k advances to k and N starts
+    at w + 1 for the guess w of ``_predicted_valuation``, doubling on a
+    zero result.  When v does not grow, as for a nonsingular
+    leading-coefficient matrix (v = 0), each k takes one det over F[s]/(s).
     """
     powers = _ReversedPowers(field, A)
     out = []
     vs = []
     for k in range(1, kmax + 1):
-        if k > 1:
-            powers.advance()
-        w = _predicted_valuation(vs, field.p)
-        val, v = _nk_value(powers, None if w is None else w + 1)
+        if any(vs[j - 1] is None for j in range(1, k) if k % j == 0):
+            val, v = NkValue.zero(), None
+        else:
+            while powers.k < k:
+                powers.advance()
+            val, v = _nk_value(powers, _predicted_valuation(vs, field.p) + 1)
         out.append(val)
         vs.append(v)
     return out

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -163,6 +164,32 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "E: 0"
 
+    def test_eigenvalue_one_at_cap_ends(self, capsys, tmp_path):
+        """N_1 = 0 settles every N_k by divisibility, so d = 8, degree 32
+        takes one determinant sequence at k = 1, not one at full precision
+        akd + 1 for each k.
+        """
+        rng = random.Random(7)
+        # GF(2) entries as bit masks, degree <= 32; column 0 is e_0
+        M = [[rng.getrandbits(33) for _ in range(8)] for _ in range(8)]
+        M[1][1] |= 1 << 32
+        for i in range(8):
+            M[i][0] = int(i == 0)
+        # conjugate by U = I + sum_(i >= 1) E_(i,0): row i += row 0, then
+        # column 0 -= columns 1..7
+        for i in range(1, 8):
+            M[i] = [x ^ y for x, y in zip(M[i], M[0])]
+        for row in M:
+            for x in row[1:]:
+                row[0] ^= x
+        matrix = [[[x >> b & 1 for b in range(max(1, x.bit_length()))] for x in row] for row in M]
+        path = write_problem(tmp_path, {"p": 2, "d": 8, "matrix": matrix})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nk", "--max", "60", path)
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"N_{k} = 0 (spectral 0, equal yes)" for k in range(1, 61)]
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate", DIAG62)[0] == 1
 
@@ -274,6 +301,22 @@ class TestCommands:
             "series: 1 + 2z + 4z^2 + 8z^3 + 16z^4\n"
             "series from N_k: 1 + 2z + 4z^2 + 8z^3 + 16z^4 (equal yes)\n"
         )
+
+    def test_zeta_renders_equal_series_once(self, capsys, monkeypatch):
+        from ffzeta import cli
+
+        calls = []
+        real = cli._series_str
+
+        def counting(series):
+            calls.append(series)
+            return real(series)
+
+        monkeypatch.setattr(cli, "_series_str", counting)
+        code, out, _ = run(capsys, "zeta", DIAG62)
+        assert code == 0
+        assert "(equal yes)" in out
+        assert len(calls) == 1
 
     def test_zeta_transcendental(self, capsys):
         code, out, _ = run(capsys, "zeta", CUBIC, "--terms", "3")

@@ -21,6 +21,7 @@ from ffzeta.dynamics import (
     system_data,
 )
 from ffzeta.polycore import Poly, polyring
+from ffzeta.polymat import identity, mat_mul
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -266,16 +267,45 @@ def valuations(field, A, kmax):
     ]
 
 
+@st.composite
+def planted_zeros(draw, field):
+    """diag(Z, R) conjugated by I + f E_(i,j), deg f <= 1: d <= 4, degree <= 3.
+
+    Z is [1], [-1] or the companion of X^2 + X + 1, so an eigenvalue 1, a
+    root of unity of order 2 (p odd) or of order 3 (p != 3) makes N_k = 0
+    at every k, at even k or at k divisible by 3; R is random of size 1-2.
+    """
+    ring = polyring(field)
+    one, minus = field.one, field.neg(field.one)
+    Z = draw(st.sampled_from([[[one]], [[minus]], [[field.zero, minus], [one, minus]]]))
+    r = draw(st.integers(1, 2))
+    entry = tpolys(field, max_deg=1)
+    R = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    z, d = len(Z), len(Z) + r
+    A = [[Poly.const(field, c) for c in row] + [ring.zero] * r for row in Z]
+    A += [[ring.zero] * z + row for row in R]
+    i, j = draw(st.permutations(range(d)))[:2]
+    f = draw(entry)
+    U, V = identity(ring, d), identity(ring, d)
+    U[i][j], V[i][j] = f, -f
+    return mat_mul(ring, mat_mul(ring, U, A), V)
+
+
 class TestValuationRoute:
     """nk_table and nk_direct read D off det(B^k - s^(ak) I) mod s^N."""
 
-    @settings(max_examples=40)
+    @settings(max_examples=80)
     @given(data=st.data())
     def test_matches_full_determinant(self, data):
         field = data.draw(st.sampled_from([F2, F3, F4, F9]))
-        d = data.draw(st.integers(1, 4))
-        entry = tpolys(field, max_deg=3)
-        A = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        if data.draw(st.booleans()):
+            A = data.draw(planted_zeros(field))
+        else:
+            d = data.draw(st.integers(1, 4))
+            entry = tpolys(field, max_deg=3)
+            A = data.draw(
+                st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+            )
         kmax = data.draw(st.integers(1, 12))
         want = [exact_nk(field, A, k) for k in range(1, kmax + 1)]
         assert nk_table(field, A, kmax) == want
@@ -302,12 +332,31 @@ class TestValuationRoute:
         assert nk_table(field, A, 12) == want
         assert [nk_direct(field, A, k) for k in range(1, 13)] == want
 
-    def test_edge_cases_reach_their_branch(self):
+    def test_edge_cases_reach_their_branch(self, monkeypatch):
+        """N_j = 0 settles every multiple of j with no determinant."""
+        from ffzeta import dynamics
+
+        ks = []
+        real_nk_value = dynamics._nk_value
+
+        def recording_nk_value(powers, start):
+            ks.append(powers.k)
+            return real_nk_value(powers, start)
+
+        monkeypatch.setattr(dynamics, "_nk_value", recording_nk_value)
         assert valuations(F2, tmat(F2, NONLINEAR_V), 6) == [3, 6, 7, 12, 11, 14]
+        ks.clear()
         assert valuations(F2, tmat(F2, ALL_ZERO), 12) == [None] * 12
-        assert valuations(F2, tmat(F2, PERIODIC_ZERO), 6) == [2, 4, None, 8, 10, None]
+        assert ks == [1]
+        ks.clear()
+        assert valuations(F2, tmat(F2, PERIODIC_ZERO), 12) == [
+            2, 4, None, 8, 10, None, 14, 16, None, 20, 22, None
+        ]
+        assert ks == [1, 2, 3, 4, 5, 7, 8, 10, 11]
+        ks.clear()
         unipotent = tmat(F2, [[(1,), (0, 1)], [(0,), (1,)]])
         assert nk_table(F2, unipotent, 12) == [NkValue.zero()] * 12
+        assert ks == [1]
         assert nk_table(F9, tmat(F9, [[(5,), (1,)], [(0,), (7,)]]), 3) == [NkValue.of(0)] * 3
 
     def test_nonsingular_leading_matrix_needs_one_coefficient(self, monkeypatch):
