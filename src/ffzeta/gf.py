@@ -34,17 +34,27 @@ The public constructors and queries:
     elem_order(field, a)               multiplicative order of a nonzero a
     order_of_root(field, f)            order of a root of an irreducible f
 
-Group orders are factored by ``integers.factorint``, under its step budget.
+The order of a root of an irreducible f of degree delta divides
+n = q^delta - 1.  ``integers.factor_group_order`` factors n along the
+cyclotomic values Phi_j(q), j | delta, under one Pollard rho step budget
+for the whole call; past it order_of_root raises CapExceededError naming
+itself.  The order is then found by a descent over a product tree of the
+primes of n (``_order_from``), and elem_order uses the same descent.
+order_of_root checks that f is irreducible, which costs a full
+factorization; the spectral layer calls ``_root_order``, the same
+computation without the checks, on factors that ``factor`` has just
+certified.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from . import errors
-from .integers import factorint, is_prime
+from .integers import factor_group_order, factorint, is_prime
 from .polycore import Domain, Poly, is_irreducible, modpow
 
 PRIME_CAP = 2**63
@@ -376,13 +386,42 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _order_from(group_order: int, is_one) -> int:
-    """Order of an element given x^group_order = 1 and a power-is-one test."""
-    order = group_order
-    for ell in factorint(group_order):
-        while order % ell == 0 and is_one(order // ell):
-            order //= ell
-    return order
+def _order_from(fac: dict, x, power, one) -> int:
+    """Order of x, given x^n = one for n = prod(ell^k for ell, k in fac).
+
+    Product-tree descent: with the primes cut in two halves L and R and
+    n_L, n_R the prime-power parts of n over them, x^(n_R) has the L-part
+    of the order of x and x^(n_L) its R-part.  The cut puts the smallest
+    prime powers in L, until n_L reaches sqrt(n), so that a large prime
+    sits near the root.  Each half recurses down to a single prime ell,
+    where repeated ell-th powers finish: a y != one with y^(ell^k) = one
+    has order ell^j for the least j with y^(ell^j) = one, and j = k needs
+    no last power.
+    """
+    pp = {ell: ell**k for ell, k in fac.items()}
+
+    def descend(y, primes, n):
+        if y == one:
+            return 1
+        if len(primes) == 1:
+            ell = primes[0]
+            order = ell
+            for _ in range(fac[ell] - 1):
+                y = power(y, ell)
+                if y == one:
+                    break
+                order *= ell
+            return order
+        cut, n_left = 1, pp[primes[0]]
+        while cut < len(primes) - 1 and n_left * n_left < n:
+            n_left *= pp[primes[cut]]
+            cut += 1
+        n_right = n // n_left
+        return descend(power(y, n_right), primes[:cut], n_left) * descend(
+            power(y, n_left), primes[cut:], n_right
+        )
+
+    return descend(x, sorted(fac, key=pp.get), math.prod(pp.values()))
 
 
 def elem_order(field: Field, a: int) -> int:
@@ -391,7 +430,7 @@ def elem_order(field: Field, a: int) -> int:
         raise errors.ZeroElementError("zero has no multiplicative order")
     if not isinstance(a, int) or a < 0 or a >= field.q:
         raise errors.MalformedInputError("element out of range")
-    return _order_from(field.q - 1, lambda k: field.pow(a, k) == 1)
+    return _order_from(factorint(field.q - 1), a, field.pow, field.one)
 
 
 def order_of_root(field: Field, f: Poly) -> int:
@@ -410,16 +449,21 @@ def order_of_root(field: Field, f: Poly) -> int:
         raise errors.ReducibleError("X divides the polynomial")
     if not is_irreducible(field, f):
         raise errors.ReducibleError("polynomial is reducible")
+    return _root_order(field, f)
+
+
+def _root_order(field: Field, f: Poly) -> int:
+    """order_of_root without its checks: f must be monic and irreducible
+    with f(0) != 0, as the factors ``factor`` returns are."""
     delta = f.degree
-    group = field.q**delta - 1
-    if f.degree == 1:
-        # root is -f(0), order computable without modular arithmetic
-        return elem_order(field, field.neg(f.coeff(0)))
-    x = Poly.x(field)
-    one = Poly.const(field, field.one)
     try:
-        return _order_from(group, lambda k: modpow(x, k, f) == one)
+        fac = factor_group_order(field.q, delta)
     except errors.CapExceededError as ex:
         raise errors.CapExceededError(
             f"order_of_root: cannot factor the group order q^{delta} - 1: {ex}"
         ) from None
+    if delta == 1:
+        # the root is -f(0), in GF(q) itself
+        return _order_from(fac, field.neg(f.coeff(0)), field.pow, field.one)
+    one = Poly.const(field, field.one)
+    return _order_from(fac, Poly.x(field), lambda y, k: modpow(y, k, f), one)

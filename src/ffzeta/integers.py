@@ -1,9 +1,24 @@
 """Integer primality and factorization, standard library only.
 
-``is_prime`` is a deterministic Miller-Rabin test.  ``factorint`` strips
-small primes by trial division and splits what is left with Brent's
-variant of Pollard's rho under one step budget per call, past which it
-raises CapExceededError instead of running on.
+``is_prime`` runs Miller-Rabin to the 13 prime bases 2..41, which is a
+proof of primality below psi_13 = 3317044064679887385961981 (about
+3.3e24; psi_13 is the least strong pseudoprime to all 13 bases).  From
+psi_13 on the rounds are followed by a strong Lucas test with Selfridge's
+parameters, the Baillie-PSW test: no composite is known to pass it, but
+it is not proven exact there.
+
+``factorint`` strips small primes by trial division and splits what is
+left with Brent's variant of Pollard's rho under one step budget per
+call, past which it raises CapExceededError instead of running on.
+
+``factor_group_order`` factors q^delta - 1, the order of GF(q^delta)*.
+It is the product of the cyclotomic values Phi_j(q) over j | delta, each
+got by exact integer division.  Trial division runs once, on q^delta - 1
+as a whole, and each Phi_j(q) is stripped of the primes it found.  A
+prime that divides two of the Phi_j(q) divides delta, so for delta below
+the trial bound 2^16 the stripped parts are coprime, and the cofactor is
+split along them before any rho step.  Rho then works on those parts,
+much smaller than q^delta - 1, under the one budget of the call.
 """
 
 from __future__ import annotations
@@ -12,20 +27,26 @@ import math
 
 from . import errors
 
-# Pollard rho steps one factorint call may take in all, past which it
-# raises CapExceededError: about 2 s of pure Python on a 300-bit composite
-# (2-vCPU Xeon).  Rho needs about sqrt(r) steps to split off a prime r, so
-# this reaches second-largest prime factors of about 40 bits.
+# Pollard rho steps one factorint or factor_group_order call may take in
+# all, past which it raises CapExceededError: about 2 s of pure Python on a
+# 300-bit composite (2-vCPU Xeon).  Rho needs about sqrt(r) steps to split
+# off a prime r, so this reaches second-largest prime factors of about 40
+# bits.
 RHO_BUDGET = 2**20
 # Rho steps per gcd.
 RHO_BATCH = 128
 
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in MR_BASES.
+PSI_13 = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Miller-Rabin to bases 2..41, exact for n < PSI_13 (3.3e24); from
+    PSI_13 on, followed by a strong Lucas test (Baillie-PSW)."""
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in MR_BASES:
         if n % sp == 0:
             return n == sp
     d = n - 1
@@ -33,7 +54,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -43,7 +64,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 41 with no prime factor
+    up to 41, as is_prime passes it.  Selfridge's parameters: D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  With
+    n + 1 = d 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 for some
+    r < s, mod n."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k, Q^k from k = 0 along the bits of d: k -> 2k, then k -> k + 1
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2 for P = 1
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) // 2
+            V = (V + n if V & 1 else V) // 2
+            Qk = Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def _pollard_rho(n: int, budget: int) -> tuple:
@@ -90,6 +164,26 @@ def factorint(n: int) -> dict:
     under one budget of RHO_BUDGET steps for the whole call; past it the
     call raises CapExceededError.
     """
+    return _factor_parts(n, (n,))
+
+
+def factor_group_order(q: int, delta: int) -> dict:
+    """Prime factorization of q^delta - 1 (q >= 2, delta >= 1), split along
+    the cyclotomic values Phi_j(q), j | delta, under one RHO_BUDGET."""
+    phi = {}
+    for j in range(1, delta + 1):
+        if delta % j == 0:
+            v = q**j - 1
+            for i, phi_i in phi.items():
+                if j % i == 0:
+                    v //= phi_i
+            phi[j] = v
+    return _factor_parts(q**delta - 1, tuple(phi.values()))
+
+
+def _factor_parts(n: int, parts: tuple) -> dict:
+    """Factorization of n = prod(parts): trial division on n, then each part
+    stripped of the primes found and split by rho, one budget in all."""
     out: dict = {}
     for d in (2, 3, 5):
         while n % d == 0:
@@ -101,7 +195,12 @@ def factorint(n: int) -> dict:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
-    stack = [n] if n > 1 else []
+    stack = []
+    for m in parts:
+        for ell in out:
+            while m % ell == 0:
+                m //= ell
+        stack.append(m)
     budget = RHO_BUDGET
     while stack:
         m = stack.pop()

@@ -27,11 +27,12 @@ Res_X(P', X^n - 1) and divisor inversion, weights_by_divisibility, is
 kept as an independent oracle for tests.
 
 spectral_data is the one entry point that computes all of this.  It
-factors G and the residual once each and takes one order_of_root per
+factors G and the residual once each and takes one root order per
 irreducible factor: rou_orders reads the orders of G's roots off its
 factorization, and weights_from_residual reads the orders of the
 residual's roots and the weights off the same factorization of the
-residual.
+residual.  Both call gf._root_order, order_of_root without its
+irreducibility check, since factor has just certified each factor.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .gf import order_of_root
+from .gf import _root_order
 from .newton import polygon, unit_residual
 from .polycore import Poly, factor, poly_gcd, polyring, resultant
 
@@ -119,7 +120,7 @@ def rou_orders(field, G: Poly):
         raise errors.ZeroRootError("zero is not a root of unity")
     agg = {}
     for h, mult in factor(field, G):
-        n = order_of_root(field, h)
+        n = _root_order(field, h)
         agg[n] = agg.get(n, 0) + h.degree * mult
     return tuple(sorted(agg.items()))
 
@@ -136,7 +137,7 @@ def weights_from_residual(field, Pprime: Poly, E: int, residual: Poly):
     top_down = sorted(slices, reverse=True)
     orders, weights = {}, {}
     for h, mult in factor(field, residual):
-        n = order_of_root(field, h)
+        n = _root_order(field, h)
         orders[n] = orders.get(n, 0) + h.degree * mult
         j = next((j for j in top_down if slices[j] % h), None)
         if j is None:

@@ -31,15 +31,34 @@ def write_problem(tmp_path, doc, name="prob.json"):
     return str(path)
 
 
+# q = 1 mod 3 and 2 is no cube mod q, so X^3 - 2 is irreducible over GF(q)
+CUBIC_Q = 2244298144489180309
+
+
 def unfactorable_problem():
-    """Companion matrix of a degree-8 irreducible over a 61-bit prime."""
+    """Companion matrix of X^3 - 2 over the 61-bit prime CUBIC_Q.
+
+    Phi_3(q) = q^2 + q + 1 = 3 * 3907 * 4700970961 * 117613183141 *
+    777235918171: after trial division, rho takes 1.11 million steps to
+    split its 110-bit part (q - 1 adds a few thousand), 6% past the budget
+    of 2^20.  A stronger factoring method would factor it, and this input
+    would then have to be replaced to keep covering exit 3.
+    """
+    rows = [[[0], [0], [2]], [[1], [0], [0]], [[0], [1], [0]]]
+    return {"p": CUBIC_Q, "d": 3, "matrix": rows}
+
+
+OCTIC_G = [181785116543108203, 1546893918547566459, 960691145375510833,
+           1422198890898970246, 2158787438339059539, 1190864571044349696,
+           2159263096884028552, 697900490548643529]
+
+
+def octic_problem():
+    """Companion matrix of X^8 + sum g_i X^i, irreducible over a 61-bit prime."""
     p = 2305843009213693921
-    g = [181785116543108203, 1546893918547566459, 960691145375510833,
-         1422198890898970246, 2158787438339059539, 1190864571044349696,
-         2159263096884028552, 697900490548643529]
     rows = [[[1] if i == j + 1 else [0] for j in range(8)] for i in range(8)]
     for i in range(8):
-        rows[i][7] = [-g[i] % p]
+        rows[i][7] = [-OCTIC_G[i] % p]
     return {"p": p, "d": 8, "matrix": rows}
 
 
@@ -144,16 +163,49 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unfactorable_group_order_ends(self, capsys, tmp_path):
-        """q^8 - 1 has a 309-bit composite part that Pollard rho does not
-        split within its step budget; an unbounded rho loop runs forever
-        here.  The budget ends it with exit 3 naming the stage.
+        """Phi_3(q) of a 61-bit q has a 110-bit part that Pollard rho does
+        not split within its step budget, which ends the command with
+        exit 3 naming the stage.
         """
+        assert CUBIC_Q % 3 == 1 and pow(2, (CUBIC_Q - 1) // 3, CUBIC_Q) != 1
         path = write_problem(tmp_path, unfactorable_problem())
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", path)
         assert time.perf_counter() - start < 10
         assert (code, out) == (3, "")
         assert err.startswith("error: order_of_root:")
+
+    def test_octic_group_order_factors(self, capsys, tmp_path):
+        """q^8 - 1 splits along Phi_1, Phi_2, Phi_4 and Phi_8 at q, each
+        within reach of rho, so the order of the roots is found.  sympy
+        checks it: factorint of each sympy-built Phi_j(q), and powers of X
+        modulo the octic by sympy's own GF(p)[X] arithmetic.
+        """
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_pow_mod
+
+        doc = octic_problem()
+        p = doc["p"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", write_problem(tmp_path, doc))
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "classification: algebraic"
+        m = int(out.split("z^", 1)[1].split(")", 1)[0])
+        primes = {}
+        for j in (1, 2, 4, 8):
+            for r, k in sympy.factorint(int(sympy.cyclotomic_poly(j, p))).items():
+                primes[r] = primes.get(r, 0) + k
+        assert math.prod(r**k for r, k in primes.items()) == p**8 - 1
+        assert (p**8 - 1) % m == 0
+        octic = [1] + OCTIC_G[::-1]
+
+        def x_to(k):
+            return gf_pow_mod([1, 0], k, octic, p, ZZ)
+
+        assert x_to(m) == [1]
+        assert all(x_to(m // r) != [1] for r in primes if m % r == 0)
 
     def test_entropy_needs_no_group_order(self, capsys, tmp_path):
         """E comes from the Newton polygon alone, so nothing is factored."""

@@ -382,7 +382,7 @@ class TestValuationRoute:
         assert all(getattr(r, "N", None) == 1 for r in rings)
 
     def test_independent_of_spectral_route(self, monkeypatch):
-        """No charpoly, factor or order_of_root on the direct route."""
+        """No charpoly, factor or root order on the direct route."""
         import sys
 
         from ffzeta import gf, polycore, polymat
@@ -394,7 +394,13 @@ class TestValuationRoute:
         def forbidden(*args, **kwargs):
             raise AssertionError("spectral routine on the direct route")
 
-        for fn in (polymat.charpoly, polycore.factor, gf.order_of_root):
+        spectral_fns = (
+            polymat.charpoly,
+            polycore.factor,
+            gf.order_of_root,
+            gf._root_order,
+        )
+        for fn in spectral_fns:
             for name, module in list(sys.modules.items()):
                 if name.startswith("ffzeta"):
                     for attr, val in list(vars(module).items()):

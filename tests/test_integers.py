@@ -1,8 +1,9 @@
 """Integer primality and factorization."""
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from ffzeta.integers import _pollard_rho, factorint, is_prime
+from ffzeta import integers
+from ffzeta.integers import _pollard_rho, factor_group_order, factorint, is_prime
 
 
 def test_is_prime_anchors():
@@ -11,6 +12,17 @@ def test_is_prime_anchors():
     # Carmichael numbers and strong pseudoprimes to the first few bases
     composites = (0, 1, 4, 561, 41041, 3215031751, 2**64 + 1, 65537**2)
     assert not any(is_prime(n) for n in composites)
+
+
+def test_is_prime_past_base_37():
+    # psi_12 and psi_13: the least strong pseudoprimes to the primes up to
+    # 37 and up to 41; the first needs base 41, the second the Lucas test
+    psi12 = 399165290221 * 798330580441
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi12) and not is_prime(psi13)
+    assert factorint(psi12) == {399165290221: 1, 798330580441: 1}
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime((2**89 - 1) * (2**61 - 1)) and not is_prime((2**89 - 1) ** 2)
 
 
 def test_pollard_rho_splits_semiprime():
@@ -32,3 +44,31 @@ def test_factorint_reassembles(n):
         assert is_prime(r) and k >= 1
         prod *= r**k
     assert prod == n
+
+
+@given(st.integers(2, 2**12), st.integers(1, 24))
+def test_group_order_split_reassembles(q, delta):
+    """The Phi_j(q) split gives the factorization of q^delta - 1; q = 2
+    has Phi_1(2) = 1.  Up to 2^64, where factorint always succeeds."""
+    assume(q**delta <= 2**64)
+    assert factor_group_order(q, delta) == factorint(q**delta - 1)
+
+
+def test_group_order_shares_one_budget(monkeypatch):
+    """Each rho call gets what the earlier ones in the call left over."""
+    real, seen = integers._pollard_rho, []
+
+    def recording(n, budget):
+        f, steps = real(n, budget)
+        seen.append((budget, steps))
+        return f, steps
+
+    monkeypatch.setattr(integers, "_pollard_rho", recording)
+    # q = 1 mod ab and q = -1 mod cd, so both parts of q^2 - 1 = (q - 1)(q + 1)
+    # hold a product of two 20-bit primes past trial division
+    a, b, c, d = 1000003, 1000033, 1000037, 1000039
+    q = 1 + a * b * (-2 * pow(a * b, -1, c * d) % (c * d))
+    assert set(factor_group_order(q, 2)) >= {a, b, c, d}
+    assert len(seen) >= 2 and seen[0][0] == integers.RHO_BUDGET
+    for (budget, steps), (after, _) in zip(seen, seen[1:]):
+        assert after == budget - steps

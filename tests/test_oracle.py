@@ -1,6 +1,7 @@
-"""det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint
-and is_prime against sympy, an oracle outside the package; order_of_root
-against a direct power search in plain integers.
+"""det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint,
+the split factorization of q^delta - 1, elem_order and is_prime against
+sympy, an oracle outside the package; order_of_root against a direct
+power search in plain integers.
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
@@ -9,12 +10,14 @@ with them.  Polynomials over GF(p) go to sympy over GF(p) directly.  Only
 prime fields (e = 1), where a packed field element is its own residue.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpolys, xpolys
-from ffzeta import make_field, order_of_root
-from ffzeta.integers import factorint, is_prime
+from ffzeta import elem_order, errors, make_field, order_of_root
+from ffzeta.integers import factor_group_order, factorint, is_prime
 from ffzeta.polycore import (
     Poly,
     factor,
@@ -235,3 +238,62 @@ def test_order_of_root_matches_power_search(case):
 )
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.integers(2**80, 2**400),
+        st.integers(2**80, 2**300).map(lambda n: int(sympy.nextprime(n))),
+        st.tuples(st.integers(2**40, 2**150), st.integers(2**40, 2**150)).map(
+            lambda ab: int(sympy.nextprime(ab[0])) * int(sympy.nextprime(ab[1]))
+        ),
+    )
+)
+def test_is_prime_above_2_80_matches_sympy(n):
+    """Past the proven Miller-Rabin range, where the Lucas test decides."""
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_strong_pseudoprimes_to_bases_2_to_37():
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert not is_prime(psi12) and not is_prime(psi13)
+    assert factorint(psi12) == sympy.factorint(psi12)
+
+
+def sympy_group_order(q, delta):
+    """sympy.factorint of q^delta - 1, taken one sympy Phi_j(q) at a time
+    (sympy on q^delta - 1 as a whole runs for minutes at 61 bits)."""
+    out = {}
+    for j in sympy.divisors(delta):
+        for r, k in sympy.factorint(int(sympy.cyclotomic_poly(j, q))).items():
+            out[r] = out.get(r, 0) + k
+    assert sympy.prod(r**k for r, k in out.items()) == q**delta - 1
+    return out
+
+
+@pytest.mark.parametrize("bits, count", [(20, 2), (61, 1)])
+def test_group_order_split_matches_sympy(bits, count):
+    """Seeded primes, every delta <= 8.  A budget overrun is allowed (its
+    exit 3 is the documented limit), except for delta <= 2: q - 1 and
+    q + 1 have at most 62 bits, so their second-largest prime factor is
+    below 2^31 and within rho's budget."""
+    rng = random.Random(bits)
+    for _ in range(count):
+        q = int(sympy.prevprime(rng.randrange(2 ** (bits - 1), 2**bits)))
+        for delta in range(1, 9):
+            try:
+                ours = factor_group_order(q, delta)
+            except errors.CapExceededError:
+                assert delta > 2
+                continue
+            assert ours == sympy_group_order(q, delta), (q, delta)
+
+
+def test_elem_order_matches_sympy_61_bit():
+    rng = random.Random(61)
+    for _ in range(4):
+        p = int(sympy.prevprime(rng.randrange(2**60, 2**61)))
+        field = make_field(p)
+        for a in [1, p - 1] + [rng.randrange(2, p - 1) for _ in range(4)]:
+            assert elem_order(field, a) == sympy.n_order(a, p)

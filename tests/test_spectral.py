@@ -169,10 +169,15 @@ MIXED = (
 
 class TestOnePass:
     def test_one_factorization_per_polynomial(self, monkeypatch):
-        from ffzeta import spectral
+        """Two factor calls per spectral_data, counted at every binding in
+        the package (an irreducibility check inside the order routine
+        would be a third), and one root order per distinct factor."""
+        import sys
+
+        from ffzeta import gf, polycore, spectral
 
         factored, ordered = [], []
-        real_factor, real_order = spectral.factor, spectral.order_of_root
+        real_factor, real_order = polycore.factor, gf._root_order
 
         def counting_factor(field, f):
             factored.append(f)
@@ -182,8 +187,14 @@ class TestOnePass:
             ordered.append(h)
             return real_order(field, h)
 
-        monkeypatch.setattr(spectral, "factor", counting_factor)
-        monkeypatch.setattr(spectral, "order_of_root", counting_order)
+        swaps = {id(real_factor): counting_factor, id(real_order): counting_order}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ffzeta"):
+                for attr, val in list(vars(module).items()):
+                    if id(val) in swaps:
+                        monkeypatch.setattr(module, attr, swaps[id(val)])
+        assert spectral.factor is counting_factor
+        assert spectral._root_order is counting_order
         sd = spectral_data(F2, MIXED)
         assert factored == [sd.G, sd.residual]
         distinct = [h for f in factored for h, _ in real_factor(F2, f)]
