@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import json
 import math
 import sys
@@ -48,7 +49,7 @@ MAX_DIM = 8
 MAX_ENTRY_DEG = 32
 # Largest --max and --terms, a bound on time and output size: at 60, nk,
 # zeta and report on a d = 8, entry-degree-32 GF(2) input each end in
-# about 11 s, and zeta on t^32 I_8 over GF(2^61 - 1) takes about 92 s and
+# about 12 s, and zeta on t^32 I_8 over GF(2^61 - 1) takes about 50 s and
 # prints 17 MB.
 MAX_K = 60
 
@@ -185,10 +186,11 @@ def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
 def _long_int_str():
     """Let str() print ints of any length, then restore the caller's limit.
 
-    N_k values and series terms can pass Python's default limit of 4300
-    digits.  The problem JSON is parsed outside this block, so the limit
-    still rejects a p with thousands of digits at once.  Pythons before
-    3.10.7 have no limit.
+    The closed-form display prints q^(E L), which can pass Python's default
+    limit of 4300 digits (N_k values and series terms go through _num_str,
+    which needs no limit).  The problem JSON is parsed outside this block,
+    so the limit still rejects a p with thousands of digits at once.
+    Pythons before 3.10.7 have no limit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -201,11 +203,49 @@ def _long_int_str():
         sys.set_int_max_str_digits(old)
 
 
+def _num_str(x) -> str:
+    """str(x) for an int or a Fraction, in subquadratic time for long ints.
+
+    CPython 3.11 converts ints to decimal in quadratic time, and N_k values
+    and series terms reach about 282,000 digits within the caps.  A long n
+    is split in binary halves, n = hi * 2^w + lo, and recombined in the
+    decimal module, whose products are subquadratic; at MAX_PREC with
+    integer operands every step is exact.
+    """
+    if x.denominator != 1:
+        return f"{_num_str(x.numerator)}/{_num_str(x.denominator)}"
+    n = x.numerator
+    if n.bit_length() <= 1024:
+        return str(n)
+    if n < 0:
+        return "-" + _num_str(-n)
+    D = decimal.Decimal
+    pow2 = {}
+
+    def two_to(w):
+        if w not in pow2:
+            pow2[w] = D(2) ** w if w <= 1024 else two_to(w // 2) * two_to(w - w // 2)
+        return pow2[w]
+
+    def to_dec(m, bits):
+        if bits <= 1024:
+            return D(m)
+        w = bits // 2
+        hi = m >> w
+        return to_dec(hi, bits - w) * two_to(w) + to_dec(m - (hi << w), w)
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    with decimal.localcontext(ctx):
+        return str(to_dec(n, n.bit_length()))
+
+
 def _nk_render(v, q: int) -> str:
     if v.is_zero:
         return "0"
     if v.exponent <= INT_RENDER_CAP:
-        return str(q**v.exponent)
+        return _num_str(q**v.exponent)
     return f"{q}^{v.exponent}"
 
 
@@ -279,9 +319,9 @@ def _zeta_doc(field, zres, nks, terms):
         }
         cf_series = series_from_closed_form(cf, terms)
         equal = cf_series == nk_series
-        out["series"] = [str(c) for c in cf_series.coeffs]
+        out["series"] = [_num_str(c) for c in cf_series.coeffs]
         out["series_from_nk"] = (
-            out["series"] if equal else [str(c) for c in nk_series.coeffs]
+            out["series"] if equal else [_num_str(c) for c in nk_series.coeffs]
         )
         out["series_routes_equal"] = equal
     else:
@@ -290,7 +330,7 @@ def _zeta_doc(field, zres, nks, terms):
             "bad_unit_order": cert.bad_unit_order,
             "rou_orders": list(cert.rou_orders),
         }
-        out["series"] = [str(c) for c in nk_series.coeffs]
+        out["series"] = [_num_str(c) for c in nk_series.coeffs]
     return out
 
 
@@ -385,7 +425,7 @@ def _series_str(series) -> str:
     for i, c in enumerate(series.coeffs):
         if c == 0:
             continue
-        cs = str(c)
+        cs = _num_str(c)
         if "/" in cs and i > 0:
             cs = f"({cs})"
         elif cs == "1" and i > 0:

@@ -17,6 +17,14 @@ Series expansions come from two independent directions: the exponential
 recurrence n c_n = sum N_k c_{n-k} driven by N_k from any route, and the
 generalized binomial expansion of the closed-form product.  The inverse
 recurrence recovers the N_k from a series, closing the loop for tests.
+
+Both exponential recurrences run on Python ints, with no Fraction per term.
+The forward one carries b_n = n! c_n, an integer because the N_k are:
+b_n = sum_k N_k b_{n-k} (n-1)!/(n-k)!, with the falling factorial grown by
+one small multiply per k, and c_n = b_n / n! is normalised once.  The
+inverse one scales the series by the common denominator D of c_0..c_order,
+so that a_n = D c_n are ints: D N_k = k a_k - sum_{j<k} N_j a_{k-j}, and one
+divmod by D gives N_k or shows it is not an integer.
 """
 
 from __future__ import annotations
@@ -160,13 +168,19 @@ def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
     if len(nks) < order:
         raise errors.MalformedInputError("not enough N_k values for the order")
     N = _nk_ints(q, nks)
+    bs = [1]  # b_n = n! c_n
     cs = [Fraction(1)]
+    fact = 1
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = 0
+        falling = 1  # (n-1)!/(n-k)!
         for k in range(1, n + 1):
             if N[k - 1]:
-                acc += N[k - 1] * cs[n - k]
-        cs.append(acc / n)
+                acc += N[k - 1] * bs[n - k] * falling
+            falling *= n - k
+        bs.append(acc)
+        fact *= n
+        cs.append(Fraction(acc, fact))
     return SeriesTrunc(order=order, coeffs=tuple(cs))
 
 
@@ -199,14 +213,23 @@ def series_from_closed_form(cf: ZetaClosedForm, order: int) -> SeriesTrunc:
 
 
 def nk_from_series(st: SeriesTrunc) -> list:
-    """Invert the exponential recurrence; entries must come out integral."""
-    N = []
+    """Invert the exponential recurrence; entries must come out integral.
+
+    Coefficients may be ints or Fractions; the constant term must be 1.
+    """
     cs = st.coeffs
+    if cs[0] != 1:
+        raise errors.MalformedInputError(f"series constant term is {cs[0]}, not 1")
+    D = lcm(*(c.denominator for c in cs))
+    a = [c.numerator * (D // c.denominator) for c in cs]
+    N = []
     for k in range(1, st.order + 1):
-        acc = k * cs[k]
+        acc = k * a[k]
         for j in range(1, k):
-            acc -= N[j - 1] * cs[k - j]
-        if acc.denominator != 1:
-            raise errors.NonIntegralError(f"N_{k} from series is {acc}")
-        N.append(int(acc))
+            if N[j - 1]:
+                acc -= N[j - 1] * a[k - j]
+        nk, rem = divmod(acc, D)
+        if rem:
+            raise errors.NonIntegralError(f"N_{k} from series is {Fraction(acc, D)}")
+        N.append(nk)
     return N

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ffzeta import errors
-from ffzeta.cli import MAX_K, _long_int_str, main, parse_problem
+from ffzeta.cli import MAX_K, _long_int_str, _num_str, main, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DIAG62 = str(PROBLEMS / "diag_6_2_gf7.json")
@@ -293,6 +294,16 @@ class TestLongIntegers:
             n8 = str((2**61 - 1) ** 256)
         assert len(n8) > 4300
         assert n8 in out
+
+    @pytest.mark.parametrize("bits", [1, 1024, 1025, 2048, 4097, 50001])
+    def test_num_str_matches_str(self, bits):
+        rng = random.Random(bits)
+        cases = [2**bits - 1, 2**bits, 10 ** (bits // 3), rng.getrandbits(bits)]
+        cases += [-n for n in cases]
+        cases += [Fraction(n, rng.getrandbits(bits) | 1) for n in cases]
+        with _long_int_str():
+            for x in cases:
+                assert _num_str(x) == str(x)
 
     @pytest.mark.skipif(int_str_limit() is None, reason="no int/str digit limit")
     def test_huge_p_rejected_at_parse(self, capsys, tmp_path):

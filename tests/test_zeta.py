@@ -51,6 +51,42 @@ def fake_sd(field, E, rou, unit, weights=()):
     )
 
 
+def series_by_fractions(q, nks, order):
+    """The exponential recurrence n c_n = sum N_k c_{n-k}, one Fraction per
+    term: the reference for the integer recurrence in series_from_nk."""
+    N = [0 if v.is_zero else q**v.exponent for v in nks]
+    cs = [Fraction(1)]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            if N[k - 1]:
+                acc += N[k - 1] * cs[n - k]
+        cs.append(acc / n)
+    return tuple(cs)
+
+
+@st.composite
+def nk_lists(draw):
+    """(q, NkValue list): free exponents, which mostly break the Dold
+    congruences and give non-integral coefficients, or N_k = q^(Ek) with
+    zeros where an order m divides k, as for an algebraic system."""
+    q = draw(st.sampled_from((2, 4, 7, 2**61 - 1)))
+    order = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        value = st.one_of(
+            st.just(NkValue.zero()), st.builds(NkValue.of, st.integers(0, 60))
+        )
+        nks = draw(st.lists(value, min_size=order, max_size=order))
+    else:
+        E = draw(st.integers(0, 1))
+        ms = draw(st.lists(st.integers(1, 12), max_size=3))
+        nks = [
+            NkValue.zero() if any(k % m == 0 for m in ms) else NkValue.of(E * k)
+            for k in range(1, order + 1)
+        ]
+    return q, nks
+
+
 def subset_expansion(orders):
     """Inclusion-exclusion over all 2^n subsets of the order multiset.
 
@@ -154,6 +190,18 @@ class TestSeriesFromNk:
         with pytest.raises(errors.MalformedInputError):
             series_from_nk(2, [NkValue.of(1)], 5)
 
+    @given(case=nk_lists())
+    def test_matches_fraction_recurrence(self, case):
+        q, nks = case
+        assert series_from_nk(q, nks, len(nks)).coeffs == series_by_fractions(
+            q, nks, len(nks)
+        )
+
+    def test_dold_breaking_counts_give_fractions(self):
+        # N_1 = 1, N_2 = 0: c_2 = (N_2 + N_1^2) / 2
+        nks = [NkValue.of(0), NkValue.zero()]
+        assert series_from_nk(5, nks, 2).coeffs == (1, 1, Fraction(1, 2))
+
 
 class TestSeriesFromClosedForm:
     def test_geometric(self):
@@ -188,7 +236,32 @@ class TestInverseRecurrence:
 
     def test_non_integral_rejected(self):
         s = SeriesTrunc(order=1, coeffs=(Fraction(1), Fraction(1, 3)))
-        with pytest.raises(errors.NonIntegralError):
+        with pytest.raises(errors.NonIntegralError, match=r"^N_1 from series is 1/3$"):
+            nk_from_series(s)
+
+    @given(case=nk_lists(), data=st.data())
+    def test_inverts_and_rejects_perturbation(self, case, data):
+        q, nks = case
+        order = len(nks)
+        s = series_from_nk(q, nks, order)
+        assert nk_from_series(s) == [0 if v.is_zero else q**v.exponent for v in nks]
+        if order == 0:
+            return
+        # c_j + 1/(j+1) moves N_j by j/(j+1), never an integer
+        j = data.draw(st.integers(1, order))
+        cs = list(s.coeffs)
+        cs[j] += Fraction(1, j + 1)
+        with pytest.raises(errors.NonIntegralError, match=rf"^N_{j} from series is "):
+            nk_from_series(SeriesTrunc(order=order, coeffs=tuple(cs)))
+
+    def test_int_coefficients_accepted(self):
+        s = SeriesTrunc(order=4, coeffs=tuple(3**n for n in range(5)))
+        assert nk_from_series(s) == [3, 9, 27, 81]
+
+    @pytest.mark.parametrize("c0", [Fraction(2), 0, Fraction(1, 2)])
+    def test_constant_term_must_be_one(self, c0):
+        s = SeriesTrunc(order=2, coeffs=(c0, Fraction(1), Fraction(1)))
+        with pytest.raises(errors.MalformedInputError, match="constant term"):
             nk_from_series(s)
 
 
