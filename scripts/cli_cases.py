@@ -2,7 +2,7 @@
 """Run a fixed set of CLI cases in-process and compare their output digests.
 
 The cases are every command line below on every problem below, run through
-``ffzeta.cli.main`` with the problem JSON on stdin (469 cases):
+``ffzeta.cli.main`` with the problem JSON on stdin (490 cases):
 
   * the three sample problems in ``problems/``;
   * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
@@ -11,6 +11,10 @@ The cases are every command line below on every problem below, run through
   * one d = 1 problem of entry degree 8 over the prime 2^61 - 1;
   * three zero-heavy problems, where N_k = 0 at every k, at even k and at
     k divisible by 3;
+  * three problems over the 20-bit prime 1048573, over 2^61 - 1 and over
+    GF(3^10), with d = 2..3 and entry degree up to 10..16, drawn from a
+    seed of their own: their N_k tables multiply polynomials of 100
+    coefficients and more, so the long-product kernels are pinned too;
 
   under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
   ``report`` and ``report --text``.
@@ -77,6 +81,35 @@ ZERO_HEAVY = (
 )
 
 
+# (name, p, e, d, entry degree) of the long-product problems, drawn in this
+# order from one stream seeded with LONG_SEED
+LONG = (
+    ("long_p20", 1048573, 1, 3, 10),
+    ("long_m61", M61, 1, 2, 16),
+    ("long_gf3^10", 3, 10, 2, 10),
+)
+LONG_SEED = 20224
+
+
+def _long_problem(rng, p, e, d, deg):
+    """Entries of random degree up to deg, one of them at deg: the matrix of
+    leading coefficients is singular, so N_k needs long determinants."""
+
+    def coeff():
+        return rng.randrange(p) if e == 1 else [rng.randrange(p) for _ in range(e)]
+
+    def lead():
+        return rng.randrange(1, p) if e == 1 else [rng.randrange(1, p)] + [0] * (e - 1)
+
+    matrix = [
+        [[coeff() for _ in range(rng.randint(0, deg))] + [lead()] for _ in range(d)]
+        for _ in range(d)
+    ]
+    entry = [coeff() for _ in range(deg)] + [lead()]
+    matrix[rng.randrange(d)][rng.randrange(d)] = entry  # drawn after the entry
+    return {"p": p, "e": e, "d": d, "matrix": matrix}
+
+
 def _random_problem(rng, p, e):
     def coeff():
         return rng.randrange(p) if e == 1 else [rng.randrange(p) for _ in range(e)]
@@ -129,6 +162,9 @@ def problems():
     for name, p, blocks, steps in ZERO_HEAVY:
         matrix = _conjugated(p, blocks, steps)
         out.append((name, json.dumps({"p": p, "d": len(matrix), "matrix": matrix})))
+    rng = random.Random(LONG_SEED)
+    for name, p, e, d, deg in LONG:
+        out.append((name, json.dumps(_long_problem(rng, p, e, d, deg))))
     return out
 
 

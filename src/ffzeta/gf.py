@@ -3,8 +3,13 @@ r"""Finite fields GF(p^e) with integer-packed elements.
 An element of GF(p^e) is a plain Python int in ``range(p**e)``: the base-p
 digits are the coefficients of the residue polynomial in the generator z,
 low digit first.  For e = 1 this is just the residue mod p.  Packing keeps
-elements hashable and lets long products run on int64 numpy arrays in
-``poly_mul``, which converts back to Python ints on the way out.
+elements hashable and lets a long product of polynomials run as one
+Kronecker product on Python ints (``Field._kron_mul``): the digits of the
+coefficients are laid out in byte slots of two integers wide enough for
+every sum of digit products, the integers are multiplied once, and the
+slots are folded and reduced mod p by whole-integer and bytes operations,
+with no loop over coefficients in Python for e >= 2.  Short products keep
+the scalar loop (``KRON_CUTOFF``).
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -15,7 +20,9 @@ does addition, by Zech logarithms: with n = q - 1 and Z(k) the log of
 g^i - g^j = g^(i + Z(j + n/2 - i)) and -g^i = g^(i + n/2).  Z(n/2) is
 None, for 1 + g^(n/2) = 0.
 
-The exp table is built from base-p digit columns over GF(p): the powers
+The exp table is built with numpy, the module's only use of it and
+imported there, so prime fields never load it.  It is built from base-p
+digit columns over GF(p): the powers
 g^0..g^(B-1) form an (e, B) block, grown by doubling with the e x e digit
 map of multiplication by g^s and then stepped forward B powers at a time
 by the map of g^B, B = TABLE_BLOCK.  The log table is one scatter of the
@@ -49,9 +56,8 @@ certified.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
-
-import numpy as np
 
 from . import errors
 from .integers import factor_group_order, factorint, is_prime
@@ -60,11 +66,85 @@ from .polycore import Domain, Poly, is_irreducible, modpow
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
 
-# Below this length poly_mul's scalar loop beats a numpy round trip.
-NP_CUTOFF = 24
+# poly_mul's scalar loop beats one Kronecker product below KRON_CUTOFF *
+# e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
+# and when the shorter operand has no more coefficients than an element
+# has digits.
+KRON_CUTOFF = 64
 
 # Columns per digit block when building the log/exp tables.
 TABLE_BLOCK = 4096
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing
+# ---------------------------------------------------------------------------
+
+
+def _move(out, at: int, dst: int, buf, offset: int, src: int, width: int):
+    """Copy `width` bytes from offset + i * src in buf to at + i * dst in
+    out, for every slot i: out holds count slots of dst bytes and buf
+    count slots of src bytes, and the widths fit inside both."""
+    for t in range(width):
+        out[at + t :: dst] = buf[offset + t :: src]
+
+
+def _pack(vals, width: int, small: bool) -> int:
+    """One int holding vals in slots of width bytes; small says that every
+    value is below 256, else each is below 2^64."""
+    raw, size = (bytes(vals), 1) if small else (array("Q", vals).tobytes(), 8)
+    if width == size:
+        return int.from_bytes(raw, "little")
+    out = bytearray(len(vals) * width)
+    _move(out, 0, width, raw, 0, size, min(width, size))
+    return int.from_bytes(out, "little")
+
+
+def _read(buf, count: int, stride: int, width: int) -> list:
+    """count ints of width bytes from buf, one every stride bytes."""
+    if width == 1:
+        return list(buf[::stride])
+    if width > 8:
+        return [
+            int.from_bytes(buf[i : i + width], "little")
+            for i in range(0, count * stride, stride)
+        ]
+    out = bytearray(count * 8)
+    _move(out, 0, 8, buf, 0, stride, width)
+    return array("Q", out).tolist()
+
+
+@lru_cache(maxsize=None)
+def _byte_residues(p: int, k: int) -> bytes:
+    """b * 256^k mod p for every byte value b."""
+    return bytes(b * pow(256, k, p) % p for b in range(256))
+
+
+def _mod_bytes(buf, width: int, p: int) -> bytes:
+    """The slots of width bytes that make up buf, mod p, one byte each, for
+    width * (p - 1) < 256: byte k of a slot adds its b * 256^k mod p, by
+    ``bytes.translate``, and the byte sums never carry."""
+    total = 0
+    for k in range(width):
+        if pow(256, k, p):
+            sums = buf[k::width].translate(_byte_residues(p, k))
+            total += int.from_bytes(sums, "little")
+    return total.to_bytes(len(buf) // width, "little").translate(_byte_residues(p, 0))
+
+
+def _ones(count: int, width: int, value: int) -> int:
+    """value in each of count slots of width bytes."""
+    return int.from_bytes(value.to_bytes(width, "little") * count, "little")
+
+
+def _divmod_slots(x: int, count: int, width: int, bits: int, p: int):
+    """(x // p, x % p) slot by slot, for count slots of width bytes with
+    values below 2^bits and 8 * width >= 2 * bits + bitlen(p): with
+    s = bits + bitlen(p), v // p = (v * (2^s // p + 1)) >> s for v < 2^bits,
+    and v * (2^s // p + 1) < 2^(8 * width) stays inside its slot."""
+    s = bits + p.bit_length()
+    quo = (x * ((1 << s) // p + 1) >> s) & _ones(count, width, (1 << bits) - 1)
+    return quo, x - p * quo
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +164,34 @@ class Field(Domain):
         self.e = e
         self.q = p**e
         self.modulus = modulus  # monic, length e+1, entries in range(p)
-        # p-power place values, shared by the digit pack/unpack kernels
-        self._pw = np.power(np.int64(p), np.arange(e, dtype=np.int64))
-        # multiplication by z as a digit map: z^e = -(low part of modulus)
-        self._zred = [(-c) % p for c in modulus[:e]]
+        self._pw = [p**j for j in range(e)]  # digit place values
+        # digits of z^k mod the modulus for k = e..2e-2
+        self._fold = []
         if e >= 2:
             self._build_tables()
+            self._fold = [
+                self._digits(self._raw_pow(p, k)) for k in range(e, 2 * e - 1)
+            ]
+        # the largest sub-slot sum of a product, over its shorter length
+        # times (p - 1)^2: digit products summed, then high digits folded
+        terms = [min(s + 1, 2 * e - 1 - s) for s in range(2 * e - 1)]
+        self._slot_terms = max(
+            terms[j] + sum(t * c[j] for t, c in zip(terms[e:], self._fold))
+            for j in range(e)
+        )
 
     # -- construction helpers ---------------------------------------------
+
+    def _digits(self, a: int) -> list:
+        """Base-p digits of the element a, low first."""
+        return [a // pw % self.p for pw in self._pw]
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Product before log tables exist: digit convolution mod modulus."""
         p, e = self.p, self.e
-        da = [(a // p**i) % p for i in range(e)]
-        db = [(b // p**i) % p for i in range(e)]
         prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
+        db = self._digits(b)
+        for i, x in enumerate(self._digits(a)):
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] += x * y
@@ -122,7 +214,9 @@ class Field(Domain):
         return out
 
     def _build_tables(self):
-        q = self.q
+        import numpy as np  # numpy's only use: prime fields never load it
+
+        p, e, q = self.p, self.e, self.q
         fac = factorint(q - 1)
         gen = None
         for cand in range(2, q):
@@ -131,31 +225,47 @@ class Field(Domain):
                 break
         if gen is None:
             raise errors.InternalInvariantError("no multiplicative generator found")
+        # multiplication by z as a digit map: z^e = -(low part of modulus)
+        zred = [(-c) % p for c in self.modulus[:e]]
+
+        def scalar_map(c):
+            """Digits of c*z^j for j < e, as an (e, e) int64 matrix column-wise."""
+            col = self._digits(c)
+            cols = [col]
+            for _ in range(e - 1):
+                top = col[-1]
+                col = [0] + col[:-1]
+                if top:
+                    col = [(col[i] + top * zred[i]) % p for i in range(e)]
+                cols.append(col)
+            return np.array(cols, dtype=np.int64).T
+
         # g^0..g^(n-1) as base-p digit columns, TABLE_BLOCK columns at a
-        # time: multiplying by a fixed c is the digit map _scalar_map(c).
+        # time: multiplying by a fixed c is the digit map scalar_map(c).
         # Products sum e terms below p^2, at most 2 * 1020^2 for q <= 2**20.
         n = q - 1
+        pw = np.array(self._pw, dtype=np.int64)
         width = min(TABLE_BLOCK, n)
-        block = np.zeros((self.e, 1), dtype=np.int64)
+        block = np.zeros((e, 1), dtype=np.int64)
         block[0, 0] = 1
         while block.shape[1] < width:
-            shift = self._scalar_map(self._raw_pow(gen, block.shape[1]))
-            block = np.concatenate([block, shift @ block % self.p], axis=1)
+            shift = scalar_map(self._raw_pow(gen, block.shape[1]))
+            block = np.concatenate([block, shift @ block % p], axis=1)
         block = block[:, :width]
-        step = self._scalar_map(self._raw_pow(gen, width))
+        step = scalar_map(self._raw_pow(gen, width))
         exp = np.empty(n, dtype=np.int64)
         for start in range(0, n, width):
-            exp[start : start + width] = (self._pw @ block)[: n - start]
-            block = step @ block % self.p
+            exp[start : start + width] = (pw @ block)[: n - start]
+            block = step @ block % p
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n, dtype=np.int64)
         # one int object per value, shared by all tables (48 MB at
         # q = 2**20 instead of 80 MB with an object per table entry)
         ints = np.arange(q, dtype=np.int64).astype(object)
-        if self.p != 2:
+        if p != 2:
             # Zech logs: 1 + g^i adds one to the low digit of g^i
-            low = exp % self.p
-            zech = ints[log[exp + np.where(low == self.p - 1, 1 - self.p, 1)]]
+            low = exp % p
+            zech = ints[log[exp + np.where(low == p - 1, 1 - p, 1)]]
             zech[n // 2] = None  # 1 + g^(n/2) = 1 - 1 = 0
             self._zech = zech.tolist()
             del low, zech
@@ -233,64 +343,74 @@ class Field(Domain):
     def from_int(self, n: int):
         return n % self.p
 
-    # -- numpy digit helpers ---------------------------------------------------
-
-    def _unpack(self, arr):
-        """int64 packed array -> (e, n) digit matrix."""
-        return (arr[None, :] // self._pw[:, None]) % self.p
-
-    def _pack(self, digits):
-        return (digits % self.p * self._pw[:, None]).sum(axis=0)
-
-    def _scalar_map(self, c: int):
-        """Digits of c*z^j for j < e, as an (e, e) int64 matrix column-wise."""
-        p, e = self.p, self.e
-        col = [(c // p**i) % p for i in range(e)]
-        cols = [col]
-        for _ in range(e - 1):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                col = [(col[i] + top * self._zred[i]) % p for i in range(e)]
-            cols.append(col)
-        return np.array(cols, dtype=np.int64).T
-
     # -- bulk kernels ------------------------------------------------------------
 
+    def _spread(self, cs, w: int) -> int:
+        """cs as one int, digit j of cs[i] in sub-slot (2e - 1) i + j of w
+        bytes: the digits are split off all coefficients at once, in cells
+        wide enough for ``_divmod_slots``, then moved to their sub-slots."""
+        p, e = self.p, self.e
+        if e == 1:
+            return _pack(cs, w, p <= 256)
+        stride, bits = (2 * e - 1) * w, self.q.bit_length()
+        cell = -(-(2 * bits + p.bit_length()) // 8)
+        rest, out = _pack(cs, cell, self.q <= 256), bytearray(len(cs) * stride)
+        for j in range(e):
+            rest, digit = _divmod_slots(rest, len(cs), cell, bits, p)
+            digits = digit.to_bytes(len(cs) * cell, "little")
+            _move(out, j * w, stride, digits, 0, cell, min(w, cell))
+        return int.from_bytes(out, "little")
+
     def poly_mul(self, xs, ys):
-        if min(len(xs), len(ys)) == 0:
+        """Short products by the scalar loop, long ones by ``_kron_mul``."""
+        short = min(len(xs), len(ys))
+        if short == 0:
             return []
-        if min(len(xs), len(ys)) < 2 or max(len(xs), len(ys)) < NP_CUTOFF:
+        if short <= self.e or len(xs) * len(ys) < KRON_CUTOFF * self.e**1.5:
             return super().poly_mul(xs, ys)
-        if self.e == 1:
-            # accumulated convolution terms must stay inside int64
-            if min(len(xs), len(ys)) * (self.p - 1) ** 2 >= 2**62:
-                return super().poly_mul(xs, ys)
-            a = np.asarray(xs, dtype=np.int64)
-            b = np.asarray(ys, dtype=np.int64)
-            return (np.convolve(a, b) % self.p).tolist()
-        da = self._unpack(np.asarray(xs, dtype=np.int64))
-        db = self._unpack(np.asarray(ys, dtype=np.int64))
-        e = self.e
+        return self._kron_mul(xs, ys)
+
+    def _kron_mul(self, xs, ys):
+        """The product of two nonempty lists as one Kronecker product on
+        Python ints.
+
+        Each coefficient takes 2e - 1 sub-slots of w bytes, its e digits
+        and e - 1 zeros (``_spread``), so one integer product sums every
+        digit product of every coefficient pair in place; w fits the
+        largest sum.  A product digit at z^k, k >= e, is then folded into
+        the low sub-slots as its digits of z^k mod the modulus, still on
+        the integer.  Last, digit j of every coefficient is moved to a cell
+        of its own, reduced mod p (``_divmod_slots``) and taken into the
+        packed coefficients by Horner's rule, from j = e - 1 down.  For
+        e = 1 a slot is a coefficient, reduced by ``bytes.translate`` when
+        w * (p - 1) < 256 and one by one otherwise.
+        """
+        p, e = self.p, self.e
         n = len(xs) + len(ys) - 1
-        acc = np.zeros((2 * e - 1, n), dtype=np.int64)
-        for i in range(e):
-            if not da[i].any():
-                continue
-            for j in range(e):
-                if not db[j].any():
-                    continue
-                acc[i + j] += np.convolve(da[i], db[j])
-        acc %= self.p
-        for k in range(2 * e - 2, e - 1, -1):
-            row = acc[k]
-            if not row.any():
-                continue
-            for i in range(e):
-                if self._zred[i]:
-                    acc[k - e + i] += row * self._zred[i]
-        out = acc[:e] % self.p
-        return self._pack(out).tolist()
+        top = min(len(xs), len(ys)) * self._slot_terms * (p - 1) ** 2
+        w = -(-top.bit_length() // 8)
+        stride = (2 * e - 1) * w
+        prod = self._spread(xs, w) * self._spread(ys, w)
+        if e == 1:
+            buf = prod.to_bytes(n * w, "little")
+            if w * (p - 1) < 256:
+                return list(_mod_bytes(buf, w, p))
+            return [v % p for v in _read(buf, n, w, w)]
+        low = _ones(n, stride, (1 << 8 * w) - 1)
+        for k, digits in enumerate(self._fold, e):
+            high = (prod >> (8 * w * k)) & low
+            if high:
+                prod += high * _pack(digits, w, p <= 256)
+        buf = prod.to_bytes(n * stride, "little")
+        out_bytes = -(-(self.q - 1).bit_length() // 8)
+        wide = max(-(-(16 * w + p.bit_length()) // 8), out_bytes)
+        acc = 0
+        for j in reversed(range(e)):
+            cells = bytearray(n * wide)
+            _move(cells, 0, wide, buf, j * w, stride, w)
+            slots = int.from_bytes(cells, "little")
+            acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
+        return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
 
     # -- identity ---------------------------------------------------------------
 

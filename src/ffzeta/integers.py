@@ -7,9 +7,10 @@ psi_13 on the rounds are followed by a strong Lucas test with Selfridge's
 parameters, the Baillie-PSW test: no composite is known to pass it, but
 it is not proven exact there.
 
-``factorint`` strips small primes by trial division and splits what is
-left with Brent's variant of Pollard's rho under one step budget per
-call, past which it raises CapExceededError instead of running on.
+``factorint`` strips the primes below 2^16 by trial division, over a table
+sieved on first use, and splits what is left with Brent's variant of
+Pollard's rho under one step budget per call, past which it raises
+CapExceededError instead of running on.
 
 ``factor_group_order`` factors q^delta - 1, the order of GF(q^delta)*.
 It is the product of the cyclotomic values Phi_j(q) over j | delta, each
@@ -24,6 +25,8 @@ much smaller than q^delta - 1, under the one budget of the call.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import compress
 
 from . import errors
 
@@ -35,6 +38,8 @@ from . import errors
 RHO_BUDGET = 2**20
 # Rho steps per gcd.
 RHO_BATCH = 128
+# Trial division runs over the primes below this bound.
+TRIAL_BOUND = 1 << 16
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least strong pseudoprime to every base in MR_BASES.
@@ -181,6 +186,17 @@ def factor_group_order(q: int, delta: int) -> dict:
     return _factor_parts(q**delta - 1, tuple(phi.values()))
 
 
+@lru_cache(maxsize=None)
+def _trial_primes() -> tuple:
+    """The primes from 7 up to the trial bound 2^16, sieved on first use."""
+    sieve = bytearray([1]) * TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, TRIAL_BOUND, d)))
+    return tuple(compress(range(7, TRIAL_BOUND), sieve[7:]))
+
+
 def _factor_parts(n: int, parts: tuple) -> dict:
     """Factorization of n = prod(parts): trial division on n, then each part
     stripped of the primes found and split by rho, one budget in all."""
@@ -189,12 +205,12 @@ def _factor_parts(n: int, parts: tuple) -> dict:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    d = 7
-    while d * d <= n and d < 1 << 16:
+    for d in _trial_primes():
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 2
     stack = []
     for m in parts:
         for ell in out:

@@ -5,8 +5,9 @@ the scalar interface ``add/sub/neg/mul/is_zero/exact_div`` (plus
 ``inv/div`` when ``is_field`` is true; a field's ``exact_div`` is ``div``).
 ``Domain`` supplies the bulk kernels ``poly_add``, ``poly_mul``,
 ``poly_divmod`` and friends on plain coefficient lists, low degree first,
-as loops over the scalar operations; a domain backed by array arithmetic
-may override one wholesale, as ``gf.Field`` does for long ``poly_mul``.
+as loops over the scalar operations; a domain may override one
+wholesale, as ``gf.Field`` does for long ``poly_mul`` (one Kronecker
+product on Python ints).
 
 Polynomials are immutable: a tuple of coefficients, low degree first, with
 no trailing zeros.  The zero polynomial has an empty tuple.  The same class

@@ -474,3 +474,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout and "exit codes" in proc.stdout
+
+
+# over GF(7), entries of degree 3: its N_k table multiplies long polynomials
+GF7_DEG3 = {"p": 7, "d": 2, "matrix": [[[1, 2, 3], [0, 1]], [[5, 0, 1, 4], [2, 6]]]}
+
+
+@pytest.mark.parametrize("doc", [None, GF7_DEG3])
+def test_prime_field_command_never_imports_numpy(tmp_path, doc):
+    # numpy builds only the extension-field tables: a fresh interpreter that
+    # runs a prime-field command, long products included, must not load it
+    path = CUBIC if doc is None else write_problem(tmp_path, doc)
+    code = (
+        "import contextlib, io, sys\n"
+        "from ffzeta import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main(['report', '--max', '20', {path!r}])\n"
+        "assert status == 0, status\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -358,18 +358,79 @@ class TestEdgeFields:
             assert field._raw_mul(a, field.inv(a)) == 1
 
 
-class TestBulkKernels:
-    """The vectorized polynomial kernels must match the generic ones."""
+# every kind of Kronecker layout: p = 2 (parity by bytes.translate), small,
+# 20-bit and word-sized primes, and extension fields of 2 to 16 digits; 61
+# and 4093 put the 2^16 and 2^32 steps of the slot sums at short lengths,
+# and with 2-byte slots 127 is reduced by bytes.translate (2 * 126 < 256)
+# and 131 slot by slot
+KRON_FIELDS = [
+    F2, F3, F7, make_field(61), make_field(127), make_field(131),
+    make_field(4093), make_field(1048573), make_field(2**31 - 1), M61,
+    F4, F9, make_field(2, 16), make_field(3, 10),
+]
 
-    FIELDS = [F2, F7, F4, F9, M61]
+
+def slot_crossings(field, limit=320):
+    """Shorter lengths n <= limit at which the widest sub-slot sum of a
+    product of all-(q - 1) operands, n * terms * (p - 1)^2, first needs
+    another byte, with the n just below each."""
+    per_pair = field._slot_terms * (field.p - 1) ** 2
+    out = set()
+    for bits in range(8, 137, 8):
+        n = (2**bits - 1) // per_pair  # the longest that still fits
+        out.update(m for m in (n, n + 1) if 1 <= m <= limit)
+    return sorted(out)
+
+
+class TestBulkKernels:
+    """The bulk polynomial kernels must match the generic ones."""
+
+    FIELDS = KRON_FIELDS
 
     @pytest.mark.parametrize("field", FIELDS)
     @settings(max_examples=40)
     @given(data=st.data())
     def test_mul(self, field, data):
-        a = data.draw(st.lists(felems(field), min_size=0, max_size=40))
-        b = data.draw(st.lists(felems(field), min_size=0, max_size=40))
+        a = data.draw(st.lists(felems(field), min_size=0, max_size=80))
+        b = data.draw(st.lists(felems(field), min_size=0, max_size=80))
         assert field.poly_mul(a, b) == Domain.poly_mul(field, a, b)
+
+    @pytest.mark.parametrize("field", KRON_FIELDS)
+    def test_mul_shapes(self, field):
+        # balanced up to 300, and 1 x n, 2 x n on both sides; the Kronecker
+        # product is checked on its own too, where poly_mul would not use it
+        rng = random.Random(field.q)
+        shapes = [(n, n) for n in (2, 3, 5, 8, 13, 24, 40, 64, 100, 170, 300)]
+        shapes += [(k, n) for k in (1, 2) for n in (2, 7, 30, 64, 150, 300)]
+        shapes += [(n, k) for k, n in shapes if k != n]
+        for la, lb in shapes:
+            a = [rng.randrange(field.q) for _ in range(la)]
+            b = [rng.randrange(field.q) for _ in range(lb)]
+            want = Domain.poly_mul(field, a, b)
+            assert field.poly_mul(a, b) == want, (la, lb)
+            assert field._kron_mul(a, b) == want, (la, lb)
+
+    @pytest.mark.parametrize("field", KRON_FIELDS)
+    def test_mul_full_slots(self, field):
+        # all digits p - 1 reach the sub-slot bound exactly, on both sides
+        # of each byte-width step
+        top = field.q - 1
+        for n in slot_crossings(field):
+            for la, lb in ((n, n), (n, n + 3)):
+                a, b = [top] * la, [top] * lb
+                want = Domain.poly_mul(field, a, b)
+                assert field._kron_mul(a, b) == want, (la, lb)
+                assert field.poly_mul(a, b) == want, (la, lb)
+
+    def test_slot_crossings_cover_the_widths(self):
+        # the lengths above step over 2^8, 2^16, 2^32 and 2^64 somewhere
+        steps = set()
+        for field in KRON_FIELDS:
+            per_pair = field._slot_terms * (field.p - 1) ** 2
+            for n in slot_crossings(field):
+                low, high = n * per_pair, (n + 1) * per_pair
+                steps.update(b for b in (8, 16, 32, 64) if low < 2**b <= high)
+        assert steps == {8, 16, 32, 64}
 
     @pytest.mark.parametrize("field", [F5, F9])
     @given(data=st.data())
