@@ -169,12 +169,16 @@ def factorint(n: int) -> dict:
     under one budget of RHO_BUDGET steps for the whole call; past it the
     call raises CapExceededError.
     """
+    if n < 1:
+        raise errors.MalformedInputError(f"factorint needs n >= 1, got {n}")
     return _factor_parts(n, (n,))
 
 
 def factor_group_order(q: int, delta: int) -> dict:
     """Prime factorization of q^delta - 1 (q >= 2, delta >= 1), split along
     the cyclotomic values Phi_j(q), j | delta, under one RHO_BUDGET."""
+    if q < 2 or delta < 1:
+        raise errors.MalformedInputError(f"need q >= 2, delta >= 1; got {q}, {delta}")
     phi = {}
     for j in range(1, delta + 1):
         if delta % j == 0:

@@ -478,20 +478,51 @@ def test_console_entry_point():
 
 # over GF(7), entries of degree 3: its N_k table multiplies long polynomials
 GF7_DEG3 = {"p": 7, "d": 2, "matrix": [[[1, 2, 3], [0, 1]], [[5, 0, 1, 4], [2, 6]]]}
+# over GF(4) and GF(3^10): extension fields, which build log/exp/Zech tables
+GF4_DEG3 = {
+    "p": 2,
+    "e": 2,
+    "d": 2,
+    "matrix": [
+        [[[0, 1], [1, 0], [1, 1]], [[1, 1], [0, 1]]],
+        [[[1, 0], [0, 0], [1, 1], [0, 1]], [[0, 1], [1, 1]]],
+    ],
+}
+GF3_10_DEG2 = {
+    "p": 3,
+    "e": 10,
+    "d": 2,
+    "matrix": [
+        [
+            [[2, 1, 0, 0, 1, 2, 0, 1, 0, 1], [0, 1, 2, 2, 0, 1, 1, 0, 2, 0]],
+            [[1, 0, 0, 2, 1, 0, 0, 0, 1, 1]],
+        ],
+        [
+            [
+                [0, 2, 1, 0, 0, 1, 2, 2, 0, 1],
+                [1, 1, 0, 0, 2, 0, 1, 0, 0, 2],
+                [0, 0, 1, 1, 0, 2, 0, 1, 1, 0],
+            ],
+            [[2, 2, 0, 1, 0, 0, 1, 2, 1, 0], [0, 1, 0, 2, 1, 1, 0, 0, 2, 1]],
+        ],
+    ],
+}
 
 
-@pytest.mark.parametrize("doc", [None, GF7_DEG3])
+@pytest.mark.parametrize("doc", [None, GF7_DEG3, GF4_DEG3, GF3_10_DEG2])
 def test_prime_field_command_never_imports_numpy(tmp_path, doc):
-    # numpy builds only the extension-field tables: a fresh interpreter that
-    # runs a prime-field command, long products included, must not load it
+    # no command needs numpy: a fresh interpreter in which it cannot be
+    # imported runs commands over prime fields, long products included, and
+    # over extension fields, tables included
     path = CUBIC if doc is None else write_problem(tmp_path, doc)
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
         "from ffzeta import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = cli.main(['report', '--max', '20', {path!r}])\n"
         "assert status == 0, status\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert sys.modules['numpy'] is None, 'numpy was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

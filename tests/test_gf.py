@@ -293,7 +293,7 @@ def test_factorint_rho_budget(monkeypatch):
 
 @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 8), (3, 5), (5, 3), (7, 2)])
 def test_tables_are_sequential_powers(p, e):
-    """The block-built tables equal the powers of _exp[1] one by one."""
+    """The tables equal the powers of _exp[1] one by one."""
     field = make_field(p, e)
     g = field._exp[1]
     powers = [1]

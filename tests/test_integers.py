@@ -1,8 +1,9 @@
 """Integer primality and factorization."""
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from ffzeta import integers
+from ffzeta import errors, integers
 from ffzeta.integers import _pollard_rho, factor_group_order, factorint, is_prime
 
 
@@ -44,6 +45,20 @@ def test_factorint_reassembles(n):
         assert is_prime(r) and k >= 1
         prod *= r**k
     assert prod == n
+
+
+@pytest.mark.parametrize("n", [0, -1, -(2**70)])
+def test_factorint_rejects_nonpositive(n):
+    # trial division would divide 0 by 2 for ever
+    with pytest.raises(errors.MalformedInputError, match="n >= 1"):
+        factorint(n)
+
+
+@pytest.mark.parametrize("q,delta", [(7, 0), (7, -3), (1, 4), (0, 1), (-5, 2)])
+def test_group_order_rejects_bad_arguments(q, delta):
+    # delta = 0 makes q^0 - 1 = 0, and q = 1 makes every q^j - 1 = 0
+    with pytest.raises(errors.MalformedInputError, match="q >= 2, delta >= 1"):
+        factor_group_order(q, delta)
 
 
 @given(st.integers(2, 2**12), st.integers(1, 24))
