@@ -2,7 +2,7 @@
 """Run a fixed set of CLI cases in-process and compare their output digests.
 
 The cases are every command line below on every problem below, run through
-``ffzeta.cli.main`` with the problem JSON on stdin (490 cases):
+``ffzeta.cli.main`` with the problem JSON on stdin (504 cases):
 
   * the three sample problems in ``problems/``;
   * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
@@ -15,6 +15,9 @@ The cases are every command line below on every problem below, run through
     GF(3^10), with d = 2..3 and entry degree up to 10..16, drawn from a
     seed of their own: their N_k tables multiply polynomials of 100
     coefficients and more, so the long-product kernels are pinned too;
+  * diag(2, t) over GF(1000003) and diag(3, t) over 2^61 - 1, whose
+    closed forms have a factor with L = 1000002 and L near 2.6e17, so
+    q^(E L) past ``INT_RENDER_CAP`` is printed as text;
 
   under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
   ``report`` and ``report --text``.
@@ -89,6 +92,9 @@ LONG = (
     ("long_gf3^10", 3, 10, 2, 10),
 )
 LONG_SEED = 20224
+# (name, p, a): diag(a, t) with a of multiplicative order L = 1000002 and
+# about 2.6e17
+LARGE_ORDER = (("order_p1000003", 1000003, 2), ("order_m61", M61, 3))
 
 
 def _long_problem(rng, p, e, d, deg):
@@ -165,6 +171,9 @@ def problems():
     rng = random.Random(LONG_SEED)
     for name, p, e, d, deg in LONG:
         out.append((name, json.dumps(_long_problem(rng, p, e, d, deg))))
+    for name, p, a in LARGE_ORDER:
+        matrix = [[[a], [0]], [[0], [0, 1]]]
+        out.append((name, json.dumps({"p": p, "d": 2, "matrix": matrix})))
     return out
 
 

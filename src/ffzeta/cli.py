@@ -23,8 +23,6 @@ was exceeded, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import decimal
 import json
 import math
 import sys
@@ -43,7 +41,13 @@ from .gf import make_field
 from .newton import polygon
 from .polycore import FACTOR_SEED, Poly
 from .spectral import spectral_data
-from .zeta import classify, series_from_closed_form, series_from_nk
+from .zeta import (
+    classify,
+    num_str,
+    power_str,
+    series_from_closed_form,
+    series_from_nk,
+)
 
 MAX_DIM = 8
 MAX_ENTRY_DEG = 32
@@ -146,7 +150,7 @@ def load_problem(path: str) -> ProblemSpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as ex:
+        except (OSError, UnicodeDecodeError) as ex:
             raise errors.MalformedInputError(f"cannot read {path}: {ex}")
     try:
         doc = json.loads(raw)
@@ -182,71 +186,8 @@ def _expanded_matrix(spec: ProblemSpec, p: int, e: int):
     return out
 
 
-@contextlib.contextmanager
-def _long_int_str():
-    """Let str() print ints of any length, then restore the caller's limit.
-
-    The closed-form display prints q^(E L), which can pass Python's default
-    limit of 4300 digits (N_k values and series terms go through _num_str,
-    which needs no limit).  The problem JSON is parsed outside this block,
-    so the limit still rejects a p with thousands of digits at once.
-    Pythons before 3.10.7 have no limit.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def _num_str(x) -> str:
-    """str(x) for an int or a Fraction, in subquadratic time for long ints.
-
-    CPython 3.11 converts ints to decimal in quadratic time, and N_k values
-    and series terms reach about 282,000 digits within the caps.  A long n
-    is split in binary halves, n = hi * 2^w + lo, and recombined in the
-    decimal module, whose products are subquadratic; at MAX_PREC with
-    integer operands every step is exact.
-    """
-    if x.denominator != 1:
-        return f"{_num_str(x.numerator)}/{_num_str(x.denominator)}"
-    n = x.numerator
-    if n.bit_length() <= 1024:
-        return str(n)
-    if n < 0:
-        return "-" + _num_str(-n)
-    D = decimal.Decimal
-    pow2 = {}
-
-    def two_to(w):
-        if w not in pow2:
-            pow2[w] = D(2) ** w if w <= 1024 else two_to(w // 2) * two_to(w - w // 2)
-        return pow2[w]
-
-    def to_dec(m, bits):
-        if bits <= 1024:
-            return D(m)
-        w = bits // 2
-        hi = m >> w
-        return to_dec(hi, bits - w) * two_to(w) + to_dec(m - (hi << w), w)
-
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
-    )
-    with decimal.localcontext(ctx):
-        return str(to_dec(n, n.bit_length()))
-
-
 def _nk_render(v, q: int) -> str:
-    if v.is_zero:
-        return "0"
-    if v.exponent <= INT_RENDER_CAP:
-        return _num_str(q**v.exponent)
-    return f"{q}^{v.exponent}"
+    return "0" if v.is_zero else power_str(q, v.exponent)
 
 
 def _nk_entry(k: int, direct, spect, q: int):
@@ -319,9 +260,9 @@ def _zeta_doc(field, zres, nks, terms):
         }
         cf_series = series_from_closed_form(cf, terms)
         equal = cf_series == nk_series
-        out["series"] = [_num_str(c) for c in cf_series.coeffs]
+        out["series"] = [num_str(c) for c in cf_series.coeffs]
         out["series_from_nk"] = (
-            out["series"] if equal else [_num_str(c) for c in nk_series.coeffs]
+            out["series"] if equal else [num_str(c) for c in nk_series.coeffs]
         )
         out["series_routes_equal"] = equal
     else:
@@ -330,7 +271,7 @@ def _zeta_doc(field, zres, nks, terms):
             "bad_unit_order": cert.bad_unit_order,
             "rou_orders": list(cert.rou_orders),
         }
-        out["series"] = [_num_str(c) for c in nk_series.coeffs]
+        out["series"] = [num_str(c) for c in nk_series.coeffs]
     return out
 
 
@@ -420,12 +361,11 @@ def _cmd_nk(args, spec) -> int:
     return 0
 
 
-def _series_str(series) -> str:
+def _series_str(coeffs) -> str:
     pieces = []
-    for i, c in enumerate(series.coeffs):
-        if c == 0:
+    for i, cs in enumerate(coeffs):
+        if cs == "0":
             continue
-        cs = _num_str(c)
         if "/" in cs and i > 0:
             cs = f"({cs})"
         elif cs == "1" and i > 0:
@@ -441,23 +381,20 @@ def _series_str(series) -> str:
 
 def _cmd_zeta(args, spec) -> int:
     field, A = build_system(spec)
-    sd = system_data(field, A)
-    zres = classify(sd)
-    nk_series = series_from_nk(field.q, nk_table(field, A, args.terms), args.terms)
-    if zres.algebraic:
-        print(f"zeta: {zres.closed_form.display()}")
-        cf_series = series_from_closed_form(zres.closed_form, args.terms)
-        shown = _series_str(cf_series)
+    zres = classify(system_data(field, A))
+    doc = _zeta_doc(field, zres, nk_table(field, A, args.terms), args.terms)
+    shown = _series_str(doc["series"])
+    if doc["algebraic"]:
+        print(f"zeta: {doc['closed_form']['display']}")
         print(f"series: {shown}")
-        if cf_series == nk_series:
+        if doc["series_routes_equal"]:
             print(f"series from N_k: {shown} (equal yes)")
         else:
-            print(f"series from N_k: {_series_str(nk_series)} (equal NO)")
+            print(f"series from N_k: {_series_str(doc['series_from_nk'])} (equal NO)")
     else:
-        cert = zres.certificate
         print("zeta: transcendental")
-        print(f"bad_unit_order: {cert.bad_unit_order}")
-        print(f"series: {_series_str(nk_series)}")
+        print(f"bad_unit_order: {doc['certificate']['bad_unit_order']}")
+        print(f"series: {shown}")
     return 0
 
 
@@ -486,8 +423,7 @@ def main(argv=None) -> int:
             if option in vars(args):
                 _check_k(f"--{option}", getattr(args, option))
         spec = load_problem(args.problem)
-        with _long_int_str():
-            return _COMMANDS[args.command](args, spec)
+        return _COMMANDS[args.command](args, spec)
     except errors.MalformedInputError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -25,16 +25,69 @@ one small multiply per k, and c_n = b_n / n! is normalised once.  The
 inverse one scales the series by the common denominator D of c_0..c_order,
 so that a_n = D c_n are ints: D N_k = k a_k - sum_{j<k} N_j a_{k-j}, and one
 divmod by D gives N_k or shows it is not an integer.
+
+Large numbers are rendered by one rule, here: num_str prints an int or a
+Fraction in full, and power_str prints q^n in full while n is at most
+dynamics.INT_RENDER_CAP and as the text "q^n" past it.  N_k values and the
+closed form's q^(E L) go through power_str, so an lcm L of root-of-unity
+orders as large as q^delta - 1 costs nothing to print.  Below z^L a factor
+(1 - (q^E z)^L)^gamma is 1, so the closed-form series skips factors with
+L past the order and never forms their q^(E L).
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import errors
+from .dynamics import INT_RENDER_CAP
 from .spectral import SpectralData
+
+
+def num_str(x) -> str:
+    """str(x) for an int or a Fraction, in subquadratic time for long ints.
+
+    CPython 3.11 converts ints to decimal in quadratic time, and refuses
+    past 4300 digits, while N_k values and series terms reach about
+    282,000 digits within the caps.  A long n is split in binary halves,
+    n = hi * 2^w + lo, and recombined in the decimal module, whose products
+    are subquadratic; at MAX_PREC with integer operands every step is exact.
+    """
+    if x.denominator != 1:
+        return f"{num_str(x.numerator)}/{num_str(x.denominator)}"
+    n = x.numerator
+    if n.bit_length() <= 1024:
+        return str(n)
+    if n < 0:
+        return "-" + num_str(-n)
+    D = decimal.Decimal
+    pow2 = {}
+
+    def two_to(w):
+        if w not in pow2:
+            pow2[w] = D(2) ** w if w <= 1024 else two_to(w // 2) * two_to(w - w // 2)
+        return pow2[w]
+
+    def to_dec(m, bits):
+        if bits <= 1024:
+            return D(m)
+        w = bits // 2
+        hi = m >> w
+        return to_dec(hi, bits - w) * two_to(w) + to_dec(m - (hi << w), w)
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    with decimal.localcontext(ctx):
+        return str(to_dec(n, n.bit_length()))
+
+
+def power_str(q: int, n: int) -> str:
+    """q**n in full up to INT_RENDER_CAP, the text q^n past it."""
+    return num_str(q**n) if n <= INT_RENDER_CAP else f"{q}^{n}"
 
 
 @dataclass(frozen=True)
@@ -67,8 +120,8 @@ class ZetaClosedForm:
             return "1"
 
         def one_factor(L, gamma):
-            coef = self.q ** (self.E * L)
-            inner = "1-z" if coef == 1 else f"1-{coef}z"
+            coef = power_str(self.q, self.E * L)
+            inner = "1-z" if coef == "1" else f"1-{coef}z"
             if L > 1:
                 inner += f"^{L}"
             s = f"({inner})"
@@ -200,6 +253,8 @@ def _binomial_series(gamma: Fraction, scale: int, L: int, order: int) -> list:
 def series_from_closed_form(cf: ZetaClosedForm, order: int) -> SeriesTrunc:
     cs = [Fraction(1)] + [Fraction(0)] * order
     for L, gamma in cf.factors:
+        if L > order:
+            continue
         fac = _binomial_series(gamma, cf.q ** (cf.E * L), L, order)
         nxt = [Fraction(0)] * (order + 1)
         for i, a in enumerate(cs):

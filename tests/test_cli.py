@@ -1,5 +1,6 @@
 """Command line behavior: parsing, exit codes, determinism, round trips."""
 
+import contextlib
 import json
 import math
 import random
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ffzeta import errors
-from ffzeta.cli import MAX_K, _long_int_str, _num_str, main, parse_problem
+from ffzeta.cli import MAX_K, main, parse_problem
+from ffzeta.zeta import num_str
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 DIAG62 = str(PROBLEMS / "diag_6_2_gf7.json")
@@ -131,6 +133,13 @@ class TestExitCodes:
         path.write_text("[" * 100000 + "]" * 100000)
         code, _, err = run(capsys, "classify", str(path))
         assert code == 1 and "invalid JSON" in err
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
 
     def test_nonprime(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"p": 6, "d": 1, "matrix": [[[0, 1]]]})
@@ -276,23 +285,43 @@ def int_str_limit():
     return get() if get else None
 
 
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift the int/str digit limit for the block, then restore it."""
+    limit = int_str_limit()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestLongIntegers:
     """N_k and series terms past Python's 4300-digit str() limit print in
-    full, while the problem JSON stays parsed under the caller's limit."""
+    full, and no command touches the limit, so the problem JSON is parsed
+    under the caller's limit."""
 
     # A = t^32 over GF(2^61 - 1): N_k = q^(32k) and zeta = 1/(1 - q^32 z),
     # so N_8 = q^256 (4700 digits) is also the series term of z^8.
     M61_T32 = {"p": 2**61 - 1, "d": 1, "matrix": [[[0] * 32 + [1]]]}
 
     @pytest.mark.parametrize("argv", [["nk"], ["zeta", "--terms", "20"], ["report"]])
-    def test_printed_in_full(self, capsys, tmp_path, argv):
+    def test_printed_in_full(self, capsys, tmp_path, argv, monkeypatch):
+        with unlimited_int_str():
+            n8 = str((2**61 - 1) ** 256)
+        assert len(n8) > 4300
+
+        def refuse(limit):
+            raise AssertionError("the int/str digit limit was changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
         limit = int_str_limit()
         code, out, err = run(capsys, *argv, write_problem(tmp_path, self.M61_T32))
         assert (code, err) == (0, "")
         assert int_str_limit() == limit
-        with _long_int_str():
-            n8 = str((2**61 - 1) ** 256)
-        assert len(n8) > 4300
         assert n8 in out
 
     @pytest.mark.parametrize("bits", [1, 1024, 1025, 2048, 4097, 50001])
@@ -301,9 +330,9 @@ class TestLongIntegers:
         cases = [2**bits - 1, 2**bits, 10 ** (bits // 3), rng.getrandbits(bits)]
         cases += [-n for n in cases]
         cases += [Fraction(n, rng.getrandbits(bits) | 1) for n in cases]
-        with _long_int_str():
+        with unlimited_int_str():
             for x in cases:
-                assert _num_str(x) == str(x)
+                assert num_str(x) == str(x)
 
     @pytest.mark.skipif(int_str_limit() is None, reason="no int/str digit limit")
     def test_huge_p_rejected_at_parse(self, capsys, tmp_path):
@@ -320,6 +349,35 @@ class TestLongIntegers:
         singular = {"p": 2, "d": 1, "matrix": [[[0]]]}
         assert run(capsys, "zeta", write_problem(tmp_path, singular))[0] == 2
         assert int_str_limit() == limit
+
+
+class TestLargeOrders:
+    """Root-of-unity orders near q: q^(E L) past INT_RENDER_CAP prints as
+    the text q^n, and the series skips factors with L past the order."""
+
+    # diag(2, t): 2 generates GF(1000003)^*, so L = 1000002
+    P1000003 = {"p": 1000003, "d": 2, "matrix": [[[2], [0]], [[0], [0, 1]]]}
+    # diag(3, t) over 2^61 - 1: 3 has order about 2.6e17
+    M61_DIAG3 = {"p": 2**61 - 1, "d": 2, "matrix": [[[3], [0]], [[0], [0, 1]]]}
+
+    @pytest.mark.parametrize("doc", [P1000003, M61_DIAG3], ids=["p1000003", "m61"])
+    @pytest.mark.parametrize(
+        "argv", [["classify"], ["zeta", "--terms", "3"], ["report"]]
+    )
+    def test_ends_quickly(self, capsys, tmp_path, doc, argv):
+        path = write_problem(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, path)
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        assert "^{1/" in out
+
+    def test_display_prints_power_as_text(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "classify", write_problem(tmp_path, self.P1000003))
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "zeta: (1-1000003^1000002z^1000002)^{1/1000002}/(1-1000003z)"
+        )
 
 
 class TestCommands:

@@ -1,5 +1,6 @@
 """Zeta classification, closed forms, and exact series expansion routes."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,13 @@ from hypothesis import given, strategies as st
 
 from conftest import tmat, tpoly, xpoly
 from ffzeta import errors, make_field
-from ffzeta.dynamics import NkValue, nk_direct, nk_table, system_data
+from ffzeta.dynamics import (
+    INT_RENDER_CAP,
+    NkValue,
+    nk_direct,
+    nk_table,
+    system_data,
+)
 from ffzeta.spectral import SpectralData
 from ffzeta.zeta import (
     SeriesTrunc,
@@ -148,6 +155,16 @@ class TestClosedForm:
         assert cf.factors == ()
         assert cf.display() == "1"
 
+    @pytest.mark.parametrize("n", [INT_RENDER_CAP, INT_RENDER_CAP + 1])
+    @pytest.mark.parametrize("E_is_n", [True, False], ids=["E=n", "L=n"])
+    def test_display_at_render_cap(self, n, E_is_n):
+        """q^(E L) prints in full up to INT_RENDER_CAP, as the text q^n past it."""
+        E, L = (n, 1) if E_is_n else (1, n)
+        cf = ZetaClosedForm(q=2, E=E, factors=((L, Fraction(-1, L)),))
+        coef = str(2**n) if n <= INT_RENDER_CAP else f"2^{n}"
+        shown = f"(1-{coef}z)" if L == 1 else f"(1-{coef}z^{L})^{{1/{L}}}"
+        assert cf.display() == f"1/{shown}"
+
     def test_repeated_order_merges(self):
         cf = closed_form(fake_sd(F7, 0, rou=((2, 2),), unit=()))
         # subsets of {2, 2}: two singletons +1/2 each, one pair -1/2
@@ -225,6 +242,15 @@ class TestSeriesFromClosedForm:
         lhs = series_from_closed_form(cf, 50)
         rhs = series_from_nk(7, nk_table(F7, DIAG62, 50), 50)
         assert lhs == rhs
+
+    def test_factor_past_order_skipped(self):
+        """Below z^L a factor with L = 2^60 is 1; q^(E L) is never formed."""
+        base = ((1, Fraction(-1)), (2, Fraction(1, 2)))
+        long = ZetaClosedForm(q=7, E=1, factors=base + ((2**60, Fraction(1, 2**60)),))
+        start = time.perf_counter()
+        lhs = series_from_closed_form(long, 20)
+        assert time.perf_counter() - start < 1
+        assert lhs == series_from_closed_form(ZetaClosedForm(7, 1, base), 20)
 
 
 class TestInverseRecurrence:
