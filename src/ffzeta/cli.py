@@ -120,6 +120,9 @@ def parse_problem(doc) -> ProblemSpec:
             isinstance(c, int) and not isinstance(c, bool) for c in modulus
         ):
             raise errors.MalformedInputError("modulus must be a list of integers")
+        if not modulus:
+            # () stands for an omitted modulus, so [] must not become it
+            raise errors.DegreeMismatchError(f"modulus must have degree {e}, got []")
         modulus = tuple(modulus)
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or len(matrix) != d:
@@ -135,7 +138,7 @@ def parse_problem(doc) -> ProblemSpec:
                     "matrix entries must be coefficient lists"
                 )
             if len(entry) > MAX_ENTRY_DEG + 1:
-                raise errors.MalformedInputError(
+                raise errors.DimensionTooLargeError(
                     f"entry degree exceeds the limit {MAX_ENTRY_DEG}"
                 )
             entries.append(tuple(_packed_coeff(c, p, e) for c in entry))

@@ -1,10 +1,13 @@
 """Exception taxonomy shared by every module in the package.
 
 The CLI maps these onto process exit codes, so the class hierarchy matters:
-anything that means "the input was bad" derives from MalformedInputError,
-anything that means "a documented size cap was hit" derives from
-CapExceededError, and anything that means "an internal consistency check
-failed" derives from InternalInvariantError.
+anything that means "the input was bad" derives from MalformedInputError
+(exit 1), the shape caps on the dimension d and the entry degree
+(DimensionTooLargeError) among them; anything that means "a documented
+computational cap was hit" (field size, --max and --terms, the factoring
+step budget) derives from CapExceededError (exit 3); and anything that
+means "an internal consistency check failed" derives from
+InternalInvariantError (exit 4).
 """
 
 

@@ -60,7 +60,7 @@ from functools import lru_cache
 
 from . import errors
 from .integers import factor_group_order, factorint, is_prime
-from .polycore import Domain, Poly, is_irreducible, modpow
+from .polycore import Domain, Poly, is_irreducible, modpow, power
 
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
@@ -165,9 +165,7 @@ class Field(Domain):
         self._fold = []
         if e >= 2:
             self._build_tables()
-            self._fold = [
-                self._digits(self._raw_pow(p, k)) for k in range(e, 2 * e - 1)
-            ]
+            self._fold = [self._digits(self.pow(p, k)) for k in range(e, 2 * e - 1)]
         # the largest sub-slot sum of a product, over its shorter length
         # times (p - 1)^2: digit products summed, then high digits folded
         terms = [min(s + 1, 2 * e - 1 - s) for s in range(2 * e - 1)]
@@ -200,22 +198,13 @@ class Field(Domain):
                     prod[k - e + i] -= c * self.modulus[i]
         return sum((prod[i] % p) * p**i for i in range(e))
 
-    def _raw_pow(self, a: int, k: int) -> int:
-        out = 1
-        while k:
-            if k & 1:
-                out = self._raw_mul(out, a)
-            a = self._raw_mul(a, a)
-            k >>= 1
-        return out
-
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         n = q - 1
         fac = factorint(n)
         gen = None
         for cand in range(2, q):
-            if all(self._raw_pow(cand, n // ell) != 1 for ell in fac):
+            if all(power(cand, n // ell, self._raw_mul, 1) != 1 for ell in fac):
                 gen = cand
                 break
         if gen is None:
@@ -229,7 +218,7 @@ class Field(Domain):
             # g^(m+i) = g^m g^i for i < k; digit i of g^m z^j is entry (i, j)
             # of the digit map of g^m.  The rows grow in place, and the mask
             # reads their low k cells, which growing leaves as they were.
-            k, g_m = min(m, n - m), self._raw_pow(gen, m)
+            k, g_m = min(m, n - m), power(gen, m, self._raw_mul, 1)
             cols = [self._digits(self._raw_mul(g_m, pw)) for pw in self._pw]
             mask = (1 << 8 * cell * k) - 1
             for i in range(e):
@@ -406,19 +395,6 @@ class Field(Domain):
             acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
         return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
 
-    # -- identity ---------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((Field, self.p, self.e, self.modulus))
-
     def __repr__(self):
         if self.e == 1:
             return f"GF({self.p})"
@@ -433,7 +409,7 @@ class Field(Domain):
 @lru_cache(maxsize=None)
 def _default_modulus(p: int, e: int) -> tuple:
     """First monic irreducible of degree e over GF(p), by packed-int order."""
-    base = Field(p, 1, (0, 1))
+    base = _cached_field(p, 1, (0, 1))
     for packed in range(p**e, 2 * p**e):
         coeffs = [(packed // p**i) % p for i in range(e + 1)]
         if is_irreducible(base, Poly(base, coeffs)):
@@ -455,7 +431,7 @@ def _validate_modulus(p: int, e: int, modulus) -> tuple:
     if coeffs[-1] != 1:
         raise errors.MalformedInputError("modulus must be monic")
     if e >= 2:
-        base = Field(p, 1, (0, 1))
+        base = _cached_field(p, 1, (0, 1))
         if not is_irreducible(base, Poly(base, coeffs)):
             raise errors.ReducibleModulusError("modulus is reducible over GF(p)")
     return coeffs

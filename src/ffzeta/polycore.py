@@ -3,11 +3,21 @@
 A coefficient domain is a ``Domain`` subclass with ``zero``, ``one`` and
 the scalar interface ``add/sub/neg/mul/is_zero/exact_div`` (plus
 ``inv/div`` when ``is_field`` is true; a field's ``exact_div`` is ``div``).
-``Domain`` supplies the bulk kernels ``poly_add``, ``poly_mul``,
-``poly_divmod`` and friends on plain coefficient lists, low degree first,
-as loops over the scalar operations; a domain may override one
-wholesale, as ``gf.Field`` does for long ``poly_mul`` (one Kronecker
-product on Python ints).
+``Domain`` supplies the bulk kernels ``poly_add``, ``poly_sub``,
+``poly_neg``, ``poly_mul`` and ``poly_divmod`` on plain coefficient lists,
+low degree first, as loops over the scalar operations.  ``Poly``
+arithmetic runs on these five, so a domain may override one wholesale,
+as ``gf.Field`` does for long ``poly_mul`` (one Kronecker product on
+Python ints), and a tracer can time them per domain.
+
+Domains are compared by identity: ``gf.make_field`` and ``polyring``
+return one cached instance per ring, so polynomials over equal rings
+share their domain object, and arithmetic across two domain objects
+raises TypeError.
+
+Every power in the package, of a polynomial, of a polynomial mod f, of
+a matrix or of a field element while GF(p^e) builds its tables, goes
+through the one binary-powering loop ``power(x, n, mul, one)``.
 
 Polynomials are immutable: a tuple of coefficients, low degree first, with
 no trailing zeros.  The zero polynomial has an empty tuple.  The same class
@@ -64,9 +74,6 @@ class Domain:
         tail = self.poly_neg(ys[len(xs) :])
         return [sub(a, b) for a, b in zip(xs, ys)] + xs[len(ys) :] + tail
 
-    def poly_scale(self, xs, c):
-        return [self.mul(x, c) for x in xs]
-
     def poly_mul(self, xs, ys):
         if not xs or not ys:
             return []
@@ -102,12 +109,6 @@ class Domain:
             for i in range(m):
                 rem[j + i] = self.sub(rem[j + i], self.mul(c, ys[i]))
         return quo, rem[:m]
-
-    def poly_exact_div(self, xs, ys):
-        quo, rem = self.poly_divmod(xs, ys)
-        if any(not self.is_zero(c) for c in rem):
-            raise errors.InternalInvariantError("polynomial division not exact")
-        return quo
 
 
 class Poly:
@@ -159,42 +160,33 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _wrap(self, raw):
-        return Poly(self.dom, raw)
-
     def __add__(self, other):
         self._check(other)
-        return self._wrap(self.dom.poly_add(list(self.coeffs), list(other.coeffs)))
+        return Poly(self.dom, self.dom.poly_add(list(self.coeffs), list(other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return self._wrap(self.dom.poly_sub(list(self.coeffs), list(other.coeffs)))
+        return Poly(self.dom, self.dom.poly_sub(list(self.coeffs), list(other.coeffs)))
 
     def __neg__(self):
-        return self._wrap(self.dom.poly_neg(list(self.coeffs)))
+        return Poly(self.dom, self.dom.poly_neg(list(self.coeffs)))
 
     def __mul__(self, other):
         self._check(other)
         if not self or not other:
             return Poly(self.dom)
-        return self._wrap(self.dom.poly_mul(list(self.coeffs), list(other.coeffs)))
+        return Poly(self.dom, self.dom.poly_mul(list(self.coeffs), list(other.coeffs)))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(self.dom, self.dom.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, Poly.__mul__, Poly.const(self.dom, self.dom.one))
 
     def scale(self, c):
         if self.dom.is_zero(c):
             return Poly(self.dom)
-        return self._wrap(self.dom.poly_scale(list(self.coeffs), c))
+        mul = self.dom.mul
+        return Poly(self.dom, [mul(x, c) for x in self.coeffs])
 
     def shift(self, k: int):
         """Multiply by X**k."""
@@ -207,7 +199,7 @@ class Poly:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = self.dom.poly_divmod(list(self.coeffs), list(other.coeffs))
-        return self._wrap(q), self._wrap(r)
+        return Poly(self.dom, q), Poly(self.dom, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -216,10 +208,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        self._check(other)
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        return self._wrap(self.dom.poly_exact_div(list(self.coeffs), list(other.coeffs)))
+        quo, rem = divmod(self, other)
+        if rem:
+            raise errors.InternalInvariantError("polynomial division not exact")
+        return quo
 
     def monic(self):
         if not self:
@@ -245,13 +237,13 @@ class Poly:
     # -- plumbing ------------------------------------------------------------
 
     def _check(self, other):
-        if not isinstance(other, Poly) or other.dom != self.dom:
+        if not isinstance(other, Poly) or other.dom is not self.dom:
             raise TypeError("mixed-domain polynomial arithmetic")
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and self.dom == other.dom
+            and self.dom is other.dom
             and self.coeffs == other.coeffs
         )
 
@@ -305,12 +297,6 @@ class PolyRing(Domain):
     def exact_div(self, a, b):
         return a.exact_div(b)
 
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.base == other.base
-
-    def __hash__(self):
-        return hash((PolyRing, self.base))
-
     def __repr__(self):
         return f"PolyRing({self.base!r})"
 
@@ -336,16 +322,6 @@ class TruncRing(PolyRing):
             return self.zero
         return Poly(self.base, self.base.poly_mul(list(xs), list(ys))[:N])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncRing)
-            and self.base == other.base
-            and self.N == other.N
-        )
-
-    def __hash__(self):
-        return hash((TruncRing, self.base, self.N))
-
     def __repr__(self):
         return f"TruncRing({self.base!r}, {self.N})"
 
@@ -356,8 +332,25 @@ def polyring(base) -> PolyRing:
 
 
 # ---------------------------------------------------------------------------
-# gcd, modular exponentiation
+# powering, gcd, modular exponentiation
 # ---------------------------------------------------------------------------
+
+
+def power(x, n: int, mul, one):
+    """x**n for n >= 0 by binary powering with the product mul.
+
+    Returns one at n = 0 and never multiplies by it, so n >= 1 takes
+    bitlen(n) - 1 squarings and popcount(n) - 1 further products, and
+    n = 1 returns x itself.
+    """
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if out is None else out
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -381,16 +374,8 @@ def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
         raise errors.NonMonicModulusError("modulus must be monic of positive degree")
     if n < 0:
         raise ValueError("negative exponent")
-    dom = base.dom
-    out = Poly.const(dom, dom.one) % modulus
-    acc = base % modulus
-    while n:
-        if n & 1:
-            out = (out * acc) % modulus
-        n >>= 1
-        if n:
-            acc = (acc * acc) % modulus
-    return out
+    one = Poly.const(base.dom, base.dom.one) % modulus
+    return power(base % modulus, n, lambda a, b: (a * b) % modulus, one)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +412,7 @@ def resultant(f: Poly, g: Poly):
     dom = f.dom
 
     def dpow(c, k):
-        out = dom.one
-        for _ in range(k):
-            out = dom.mul(out, c)
-        return out
+        return power(c, k, dom.mul, dom.one)
 
     neg = False
     if f.degree < g.degree:
@@ -449,7 +431,9 @@ def resultant(f: Poly, g: Poly):
         lead = f.lc
         if delta:
             h = dom.exact_div(dpow(lead, delta), dpow(h, delta - 1))
-    # h is still one here when the loop never ran, so deg f = 0 is fine
+    if f.degree == 0:
+        # the loop never ran: both are constants
+        return dom.one
     res = dom.exact_div(dpow(g.lc, f.degree), dpow(h, f.degree - 1))
     return dom.neg(res) if neg else res
 

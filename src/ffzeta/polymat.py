@@ -6,7 +6,7 @@ polynomials).  Determinants and characteristic polynomials are
 division-free: ``det`` expands row by row over memoized column-subset
 minors, at most d * 2^(d-1) ring products for a d x d matrix, using only
 ``mul``, ``add`` and ``neg``; ``charpoly`` is that same ``det`` over the
-nested ring F[t][X].  Powers go through binary squaring, and
+nested ring F[t][X].  Powers go through ``polycore.power``, and
 diagonalization through a gcd-driven Smith reduction that needs a
 Euclidean entry ring (polynomials over a field).
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import errors
-from .polycore import Poly, polyring
+from .polycore import Poly, polyring, power
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,15 +61,7 @@ def mat_sub(dom, A: list, B: list) -> list:
 def matpow(dom, A: list, k: int) -> list:
     if k < 0:
         raise ValueError("negative matrix power")
-    out = identity(dom, len(A))
-    base = A
-    while k:
-        if k & 1:
-            out = mat_mul(dom, out, base)
-        k >>= 1
-        if k:
-            base = mat_mul(dom, base, base)
-    return out
+    return power(A, k, lambda X, Y: mat_mul(dom, X, Y), identity(dom, len(A)))
 
 
 def matpow_minus_I(dom, A: list, k: int) -> list:

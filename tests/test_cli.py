@@ -114,6 +114,18 @@ class TestParseProblem:
         with pytest.raises(errors.MalformedInputError):
             parse_problem({"p": 3, "d": 1, "matrix": [[[3]]]})
 
+    def test_entry_degree_limit_is_a_shape_cap(self):
+        entry = [0] * 34
+        with pytest.raises(errors.DimensionTooLargeError):
+            parse_problem({"p": 2, "d": 1, "matrix": [[entry]]})
+        parse_problem({"p": 2, "d": 1, "matrix": [[entry[:33]]]})
+
+    def test_empty_modulus(self):
+        # [] is a modulus of degree -1, not an omitted one
+        doc = {"p": 3, "e": 2, "modulus": [], "d": 1, "matrix": [[[[0, 1]]]]}
+        with pytest.raises(errors.MalformedInputError):
+            parse_problem(doc)
+
 
 class TestExitCodes:
     def test_ok(self, capsys):
@@ -144,6 +156,20 @@ class TestExitCodes:
     def test_nonprime(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"p": 6, "d": 1, "matrix": [[[0, 1]]]})
         assert run(capsys, "classify", path)[0] == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 3, "e": 2, "modulus": [], "d": 1, "matrix": [[[[0, 1]]]]},
+            {"p": 3, "e": 2, "modulus": [1, 0], "d": 1, "matrix": [[[[0, 1]]]]},
+            {"p": 2, "d": 1, "matrix": [[[0] * 33 + [1]]]},
+        ],
+        ids=["empty-modulus", "short-modulus", "entry-degree-33"],
+    )
+    def test_rejected_shapes(self, capsys, tmp_path, doc):
+        code, out, err = run(capsys, "classify", write_problem(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_singular(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"p": 2, "d": 1, "matrix": [[[0]]]})
