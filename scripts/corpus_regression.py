@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Re-run the corpus cross-checks outside pytest, with timing.
 
-Compares the spectral N_k formula against direct determinants for every
-corpus matrix and k <= KMAX, then the two series routes to order KMAX
-(closed form against the N_k recurrence on algebraic systems, and the
-inverse recurrence back to the N_k on every system), then the three
-fixed-point routes where each applies.  Prints one summary line per stage
-and exits 1 if any route disagrees:
+Compares the spectral N_k formula against ``nk_table`` for every corpus
+matrix and k <= KMAX, and ``nk_table`` against ``nk_direct`` (one
+determinant at every k, where the table often has a forced answer) for
+k <= 6.  Then the two series routes to order KMAX (closed form against
+the N_k recurrence on algebraic systems, and the inverse recurrence back
+to the N_k on every system), then the three fixed-point routes where each
+applies.  Last, N_2 and N_3 of the d = 8, degree-32 cap input against
+sympy's determinant of A^k - I over GF(2)[t], when sympy is installed.
+Prints one summary line per stage and exits 1 if any route disagrees:
 
     PYTHONPATH=src python3 scripts/corpus_regression.py --kmax 20
 """
@@ -16,6 +19,7 @@ import sys
 import time
 
 from ffzeta import (
+    NkValue,
     errors,
     fixed_points_bruteforce,
     fixed_points_smith,
@@ -24,13 +28,33 @@ from ffzeta import (
     nk_table,
     system_data,
 )
-from ffzeta.corpus import corpus, is_bruteforce_sized
+from ffzeta.corpus import cap_system, corpus, is_bruteforce_sized
 from ffzeta.zeta import (
     classify,
     nk_from_series,
     series_from_closed_form,
     series_from_nk,
 )
+
+DIRECT_KMAX = 6
+CAP_KS = (2, 3)
+
+
+def sympy_nk(A, p, k):
+    """N_k of A over GF(p) from sympy's DomainMatrix over GF(p)[t]."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.symbols("t")
+    dom = sympy.GF(p)[t]
+    d = len(A)
+    entries = [
+        [dom.from_sympy(sum(c * t**i for i, c in enumerate(a.coeffs))) for a in row]
+        for row in A
+    ]
+    M = DomainMatrix(entries, (d, d), dom)
+    D = (M**k - DomainMatrix.eye(d, dom)).det()
+    return NkValue.of(D.degree()) if D else NkValue.zero()
 
 
 def main():
@@ -53,6 +77,16 @@ def main():
             if nk_spectral(field, sd, k) != direct[k - 1]:
                 mismatches += 1
     print(f"nk routes (k <= {args.kmax}): {mismatches} mismatches "
+          f"in {time.time() - t0:.2f}s")
+
+    t0 = time.time()
+    kd = min(DIRECT_KMAX, args.kmax)
+    det_bad = sum(
+        nk_direct(field, A, k) != direct[k - 1]
+        for (field, A), (_, _, direct) in zip(cases, analysed)
+        for k in range(1, kd + 1)
+    )
+    print(f"direct vs table (k <= {kd}): {det_bad} mismatches "
           f"in {time.time() - t0:.2f}s")
 
     t0 = time.time()
@@ -95,7 +129,21 @@ def main():
         checked += 1
     print(f"bruteforce route: {checked} instances, {brute_bad} mismatches "
           f"in {time.time() - t0:.2f}s")
-    return 1 if mismatches or series_bad or bad or brute_bad else 0
+
+    t0 = time.time()
+    cap_bad = 0
+    try:
+        import sympy  # noqa: F401
+    except ImportError:
+        print("cap oracle: sympy not installed, skipped")
+    else:
+        field, A = cap_system()
+        table = nk_table(field, A, max(CAP_KS))
+        cap_bad = sum(sympy_nk(A, field.p, k) != table[k - 1] for k in CAP_KS)
+        print(f"cap oracle (d = 8, degree 32, GF(2), k in {CAP_KS}): "
+              f"{cap_bad} mismatches in {time.time() - t0:.2f}s")
+    failures = (mismatches, det_bad, series_bad, bad, brute_bad, cap_bad)
+    return 1 if any(failures) else 0
 
 
 if __name__ == "__main__":

@@ -10,14 +10,20 @@ a cap, since exponents grow linearly in k.
 Two independent routes compute N_k:
 
   * nk_direct / nk_table: the determinant, read in the 1/t-adic
-    completion F((s)), s = 1/t.  With a the largest entry degree and
-    B = s^a A(1/s), det(B^k - s^(ak) I) = s^(akd) det(A^k - I)(1/s), so
-    N_k = q^(akd - v) for v the s-adic valuation of the left side.  v is
-    the lowest nonzero coefficient of the division-free ``det`` over
-    F[s]/(s^N).  N starts at a precision predicted from the last values
-    of v and doubles on a zero result, up to akd + 1, where nothing is
-    truncated and a zero proves N_k = 0.  Then N_jk = 0 for every j, as
-    A^k - I divides A^jk - I.  No charpoly, factoring or root order is used;
+    completion F((s)), s = 1/t.  With M = A^k - I formed exactly over
+    F[t], D its largest entry degree and R = s^D M(1/s),
+    det R = s^(Dd) det M(1/s), so N_k = q^(Dd - v) for v the s-adic
+    valuation of det R.  v is the lowest nonzero coefficient of the
+    division-free ``det`` over F[s]/(s^N).  N doubles on a zero result,
+    up to Dd + 1, where nothing is truncated and a zero proves N_k = 0.
+    nk_direct takes that determinant at every k.  nk_table first gives
+    three forced answers: N_k = q^(akd) for every k when the matrix of
+    t^a coefficients (a the largest entry degree of A, a >= 1) is
+    invertible; N_k = 0 when N_j = 0 at a proper divisor j of k, as
+    A^j - I divides A^k - I; and, for p | k, p times the exponent of
+    N_(k/p), as A^k - I = (A^(k/p) - I)^p in characteristic p.  Other k
+    start N from the degree guessed by the last nonzero N_j.  No
+    charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -38,7 +44,7 @@ from itertools import product
 from . import errors
 from .newton import polygon
 from .polycore import Poly, TruncRing, poly_gcd, polyring
-from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow, smith
+from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
 
 INT_RENDER_CAP = 10**4
@@ -103,13 +109,18 @@ def entropy(field, A) -> Entropy:
     return Entropy(polygon(checked_charpoly(field, A)).entropy_exponent, field.q)
 
 
+def _max_degree(A) -> int:
+    """The largest entry degree of A, 0 for a zero matrix."""
+    return max(0, max((x.degree for row in A for x in row), default=0))
+
+
 def _reversal(field, A):
-    """(a, B): a the largest entry degree (0 for a zero matrix), B = s^a A(1/s).
+    """(a, B): a = _max_degree(A) and B = s^a A(1/s).
 
     Each entry x of degree at most a becomes s^a x(1/s), its coefficient
     list reversed and padded at the low end to length a + 1.
     """
-    a = max(0, max((x.degree for row in A for x in row), default=0))
+    a = _max_degree(A)
     B = [
         [
             Poly(field, (field.zero,) * (a - x.degree) + x.coeffs[::-1]) if x else x
@@ -125,148 +136,85 @@ def _lowest(field, coeffs) -> int:
     return next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
 
 
-class _ReversedPowers:
-    """B^k = s^m C mod s^P for B = s^a A(1/s); the precision P only grows.
+def _nk_value(field, M, guess) -> NkValue:
+    """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0.
 
-    m is the least entry valuation of B^k mod s^P (P if B^k = 0 mod s^P)
-    and C is known mod s^(P - m).  Once B^k is exact, C = s^(deg A^k)
-    A^k(1/s), so its entries are no longer than those of A^k over F[t],
-    whose degree falls below ak when the leading-coefficient matrix is
-    singular.
-    ``advance`` steps k by one product C B.  ``at(N)`` makes P >= N,
-    rebuilding B^k by binary powering unless it is already exact (P > ak,
-    since deg_s B^k <= ak).  An exact B^k is kept exact from then on, so
-    each later step is one exact product.  A rebuild at least doubles P,
-    so there are few of them.
+    With D the largest entry degree of M and R = s^D M(1/s),
+    det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the s-adic
+    valuation of det R: the lowest nonzero coefficient of the
+    division-free ``det`` over F[s]/(s^N), where it is exact.  N starts
+    at Dd - guess + 1 for a guess at deg det M (at 1 for None), the
+    least N that sees v if the guess is right, and doubles on a zero
+    result up to Dd + 1.  There nothing of det R is cut, so a zero proves
+    N_k = 0.
     """
-
-    def __init__(self, field, A, k: int = 1):
-        self.field = field
-        self.a, self.B = _reversal(field, A)
-        self.k = k
-        self._rebuild(1)
-
-    def _rebuild(self, P: int):
-        self.P = P
-        self.m = 0
-        self._strip(matpow(TruncRing(self.field, P), self.B, self.k))
-
-    def _strip(self, C: list):
-        """Store s^m C as s^(m + j) (C / s^j) for the largest such j."""
-        j = min(
-            (_lowest(self.field, x.coeffs) for row in C for x in row if x),
-            default=self.P - self.m,
-        )
-        self.m += j
-        if j:
-            C = [[Poly(self.field, x.coeffs[j:]) for x in row] for row in C]
-        self.C = C
-
-    def advance(self):
-        if self.a * self.k < self.P:
-            self.P = max(self.P, self.a * (self.k + 1) + 1)
-        self.k += 1
-        if self.m < self.P:
-            self._strip(mat_mul(TruncRing(self.field, self.P - self.m), self.C, self.B))
-
-    def at(self, N: int):
-        """(m, C) with B^k = s^m C mod s^N, C known mod s^(N - m)."""
-        if N > self.P:
-            if self.a * self.k < self.P:
-                self.P = N
-            else:
-                self._rebuild(max(N, 2 * self.P))
-        return self.m, self.C
-
-
-def _nk_value(powers: _ReversedPowers, start: int):
-    """(N_k, v) at k = powers.k, with v = v_s det(B^k - s^(ak) I), None if zero.
-
-    The determinant is taken mod s^N, where the division-free ``det`` is
-    exact, and N_k = q^(akd - v).  With B^k = s^m C and u = min(m, ak),
-    det(B^k - s^(ak) I) = s^(ud) det(s^(m-u) C - s^(ak-u) I), where
-    s^(m-u) C = C (m > ak only for C = 0); a nonzero value of the last
-    det mod s^(N - ud) has v - ud as its lowest nonzero index.  Otherwise
-    N doubles, from ``start`` (at least 1) up to
-    akd + 1.  There the whole determinant, of s-degree at most akd, is
-    kept, so a zero proves N_k = 0.
-    """
-    field = powers.field
-    ak = powers.a * powers.k
-    d = len(powers.B)
-    full = ak * d + 1
-    N = min(start, full)
+    D, R = _reversal(field, M)
+    full = D * len(M) + 1
+    N = 1 if guess is None else min(max(full - guess, 1), full)
     while True:
-        m, C = powers.at(N)
-        u = min(m, ak)
-        Q = N - u * d
-        if Q > 0:
-            # C has a nonzero entry only if m <= ak, that is u = m
-            M = [[Poly(field, x.coeffs[:Q]) for x in row] for row in C]
-            if ak - u < Q:
-                shift = Poly(field, (field.zero,) * (ak - u) + (field.one,))
-                for i in range(d):
-                    M[i][i] = M[i][i] - shift
-            cs = det(TruncRing(field, Q), M).coeffs
-            if cs:
-                v = u * d + _lowest(field, cs)
-                return NkValue.of(ak * d - v), v
+        cut = [[Poly(field, x.coeffs[:N]) for x in row] for row in R]
+        cs = det(TruncRing(field, N), cut).coeffs
+        if cs:
+            return NkValue.of(full - 1 - _lowest(field, cs))
         if N == full:
-            return NkValue.zero(), None
+            return NkValue.zero()
         N = min(2 * N, full)
 
 
 def nk_direct(field, A, k: int) -> NkValue:
-    """N_k = q^D with D = deg_t det(A^k - I), read off at s = 1/t.
+    """N_k = q^(deg det(A^k - I)), read off at s = 1/t.
 
-    With a the largest entry degree and B = s^a A(1/s),
-    det(B^k - s^(ak) I) = s^(akd) det(A^k - I)(1/s), so
-    D = akd - v_s(det(B^k - s^(ak) I)).  The valuation is found over
-    F[s]/(s^N) with N doubling from 1 (see ``_nk_value``).
+    One determinant at every k, with no forced answer: A^k - I is formed
+    exactly over F[t], and ``_nk_value`` reverses it at D, its largest
+    entry degree, and finds the degree of its det with N doubling from 1.
     """
     if k < 1:
         raise errors.MalformedInputError("k must be a positive integer")
-    return _nk_value(_ReversedPowers(field, A, k), 1)[0]
-
-
-def _predicted_valuation(vs: list, p: int) -> int:
-    """A guess at v_k from vs = [v_1, ..., v_(k-1)], None where N_j = 0.
-
-    For p | k it is p * v_(k/p), which is exact: A^(pj) - I = (A^j - I)^p
-    in characteristic p, so D_(pj) = p * D_j.  v_(k/p) is known there,
-    since ``nk_table`` settles k without a guess when N_j = 0 at a proper
-    divisor j of k.  Otherwise it is the last known v plus its last rise
-    (none if v fell), with zeros skipped and v_0 = 0.
-    """
-    k = len(vs) + 1
-    if k % p == 0:
-        return p * vs[k // p - 1]
-    known = [0, 0] + [v for v in vs if v is not None]
-    prev, last = known[-2:]
-    return last if last <= prev else 2 * last - prev
+    return _nk_value(field, matpow_minus_I(polyring(field), A, k), None)
 
 
 def nk_table(field, A, kmax: int) -> list:
     """[N_1, ..., N_kmax] by the valuation route of ``nk_direct``.
 
-    N_k = 0, with no determinant, when N_j = 0 at a proper divisor j of k
-    (A^j - I divides A^k - I).  Otherwise B^k advances to k and N starts
-    at w + 1 for the guess w of ``_predicted_valuation``, doubling on a
-    zero result.  When v does not grow, as for a nonsingular
-    leading-coefficient matrix (v = 0), each k takes one det over F[s]/(s).
+    Three answers are forced and take no power of A and no determinant
+    over F[s]/(s^N):
+
+      * with a >= 1 the largest entry degree, if the matrix L of t^a
+        coefficients is invertible, then A^k has the invertible leading
+        matrix L^k, det(A^k - I) has degree akd and N_k = q^(akd) for
+        every k; one det over F decides this;
+      * N_k = 0 when N_j = 0 at a proper divisor j of k, as A^j - I
+        divides A^k - I;
+      * for p | k, A^k - I = (A^(k/p) - I)^p in characteristic p, so the
+        exponent is p times that of N_(k/p).
+
+    Every other k advances A^k exactly over F[t], only then, and takes one
+    ``_nk_value`` with the guess e_j * k / j from the last nonzero
+    N_j = q^(e_j), which is exact while the exponents grow linearly in k.
     """
-    powers = _ReversedPowers(field, A)
+    d = len(A)
+    a = _max_degree(A)
+    L = [[x.coeff(a) for x in row] for row in A]
+    if a >= 1 and not field.is_zero(det(field, L)):
+        return [NkValue.of(a * k * d) for k in range(1, kmax + 1)]
+    ring = polyring(field)
+    I = identity(ring, d)
+    power, j = A, 1
     out = []
-    vs = []
+    last = None
     for k in range(1, kmax + 1):
-        if any(vs[j - 1] is None for j in range(1, k) if k % j == 0):
-            val, v = NkValue.zero(), None
+        if any(out[i - 1].is_zero for i in range(1, k) if k % i == 0):
+            val = NkValue.zero()
+        elif k % field.p == 0:
+            val = NkValue.of(field.p * out[k // field.p - 1].exponent)
         else:
-            while powers.k < k:
-                powers.advance()
-            val, v = _nk_value(powers, _predicted_valuation(vs, field.p) + 1)
+            while j < k:
+                power, j = mat_mul(ring, power, A), j + 1
+            guess = None if last is None else last[1] * k // last[0]
+            val = _nk_value(field, mat_sub(ring, power, I), guess)
         out.append(val)
-        vs.append(v)
+        if not val.is_zero:
+            last = (k, val.exponent)
     return out
 
 

@@ -45,9 +45,9 @@ n = q^delta - 1.  ``integers.factor_group_order`` factors n along the
 cyclotomic values Phi_j(q), j | delta, under one Pollard rho step budget
 for the whole call; past it order_of_root raises CapExceededError naming
 itself.  The order is then found by a descent over a product tree of the
-primes of n (``_order_from``), and elem_order uses the same descent.
-order_of_root checks that f is irreducible, which costs a full
-factorization; the spectral layer calls ``_root_order``, the same
+primes of n (``_order_from``); elem_order(field, a) is the order of the
+root a of X - a.  order_of_root checks that f is irreducible, which costs
+a full factorization; the spectral layer calls ``_root_order``, the same
 computation without the checks, on factors that ``factor`` has just
 certified.
 """
@@ -520,7 +520,7 @@ def elem_order(field: Field, a: int) -> int:
         raise errors.ZeroElementError("zero has no multiplicative order")
     if not isinstance(a, int) or a < 0 or a >= field.q:
         raise errors.MalformedInputError("element out of range")
-    return _order_from(factorint(field.q - 1), a, field.pow, field.one)
+    return _root_order(field, Poly(field, [field.neg(a), field.one]))
 
 
 def order_of_root(field: Field, f: Poly) -> int:

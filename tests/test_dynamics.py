@@ -332,35 +332,61 @@ class TestValuationRoute:
         assert nk_table(field, A, 12) == want
         assert [nk_direct(field, A, k) for k in range(1, 13)] == want
 
-    def test_edge_cases_reach_their_branch(self, monkeypatch):
-        """N_j = 0 settles every multiple of j with no determinant."""
+    @staticmethod
+    def record_matrices(monkeypatch):
+        """The list of matrices M = A^k - I that reach ``_nk_value``."""
         from ffzeta import dynamics
 
-        ks = []
+        ms = []
         real_nk_value = dynamics._nk_value
 
-        def recording_nk_value(powers, start):
-            ks.append(powers.k)
-            return real_nk_value(powers, start)
+        def recording_nk_value(field, M, guess):
+            ms.append(M)
+            return real_nk_value(field, M, guess)
 
         monkeypatch.setattr(dynamics, "_nk_value", recording_nk_value)
+        return ms
+
+    @staticmethod
+    def ks_of(field, A, ms, kmax=12):
+        """The k with A^k - I = M, for each M in ms."""
+        from ffzeta.polymat import matpow_minus_I
+
+        ring = polyring(field)
+        powers = [matpow_minus_I(ring, A, k) for k in range(1, kmax + 1)]
+        return [powers.index(M) + 1 for M in ms]
+
+    def test_edge_cases_reach_their_branch(self, monkeypatch):
+        """N_j = 0 settles every multiple of j, and p | k settles k, with no det."""
+        ms = self.record_matrices(monkeypatch)
         assert valuations(F2, tmat(F2, NONLINEAR_V), 6) == [3, 6, 7, 12, 11, 14]
-        ks.clear()
-        assert valuations(F2, tmat(F2, ALL_ZERO), 12) == [None] * 12
-        assert ks == [1]
-        ks.clear()
-        assert valuations(F2, tmat(F2, PERIODIC_ZERO), 12) == [
+        ms.clear()
+        A = tmat(F2, ALL_ZERO)
+        assert valuations(F2, A, 12) == [None] * 12
+        assert self.ks_of(F2, A, ms) == [1]
+        ms.clear()
+        A = tmat(F2, PERIODIC_ZERO)
+        assert valuations(F2, A, 12) == [
             2, 4, None, 8, 10, None, 14, 16, None, 20, 22, None
         ]
-        assert ks == [1, 2, 3, 4, 5, 7, 8, 10, 11]
-        ks.clear()
+        assert self.ks_of(F2, A, ms) == [1, 3, 5, 7, 11]
+        ms.clear()
         unipotent = tmat(F2, [[(1,), (0, 1)], [(0,), (1,)]])
         assert nk_table(F2, unipotent, 12) == [NkValue.zero()] * 12
-        assert ks == [1]
+        assert self.ks_of(F2, unipotent, ms) == [1]
         assert nk_table(F9, tmat(F9, [[(5,), (1,)], [(0,), (7,)]]), 3) == [NkValue.of(0)] * 3
 
+    def test_wild_multiples_need_no_determinant(self, monkeypatch):
+        """Over GF(3) with a singular leading matrix, N_3k follows from N_k."""
+        A = tmat(F3, [[(2,), (1,)], [(1,), (1, 2)]])
+        ms = self.record_matrices(monkeypatch)
+        tab = nk_table(F3, A, 9)
+        assert [v.exponent for v in tab] == [1, 1, 3, 3, 5, 3, 7, 7, 9]
+        assert self.ks_of(F3, A, ms, 9) == [1, 2, 4, 5, 7, 8]
+        assert tab == [nk_direct(F3, A, k) for k in range(1, 10)]
+
     def test_nonsingular_leading_matrix_needs_one_coefficient(self, monkeypatch):
-        """v = 0 for every k, so each k is one det over F[s]/(s)."""
+        """An invertible L gives N_k = q^(akd) from one det over F itself."""
         from ffzeta import dynamics
 
         A = tmat(F7, [[(1, 2, 3), (0, 0, 1), (4, 0, 2)],
@@ -378,8 +404,8 @@ class TestValuationRoute:
         monkeypatch.setattr(dynamics, "det", recording_det)
         tab = nk_table(F7, A, 40)
         assert tab == [NkValue.of(6 * k) for k in range(1, 41)]
-        assert len(rings) == 40
-        assert all(getattr(r, "N", None) == 1 for r in rings)
+        assert len(rings) == 1
+        assert rings[0] is F7
 
     def test_independent_of_spectral_route(self, monkeypatch):
         """No charpoly, factor or root order on the direct route."""

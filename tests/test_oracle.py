@@ -1,7 +1,7 @@
 """det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint,
-the split factorization of q^delta - 1, elem_order and is_prime against
-sympy, an oracle outside the package; order_of_root against a direct
-power search in plain integers.
+the split factorization of q^delta - 1, elem_order, is_prime and N_1 at
+the entry caps against sympy, an oracle outside the package;
+order_of_root against a direct power search in plain integers.
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpolys, xpolys
-from ffzeta import elem_order, errors, make_field, order_of_root
+from ffzeta import NkValue, elem_order, errors, make_field, nk_table, order_of_root
+from ffzeta.corpus import cap_system
 from ffzeta.integers import factor_group_order, factorint, is_prime
 from ffzeta.polycore import (
     Poly,
@@ -29,6 +30,7 @@ from ffzeta.polycore import (
 from ffzeta.polymat import charpoly, det
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 t, x = sympy.symbols("t x")
@@ -297,3 +299,13 @@ def test_elem_order_matches_sympy_61_bit():
         field = make_field(p)
         for a in [1, p - 1] + [rng.randrange(2, p - 1) for _ in range(4)]:
             assert elem_order(field, a) == sympy.n_order(a, p)
+
+
+def test_nk_at_entry_caps_matches_sympy():
+    """N_1 of the d = 8, degree-32 GF(2) cap input against sympy's det of A - I."""
+    field, A = cap_system()
+    dom = sympy.GF(2)[t]
+    d = len(A)
+    M = DomainMatrix([[dom.from_sympy(lift(a)) for a in row] for row in A], (d, d), dom)
+    D = (M - DomainMatrix.eye(d, dom)).det()
+    assert nk_table(field, A, 1) == [NkValue.of(D.degree())]
