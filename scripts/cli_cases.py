@@ -2,7 +2,7 @@
 """Run a fixed set of CLI cases in-process and compare their output digests.
 
 The cases are every command line below on every problem below, run through
-``ffzeta.cli.main`` with the problem JSON on stdin (504 cases):
+``ffzeta.cli.main`` with the problem JSON on stdin (539 cases):
 
   * the three sample problems in ``problems/``;
   * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
@@ -18,6 +18,11 @@ The cases are every command line below on every problem below, run through
   * diag(2, t) over GF(1000003) and diag(3, t) over 2^61 - 1, whose
     closed forms have a factor with L = 1000002 and L near 2.6e17, so
     q^(E L) past ``INT_RENDER_CAP`` is printed as text;
+  * [[z, 1], [0, 1 + t]] under five given moduli: z^2 + 2z + 2 for GF(9),
+    where z has order 8 rather than 4 as under the default modulus, so
+    N_4 is nonzero; z^2 + z + 1 for GF(4), the default given explicitly;
+    and three rejected ones, the reducible z^2 + 2 for GF(9), and [] and
+    [1, true, 1] for GF(4), the latter z^2 + z + 1 if true were taken as 1;
 
   under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
   ``report`` and ``report --text``.
@@ -98,6 +103,14 @@ LONG_SEED = 20224
 # (name, p, a): diag(a, t) with a of multiplicative order L = 1000002 and
 # about 2.6e17
 LARGE_ORDER = (("order_p1000003", 1000003, 2), ("order_m61", M61, 3))
+# (name, p, modulus) of the problems that give GF(p^2) a modulus
+MODULI = (
+    ("modulus_gf9_z2+2z+2", 3, [2, 2, 1]),
+    ("modulus_gf4_default", 2, [1, 1, 1]),
+    ("modulus_gf9_reducible", 3, [2, 0, 1]),
+    ("modulus_empty", 2, []),
+    ("modulus_bool", 2, [1, True, 1]),
+)
 
 
 def _long_problem(rng, p, e, d, deg):
@@ -177,6 +190,11 @@ def problems():
     for name, p, a in LARGE_ORDER:
         matrix = [[[a], [0]], [[0], [0, 1]]]
         out.append((name, json.dumps({"p": p, "d": 2, "matrix": matrix})))
+    for name, p, modulus in MODULI:
+        # [[z, 1], [0, 1 + t]], entries as digit lists
+        matrix = [[[[0, 1]], [[1, 0]]], [[[0, 0]], [[1, 0], [1, 0]]]]
+        doc = {"p": p, "e": 2, "modulus": modulus, "d": 2, "matrix": matrix}
+        out.append((name, json.dumps(doc)))
     return out
 
 

@@ -16,8 +16,9 @@ Problem format, low-degree-first coefficient lists throughout:
 Each matrix entry is a list of coefficients in t; each coefficient is an
 integer in [0, p) when e = 1, or a list of e base-p digits in general.
 An optional "modulus" gives the defining polynomial of GF(p^e) as e+1
-digits.  Exit codes: 0 ok, 1 malformed input, 2 singular matrix, 3 a cap
-was exceeded, 4 internal invariant violation.
+digits, checked by ``gf.make_field``.  Exit codes: 0 ok, 1 malformed
+input, 2 singular matrix, 3 a cap was exceeded, 4 internal invariant
+violation; an error exits with the ``exit_code`` of its class.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ MAX_DIM = 8
 MAX_ENTRY_DEG = 32
 # Largest --max and --terms, a bound on time and output size: at 60, nk,
 # zeta and report on a d = 8, entry-degree-32 GF(2) input each end in
-# about 12 s, and zeta on t^32 I_8 over GF(2^61 - 1) takes about 50 s and
+# 7-8 s, and zeta on t^32 I_8 over GF(2^61 - 1) takes about 50 s and
 # prints 17 MB.
 MAX_K = 60
 
@@ -62,7 +63,7 @@ MAX_K = 60
 class ProblemSpec:
     p: int
     e: int
-    modulus: tuple  # () when omitted
+    modulus: object  # as given, checked by make_field; None when omitted
     d: int
     matrix: tuple  # d x d of tuples of packed coefficient ints
 
@@ -114,16 +115,6 @@ def parse_problem(doc) -> ProblemSpec:
         raise errors.MalformedInputError("d must be positive")
     if d > MAX_DIM:
         raise errors.DimensionTooLargeError(f"d = {d} exceeds the limit {MAX_DIM}")
-    modulus = doc.get("modulus")
-    if modulus is not None:
-        if not isinstance(modulus, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in modulus
-        ):
-            raise errors.MalformedInputError("modulus must be a list of integers")
-        if not modulus:
-            # () stands for an omitted modulus, so [] must not become it
-            raise errors.DegreeMismatchError(f"modulus must have degree {e}, got []")
-        modulus = tuple(modulus)
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or len(matrix) != d:
         raise errors.MalformedInputError(f"matrix must be a list of {d} rows")
@@ -143,7 +134,7 @@ def parse_problem(doc) -> ProblemSpec:
                 )
             entries.append(tuple(_packed_coeff(c, p, e) for c in entry))
         rows.append(tuple(entries))
-    return ProblemSpec(p=p, e=e, modulus=modulus or (), d=d, matrix=tuple(rows))
+    return ProblemSpec(p=p, e=e, modulus=doc.get("modulus"), d=d, matrix=tuple(rows))
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -168,7 +159,7 @@ def build_system(spec: ProblemSpec):
     Singular matrices are rejected by the first analysis step every command
     takes (checked_charpoly, also inside system_data), not here.
     """
-    field = make_field(spec.p, spec.e, list(spec.modulus) or None)
+    field = make_field(spec.p, spec.e, spec.modulus)
     A = [[Poly(field, entry) for entry in row] for row in spec.matrix]
     return field, A
 
@@ -427,21 +418,10 @@ def main(argv=None) -> int:
                 _check_k(f"--{option}", getattr(args, option))
         spec = load_problem(args.problem)
         return _COMMANDS[args.command](args, spec)
-    except errors.MalformedInputError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except errors.SingularMatrixError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except errors.CapExceededError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 3
-    except errors.InternalInvariantError as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
-        return 4
     except errors.Error as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+        internal = isinstance(ex, errors.InternalInvariantError)
+        print(f"{'internal error' if internal else 'error'}: {ex}", file=sys.stderr)
+        return ex.exit_code
 
 
 if __name__ == "__main__":

@@ -142,18 +142,18 @@ def _nk_value(field, M, guess) -> NkValue:
     With D the largest entry degree of M and R = s^D M(1/s),
     det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the s-adic
     valuation of det R: the lowest nonzero coefficient of the
-    division-free ``det`` over F[s]/(s^N), where it is exact.  N starts
-    at Dd - guess + 1 for a guess at deg det M (at 1 for None), the
-    least N that sees v if the guess is right, and doubles on a zero
-    result up to Dd + 1.  There nothing of det R is cut, so a zero proves
-    N_k = 0.
+    division-free ``det`` over F[s]/(s^N), where it is exact.  R goes in
+    whole: ``TruncRing`` cuts each entry as it multiplies, and every term
+    of ``det`` is a product.  N starts at Dd - guess + 1 for a guess at
+    deg det M (at 1 for None), the least N that sees v if the guess is
+    right, and doubles on a zero result up to Dd + 1.  There nothing of
+    det R is cut, so a zero proves N_k = 0.
     """
     D, R = _reversal(field, M)
     full = D * len(M) + 1
     N = 1 if guess is None else min(max(full - guess, 1), full)
     while True:
-        cut = [[Poly(field, x.coeffs[:N]) for x in row] for row in R]
-        cs = det(TruncRing(field, N), cut).coeffs
+        cs = det(TruncRing(field, N), R).coeffs
         if cs:
             return NkValue.of(full - 1 - _lowest(field, cs))
         if N == full:

@@ -1,18 +1,21 @@
 """Exception taxonomy shared by every module in the package.
 
-The CLI maps these onto process exit codes, so the class hierarchy matters:
-anything that means "the input was bad" derives from MalformedInputError
-(exit 1), the shape caps on the dimension d and the entry degree
-(DimensionTooLargeError) among them; anything that means "a documented
-computational cap was hit" (field size, --max and --terms, the factoring
-step budget) derives from CapExceededError (exit 3); and anything that
-means "an internal consistency check failed" derives from
-InternalInvariantError (exit 4).
+Each base class carries the process exit code the CLI returns for it, as
+``exit_code``, and every other class inherits the code of its base, so
+the class hierarchy decides the code.  Error is 1, and so is
+MalformedInputError, for anything that means "the input was bad", the
+shape caps on the dimension d and the entry degree
+(DimensionTooLargeError) among them; SingularMatrixError is 2;
+CapExceededError, for "a documented computational cap was hit" (field
+size, --max and --terms, the factoring step budget), is 3; and
+InternalInvariantError, for "an internal consistency check failed", is 4.
 """
 
 
 class Error(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class MalformedInputError(Error):
@@ -79,9 +82,13 @@ class ZeroConstantTermError(Error):
 class SingularMatrixError(Error):
     """The matrix (or the relevant difference with the identity) is singular."""
 
+    exit_code = 2
+
 
 class CapExceededError(Error):
     """A documented computational size cap was exceeded."""
+
+    exit_code = 3
 
 
 class NotAlgebraicError(Error):
@@ -90,6 +97,8 @@ class NotAlgebraicError(Error):
 
 class InternalInvariantError(Error):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+    exit_code = 4
 
 
 class NonNegativeWeightError(InternalInvariantError):

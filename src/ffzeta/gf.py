@@ -20,13 +20,20 @@ does addition, by Zech logarithms: with n = q - 1 and Z(k) the log of
 g^i - g^j = g^(i + Z(j + n/2 - i)) and -g^i = g^(i + n/2).  Z(n/2) is
 None, for 1 + g^(n/2) = 0.
 
-The tables are built with the slot arithmetic of ``_kron_mul``, on digit
-rows: row j is one int holding digit j of g^0..g^(m-1), one per cell.
-Multiplying by g^m is an e x e digit map over GF(p), so g^m..g^(2m-1) are
-sums of the rows times its entries, reduced mod p in every cell at once
-(``_divmod_slots``), and m doubles up to q - 1.  Horner's rule over the
-rows packs each power into its cell; the log table is one loop over the
-cells, the Zech table one gather of it at 1 + g^i.  The hard cap
+The tables are seeded by ``polycore`` arithmetic over GF(p) mod the
+modulus f, a field that needs no tables: g is the first packed value
+from z = p on with g^(n/l) != 1 mod f for every prime l | n (the values
+below p lie in GF(p), whose orders divide p - 1 < n), each g^m below is
+the square of the last, and the digits of z^k mod f for k = e..2e-2,
+which ``_kron_mul`` folds, are remainders.  The tables themselves are built
+with the slot arithmetic of ``_kron_mul``, on digit rows: row j is one
+int holding digit j of g^0..g^(m-1), one per cell.  Multiplying by g^m
+is an e x e digit map over GF(p), column j the digits of g^m z^j mod f,
+so g^m..g^(2m-1) are sums of the rows times its entries, reduced mod p
+in every cell at once (``_divmod_slots``), and m doubles up to q - 1.
+Horner's rule over the rows packs each power into its cell; the log
+table is one loop over the cells, the Zech table one gather of it at
+1 + g^i.  The hard cap
 q <= 2**20 for extension fields bounds the table memory: Python lists of
 q ints that share one int object per value, two lists for p = 2, 48 MB at
 q = 2**20 (16 MB of list slots, 32 MB of ints), and a third for odd p.
@@ -60,7 +67,7 @@ from functools import lru_cache
 
 from . import errors
 from .integers import factor_group_order, factorint, is_prime
-from .polycore import Domain, Poly, is_irreducible, modpow, power
+from .polycore import Domain, Poly, is_irreducible, modpow
 
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
@@ -148,6 +155,11 @@ def _divmod_slots(x: int, count: int, width: int, bits: int, p: int):
 # ---------------------------------------------------------------------------
 
 
+def _digits(r: Poly, e: int) -> list:
+    """The e coefficients of r, of degree below e, low first."""
+    return list(r.coeffs) + [0] * (e - len(r.coeffs))
+
+
 class Field(Domain):
     """GF(p^e) acting as a coefficient domain for the polynomial engine."""
 
@@ -160,12 +172,14 @@ class Field(Domain):
         self.e = e
         self.q = p**e
         self.modulus = modulus  # monic, length e+1, entries in range(p)
-        self._pw = [p**j for j in range(e)]  # digit place values
         # digits of z^k mod the modulus for k = e..2e-2
         self._fold = []
         if e >= 2:
-            self._build_tables()
-            self._fold = [self._digits(self.pow(p, k)) for k in range(e, 2 * e - 1)]
+            f = Poly(_cached_field(p, 1, (0, 1)), modulus)
+            self._build_tables(f)
+            self._fold = [
+                _digits(Poly(f.dom, [0] * k + [1]) % f, e) for k in range(e, 2 * e - 1)
+            ]
         # the largest sub-slot sum of a product, over its shorter length
         # times (p - 1)^2: digit products summed, then high digits folded
         terms = [min(s + 1, 2 * e - 1 - s) for s in range(2 * e - 1)]
@@ -176,55 +190,38 @@ class Field(Domain):
 
     # -- construction helpers ---------------------------------------------
 
-    def _digits(self, a: int) -> list:
-        """Base-p digits of the element a, low first."""
-        return [a // pw % self.p for pw in self._pw]
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Product before log tables exist: digit convolution mod modulus."""
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        db = self._digits(b)
-        for i, x in enumerate(self._digits(a)):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        # fold z^k for k >= e down using z^e = -(low part of modulus)
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k] % p
-            prod[k] = 0
-            if c:
-                for i in range(e):
-                    prod[k - e + i] -= c * self.modulus[i]
-        return sum((prod[i] % p) * p**i for i in range(e))
-
-    def _build_tables(self):
+    def _build_tables(self, f: Poly):
+        """The log, exp and Zech tables, for the modulus f over GF(p)."""
         p, e, q = self.p, self.e, self.q
         n = q - 1
         fac = factorint(n)
-        gen = None
-        for cand in range(2, q):
-            if all(power(cand, n // ell, self._raw_mul, 1) != 1 for ell in fac):
-                gen = cand
+        one = Poly.const(f.dom, 1)
+        # packed values below p lie in GF(p), of orders dividing p - 1 < n
+        for cand in range(p, q):
+            gen = Poly(f.dom, [cand // p**j % p for j in range(e)])
+            if all(modpow(gen, n // ell, f) != one for ell in fac):
                 break
-        if gen is None:
+        else:
             raise errors.InternalInvariantError("no multiplicative generator found")
         # Row j holds digit j of g^0..g^(m-1), one per cell: a cell fits a
         # sum of e digit products for _divmod_slots, and a value below q.
         bits = (e * (p - 1) ** 2).bit_length()
         cell = max(-(-(2 * bits + p.bit_length()) // 8), -(-n.bit_length() // 8))
-        rows, m = [1] + [0] * (e - 1), 1
+        rows, m, g_m = [1] + [0] * (e - 1), 1, gen
         while m < n:
             # g^(m+i) = g^m g^i for i < k; digit i of g^m z^j is entry (i, j)
             # of the digit map of g^m.  The rows grow in place, and the mask
             # reads their low k cells, which growing leaves as they were.
-            k, g_m = min(m, n - m), power(gen, m, self._raw_mul, 1)
-            cols = [self._digits(self._raw_mul(g_m, pw)) for pw in self._pw]
+            k, cols, y = min(m, n - m), [], g_m
+            for _ in range(e):  # column j + 1 is z times column j, mod f
+                cols.append(_digits(y, e))
+                y = y.shift(1) % f
             mask = (1 << 8 * cell * k) - 1
             for i in range(e):
                 new = sum(c[i] * (r & mask) for c, r in zip(cols, rows) if c[i])
                 rows[i] |= _divmod_slots(new, k, cell, bits, p)[1] << 8 * cell * m
-            m += k
+            # m doubles until k = n - m ends the loop
+            m, g_m = m + k, g_m * g_m % f
         # Horner's rule packs g^i into cell i; 1 + g^i has one more in the
         # low digit, mod p
         packed = 0
@@ -418,10 +415,13 @@ def _default_modulus(p: int, e: int) -> tuple:
 
 
 def _validate_modulus(p: int, e: int, modulus) -> tuple:
-    try:
-        coeffs = tuple(int(c) for c in modulus)
-    except (TypeError, ValueError):
+    """The modulus as a tuple: a list or tuple of ints, not bools, giving a
+    monic irreducible of degree e over GF(p)."""
+    if not isinstance(modulus, (list, tuple)) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in modulus
+    ):
         raise errors.MalformedInputError("modulus must be a list of integers")
+    coeffs = tuple(modulus)
     if len(coeffs) != e + 1:
         raise errors.DegreeMismatchError(
             f"modulus must have degree {e}, got degree {len(coeffs) - 1}"
@@ -446,7 +446,7 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
     """Build GF(p**e), reusing a cached instance when possible.
 
     The modulus, if given, is a monic irreducible polynomial over GF(p) of
-    degree e as a low-first coefficient list.  Without one, the monic
+    degree e as a low-first list or tuple of ints.  Without one, the monic
     irreducible with the smallest packed-integer value is used, e.g.
     z^2 + z + 1 for GF(4) and z^2 + 1 for GF(9).
     """

@@ -306,14 +306,18 @@ class TruncRing(PolyRing):
 
     Elements are Poly over F, as in PolyRing(F).  ``mul`` cuts both
     operands to N coefficients before the product and the product after
-    it; sums and negations of reduced elements stay reduced.  So any
-    division-free algorithm over PolyRing(F), ``polymat.det`` and
-    ``mat_mul`` among them, runs mod s^N unchanged.
+    it, and ``neg`` cuts its operand; sums of reduced elements stay
+    reduced.  So any division-free algorithm over PolyRing(F),
+    ``polymat.det`` and ``mat_mul`` among them, runs mod s^N unchanged,
+    on entries of any length when it only adds products.
     """
 
     def __init__(self, base: Domain, N: int):
         super().__init__(base)
         self.N = N
+
+    def neg(self, a):
+        return Poly(self.base, self.base.poly_neg(list(a.coeffs[: self.N])))
 
     def mul(self, a, b):
         N = self.N

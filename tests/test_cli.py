@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ffzeta import errors
-from ffzeta.cli import MAX_K, main, parse_problem
+from ffzeta import cli, errors
+from ffzeta.cli import MAX_K, build_system, main, parse_problem
 from ffzeta.zeta import num_str
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -70,7 +70,7 @@ class TestParseProblem:
         spec = parse_problem({"p": 2, "d": 1, "matrix": [[[0, 1]]]})
         assert (spec.p, spec.e, spec.d) == (2, 1, 1)
         assert spec.matrix == (((0, 1),),)
-        assert spec.modulus == ()
+        assert spec.modulus is None
 
     def test_unknown_keys(self):
         with pytest.raises(errors.MalformedInputError):
@@ -124,7 +124,7 @@ class TestParseProblem:
         # [] is a modulus of degree -1, not an omitted one
         doc = {"p": 3, "e": 2, "modulus": [], "d": 1, "matrix": [[[[0, 1]]]]}
         with pytest.raises(errors.MalformedInputError):
-            parse_problem(doc)
+            build_system(parse_problem(doc))
 
 
 class TestExitCodes:
@@ -277,6 +277,36 @@ class TestExitCodes:
         assert time.perf_counter() - start < 10
         assert (code, err) == (0, "")
         assert out.splitlines() == [f"N_{k} = 0 (spectral 0, equal yes)" for k in range(1, 61)]
+
+    @pytest.mark.parametrize(
+        "exc, code, label",
+        [
+            (errors.NonNegativeWeightError, 4, "internal error: "),
+            (errors.NotAlgebraicError, 1, "error: "),
+        ],
+    )
+    def test_error_class_sets_exit(self, capsys, monkeypatch, exc, code, label):
+        def fail(field, A):
+            raise exc("raised here")
+
+        monkeypatch.setattr(cli, "system_data", fail)
+        assert run(capsys, "classify", DIAG62) == (code, "", f"{label}raised here\n")
+
+    def test_exit_code_follows_documented_base(self):
+        bases = [
+            (errors.InternalInvariantError, 4),
+            (errors.CapExceededError, 3),
+            (errors.SingularMatrixError, 2),
+            (errors.Error, 1),
+        ]
+        classes = [
+            c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.Error)
+        ]
+        assert {errors.NotPrimeError, errors.NonNegativeWeightError} <= set(classes)
+        for cls in classes:
+            want = next(code for base, code in bases if issubclass(cls, base))
+            assert cls.exit_code == want, cls.__name__
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate", DIAG62)[0] == 1

@@ -1,13 +1,15 @@
 """det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint,
-the split factorization of q^delta - 1, elem_order, is_prime and N_1 at
-the entry caps against sympy, an oracle outside the package;
-order_of_root against a direct power search in plain integers.
+the split factorization of q^delta - 1, elem_order, is_prime, N_1 at the
+entry caps and GF(p^e) arithmetic against sympy, an oracle outside the
+package; order_of_root against a direct power search in plain integers.
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
 resultants are integer polynomials in the entries, so reduction commutes
 with them.  Polynomials over GF(p) go to sympy over GF(p) directly.  Only
-prime fields (e = 1), where a packed field element is its own residue.
+prime fields (e = 1), where a packed field element is its own residue,
+except for the extension-field arithmetic, which sympy's galoistools
+computes on digit lists mod the field's modulus.
 """
 
 import random
@@ -30,6 +32,8 @@ from ffzeta.polycore import (
 from ffzeta.polymat import charpoly, det
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys import galoistools as gt  # noqa: E402
+from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
@@ -309,3 +313,34 @@ def test_nk_at_entry_caps_matches_sympy():
     M = DomainMatrix([[dom.from_sympy(lift(a)) for a in row] for row in A], (d, d), dom)
     D = (M - DomainMatrix.eye(d, dom)).det()
     assert nk_table(field, A, 1) == [NkValue.of(D.degree())]
+
+
+def dense(field, a):
+    """The packed element a as a galoistools polynomial, high digit first."""
+    return gt.gf_strip([a // field.p**i % field.p for i in reversed(range(field.e))])
+
+
+def packed(field, f):
+    return sum(c * field.p**i for i, c in enumerate(reversed(f)))
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(2, 2, None), (3, 2, None), (2, 16, None), (3, 10, None), (1021, 2, None),
+     (3, 2, (2, 2, 1))],
+    ids=["GF(4)", "GF(9)", "GF(2^16)", "GF(3^10)", "GF(1021^2)", "GF(9)-z2+2z+2"],
+)
+def test_extension_arithmetic_matches_galoistools(p, e, modulus):
+    """mul, add, sub and inv, whose log, exp and Zech tables are seeded by
+    the package's own polynomial arithmetic, against sympy's."""
+    field = make_field(p, e, modulus)
+    f = gt.gf_strip(list(reversed(field.modulus)))
+    rng = random.Random(f"galoistools/{field.q}/{field.modulus}")
+    for _ in range(100):
+        a, b = rng.randrange(1, field.q), rng.randrange(field.q)
+        A, B = dense(field, a), dense(field, b)
+        product = gt.gf_rem(gt.gf_mul(A, B, p, ZZ), f, p, ZZ)
+        assert field.mul(a, b) == packed(field, product)
+        assert field.add(a, b) == packed(field, gt.gf_add(A, B, p, ZZ))
+        assert field.sub(a, b) == packed(field, gt.gf_sub(A, B, p, ZZ))
+        assert field.inv(a) == packed(field, gt.gf_pow_mod(A, field.q - 2, f, p, ZZ))

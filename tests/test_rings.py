@@ -48,6 +48,8 @@ class TestTruncRing:
         s2 = tpoly(F2, 0, 0, 1)
         assert ring.mul(s2, s2) == ring.zero
         assert ring.mul(tpoly(F2, 1, 0, 0, 1), tpoly(F2, 1, 1)) == tpoly(F2, 1, 1)
+        # -(1 + 2s + s^3) is 2 + s mod s^3 over GF(3)
+        assert TruncRing(F3, 3).neg(tpoly(F3, 1, 2, 0, 1)) == tpoly(F3, 2, 1)
 
 
 class TestPower:
