@@ -25,23 +25,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from . import __version__, errors
 from .dynamics import (
     INT_RENDER_CAP,
-    checked_charpoly,
+    Entropy,
     entropy,
     nk_spectral,
     nk_table,
     system_data,
 )
 from .gf import make_field
-from .newton import polygon
 from .polycore import FACTOR_SEED, Poly
-from .spectral import spectral_data
 from .zeta import (
     classify,
     num_str,
@@ -198,9 +195,7 @@ def _nk_entry(k: int, direct, spect, q: int):
 
 def build_report(spec: ProblemSpec, max_k: int, terms: int) -> dict:
     field, A = build_system(spec)
-    P = checked_charpoly(field, A)
-    sd = spectral_data(field, P)
-    hull = polygon(P)
+    sd = system_data(field, A)
     table = nk_table(field, A, max(max_k, terms))
     nks, nks_for_series = table[:max_k], table[:terms]
     zres = classify(sd)
@@ -216,15 +211,15 @@ def build_report(spec: ProblemSpec, max_k: int, terms: int) -> dict:
             "matrix": _expanded_matrix(spec, spec.p, spec.e),
         },
         # det A = (-1)^d P(0)
-        "det_t_degree": P.coeff(0).degree,
-        "entropy": {"E": sd.E, "q": field.q, "log_value": sd.E * math.log(field.q)},
+        "det_t_degree": sd.P.coeff(0).degree,
+        "entropy": {"E": sd.E, "q": field.q, "log_value": Entropy(sd.E, field.q).value},
         "abs_spectrum": [
             {
                 "slope_num": slope.numerator,
                 "slope_den": slope.denominator,
                 "length": length,
             }
-            for slope, length in hull.edges
+            for slope, length in sd.hull.edges
         ],
         "spectral": {
             "rou_orders": [[m, mult] for m, mult in sd.rou_orders],

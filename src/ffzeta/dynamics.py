@@ -14,16 +14,16 @@ Two independent routes compute N_k:
     F[t], D its largest entry degree and R = s^D M(1/s),
     det R = s^(Dd) det M(1/s), so N_k = q^(Dd - v) for v the s-adic
     valuation of det R.  v is the lowest nonzero coefficient of the
-    division-free ``det`` over F[s]/(s^N).  N doubles on a zero result,
-    up to Dd + 1, where nothing is truncated and a zero proves N_k = 0.
-    nk_direct takes that determinant at every k.  nk_table first gives
-    three forced answers: N_k = q^(akd) for every k when the matrix of
-    t^a coefficients (a the largest entry degree of A, a >= 1) is
-    invertible; N_k = 0 when N_j = 0 at a proper divisor j of k, as
-    A^j - I divides A^k - I; and, for p | k, p times the exponent of
-    N_(k/p), as A^k - I = (A^(k/p) - I)^p in characteristic p.  Other k
-    start N from the degree guessed by the last nonzero N_j.  No
-    charpoly, factoring or root order is used;
+    division-free ``det`` over F[s]/(s^N), where at N = Dd + 1 nothing
+    is truncated and a zero proves N_k = 0.  nk_direct takes that exact
+    determinant at every k.  nk_table first gives three forced answers:
+    N_k = q^(akd) for every k when the matrix of t^a coefficients (a the
+    largest entry degree of A, a >= 1) is invertible; N_k = 0 when
+    N_j = 0 at a proper divisor j of k, as A^j - I divides A^k - I; and,
+    for p | k, p times the exponent of N_(k/p), as
+    A^k - I = (A^(k/p) - I)^p in characteristic p.  Other k start N from
+    the degree guessed by the last nonzero N_j and double it on a zero
+    result, up to Dd + 1.  No charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -145,13 +145,13 @@ def _nk_value(field, M, guess) -> NkValue:
     division-free ``det`` over F[s]/(s^N), where it is exact.  R goes in
     whole: ``TruncRing`` cuts each entry as it multiplies, and every term
     of ``det`` is a product.  N starts at Dd - guess + 1 for a guess at
-    deg det M (at 1 for None), the least N that sees v if the guess is
-    right, and doubles on a zero result up to Dd + 1.  There nothing of
-    det R is cut, so a zero proves N_k = 0.
+    deg det M, within [1, Dd + 1]: the least N that sees v if the guess
+    is right, and doubles on a zero result up to Dd + 1.  There nothing
+    of det R is cut, so a zero proves N_k = 0; a guess of 0 starts there.
     """
     D, R = _reversal(field, M)
     full = D * len(M) + 1
-    N = 1 if guess is None else min(max(full - guess, 1), full)
+    N = min(max(full - guess, 1), full)
     while True:
         cs = det(TruncRing(field, N), R).coeffs
         if cs:
@@ -164,13 +164,13 @@ def _nk_value(field, M, guess) -> NkValue:
 def nk_direct(field, A, k: int) -> NkValue:
     """N_k = q^(deg det(A^k - I)), read off at s = 1/t.
 
-    One determinant at every k, with no forced answer: A^k - I is formed
-    exactly over F[t], and ``_nk_value`` reverses it at D, its largest
-    entry degree, and finds the degree of its det with N doubling from 1.
+    One determinant at every k, with no forced answer and no guess:
+    A^k - I is formed exactly over F[t], reversed at D, its largest entry
+    degree, and its det taken untruncated at N = Dd + 1 (``_nk_value``).
     """
     if k < 1:
         raise errors.MalformedInputError("k must be a positive integer")
-    return _nk_value(field, matpow_minus_I(polyring(field), A, k), None)
+    return _nk_value(field, matpow_minus_I(polyring(field), A, k), 0)
 
 
 def nk_table(field, A, kmax: int) -> list:
@@ -191,6 +191,7 @@ def nk_table(field, A, kmax: int) -> list:
     Every other k advances A^k exactly over F[t], only then, and takes one
     ``_nk_value`` with the guess e_j * k / j from the last nonzero
     N_j = q^(e_j), which is exact while the exponents grow linearly in k.
+    Before any nonzero N_j the guess is akd, at least Dd, so N starts at 1.
     """
     d = len(A)
     a = _max_degree(A)
@@ -210,7 +211,7 @@ def nk_table(field, A, kmax: int) -> list:
         else:
             while j < k:
                 power, j = mat_mul(ring, power, A), j + 1
-            guess = None if last is None else last[1] * k // last[0]
+            guess = a * k * d if last is None else last[1] * k // last[0]
             val = _nk_value(field, mat_sub(ring, power, I), guess)
         out.append(val)
         if not val.is_zero:

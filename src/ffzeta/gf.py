@@ -25,20 +25,20 @@ modulus f, a field that needs no tables: g is the first packed value
 from z = p on with g^(n/l) != 1 mod f for every prime l | n (the values
 below p lie in GF(p), whose orders divide p - 1 < n), each g^m below is
 the square of the last, and the digits of z^k mod f for k = e..2e-2,
-which ``_kron_mul`` folds, are remainders.  The tables themselves are built
-with the slot arithmetic of ``_kron_mul``, on digit rows: row j is one
-int holding digit j of g^0..g^(m-1), one per cell.  Multiplying by g^m
-is an e x e digit map over GF(p), column j the digits of g^m z^j mod f,
-so g^m..g^(2m-1) are sums of the rows times its entries, reduced mod p
-in every cell at once (``_divmod_slots``), and m doubles up to q - 1.
-Horner's rule over the rows packs each power into its cell; the log
-table is one loop over the cells, the Zech table one gather of it at
-1 + g^i.  The hard cap
+which ``_kron_mul`` folds, are remainders.  The exp table is built with
+the slot arithmetic of ``_kron_mul``, on digit rows: row j is one int
+holding digit j of g^0..g^(m-1), one per cell.  Multiplying by g^m is an
+e x e digit map over GF(p), column j the digits of g^m z^j mod f, so
+g^m..g^(2m-1) are sums of the rows times its entries, reduced mod p in
+every cell at once (``_divmod_slots``), and m doubles up to q - 1.
+Horner's rule over the rows packs each power into its cell.  The log and
+Zech tables are read off exp: log is one loop over it, and Z(i) is the
+log of exp[i] with one more in the low digit, mod p.  The hard cap
 q <= 2**20 for extension fields bounds the table memory: Python lists of
 q ints that share one int object per value, two lists for p = 2, 48 MB at
 q = 2**20 (16 MB of list slots, 32 MB of ints), and a third for odd p.
 A fresh process, import included, builds GF(2^20) in about 1 s with a
-peak of 130 MB RSS, GF(1021^2) in 0.9 s with 155 MB (2-vCPU Xeon).
+peak of 105 MB RSS, GF(1021^2) in 0.9 s with 120 MB (2-vCPU Xeon).
 Prime fields need no tables and only p < 2**63.
 
 The public constructors and queries:
@@ -75,7 +75,7 @@ EXT_CAP = 2**20
 # poly_mul's scalar loop beats one Kronecker product below KRON_CUTOFF *
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
-# has digits.
+# has digits.  Each field keeps that bound as an integer, _kron_pairs.
 KRON_CUTOFF = 64
 
 
@@ -172,6 +172,8 @@ class Field(Domain):
         self.e = e
         self.q = p**e
         self.modulus = modulus  # monic, length e+1, entries in range(p)
+        # the least pair count not below KRON_CUTOFF * e^1.5, in integers
+        self._kron_pairs = math.isqrt(KRON_CUTOFF**2 * e**3 - 1) + 1
         # digits of z^k mod the modulus for k = e..2e-2
         self._fold = []
         if e >= 2:
@@ -222,33 +224,30 @@ class Field(Domain):
                 rows[i] |= _divmod_slots(new, k, cell, bits, p)[1] << 8 * cell * m
             # m doubles until k = n - m ends the loop
             m, g_m = m + k, g_m * g_m % f
-        # Horner's rule packs g^i into cell i; 1 + g^i has one more in the
-        # low digit, mod p
+        # Horner's rule packs g^i into cell i
         packed = 0
         for r in reversed(rows):
             packed = packed * p + r
-        if p != 2:
-            low = _divmod_slots(rows[0] + _ones(n, cell, 1), n, cell, bits, p)[1]
-            one_plus = packed - rows[0] + low
         del rows
-
-        def read(x: int) -> array:
-            """The n cells of x, as an array: a list would hold n more ints."""
-            out = bytearray(n * 8)
-            _move(out, 0, 8, x.to_bytes(n * cell, "little"), 0, cell, cell)
-            return array("Q", out)
-
+        # the n cells, read as an array: a list would hold n more ints
+        cells = bytearray(n * 8)
+        _move(cells, 0, 8, packed.to_bytes(n * cell, "little"), 0, cell, cell)
+        del packed
+        cells = array("Q", cells)
         # one int object per value, shared by all tables (48 MB at
         # q = 2**20 instead of 80 MB with an object per table entry)
         ints = list(range(q))
-        cells = read(packed)
         exp = list(map(ints.__getitem__, cells))
         log = [0] * q
         for i, v in zip(ints, cells):
             log[v] = i
+        del cells
         if p != 2:
-            # Zech logs: Z(i) is the log of 1 + g^i
-            self._zech = list(map(log.__getitem__, read(one_plus)))
+            # Z(i) = log(1 + g^i), one more in the low digit of g^i mod p:
+            # succ is log rotated by one, wrapped at each low digit p - 1
+            succ = log[1:] + log[:1]
+            succ[p - 1 :: p] = log[::p]
+            self._zech = list(map(succ.__getitem__, exp))
             self._zech[n // 2] = None  # 1 + g^(n/2) = 1 - 1 = 0
         self._exp, self._log = exp, log
 
@@ -346,7 +345,7 @@ class Field(Domain):
         short = min(len(xs), len(ys))
         if short == 0:
             return []
-        if short <= self.e or len(xs) * len(ys) < KRON_CUTOFF * self.e**1.5:
+        if short <= self.e or len(xs) * len(ys) < self._kron_pairs:
             return super().poly_mul(xs, ys)
         return self._kron_mul(xs, ys)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .gf import _root_order
-from .newton import polygon, unit_residual
+from .newton import NewtonPolygon, polygon, unit_residual
 from .polycore import Poly, factor, poly_gcd, polyring, resultant
 
 
@@ -51,12 +51,15 @@ class SpectralData:
 
     rou_orders and unit_orders hold (order, eigenvalue multiplicity) pairs
     sorted by order; weights holds (order, w) with w < 0, one entry per
-    distinct unit order.  G is the root-of-unity factor in F[X]; Pprime is
-    the complementary factor of P; residual is the slope-zero residual of
-    Pprime in F[X].
+    distinct unit order.  P is the polynomial the record was built from and
+    hull its Newton polygon, which gives E and the slope-zero span.  G is
+    the root-of-unity factor in F[X]; Pprime is the complementary factor
+    of P; residual is the slope-zero residual of Pprime in F[X].
     """
 
     field: object
+    P: Poly
+    hull: NewtonPolygon
     E: int
     rou_orders: tuple
     unit_orders: tuple
@@ -176,8 +179,8 @@ def spectral_data(field, P: Poly) -> SpectralData:
     """Full spectral decomposition of a monic P in F[t][X], P(0) != 0."""
     if not P.is_monic():
         raise errors.NonMonicError("spectral data needs a monic polynomial")
-    np_all = polygon(P)
-    E = np_all.entropy_exponent
+    hull = polygon(P)
+    E = hull.entropy_exponent
     G, Pprime = rou_split(field, P)
     rou = rou_orders(field, G)
     if Pprime.degree > 0:
@@ -185,7 +188,7 @@ def spectral_data(field, P: Poly) -> SpectralData:
     else:
         residual = Poly.const(field, field.one)
     unit, weights = weights_from_residual(field, Pprime, E, residual)
-    span = np_all.slope_zero_span()
+    span = hull.slope_zero_span()
     zero_len = span[1] - span[0] if span else 0
     if G.degree + residual.degree != zero_len:
         raise errors.InternalInvariantError(
@@ -193,6 +196,8 @@ def spectral_data(field, P: Poly) -> SpectralData:
         )
     return SpectralData(
         field=field,
+        P=P,
+        hull=hull,
         E=E,
         rou_orders=rou,
         unit_orders=unit,

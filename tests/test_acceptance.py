@@ -29,7 +29,7 @@ from ffzeta.dynamics import (
 )
 from ffzeta.newton import polygon
 from ffzeta.polycore import polyring
-from ffzeta.polymat import charpoly, det, identity, mat_sub
+from ffzeta.polymat import charpoly, det, identity, mat_mul, mat_sub
 from ffzeta.zeta import classify, closed_form, nk_from_series, series_from_closed_form, series_from_nk
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -101,6 +101,61 @@ def test_criterion_2_route_equivalence_on_corpus():
         f"criterion 2 PASS: nk_spectral == nk_direct on {len(rows)} systems, "
         f"k <= {KMAX} ({checked} comparisons, {elapsed:.2f}s, seed {CORPUS_SEED})"
     )
+
+
+def mobius(n):
+    """The Moebius function of a positive integer n."""
+    out, m = 1, 2
+    while m * m <= n:
+        if n % m == 0:
+            n //= m
+            if n % m == 0:
+                return 0
+            out = -out
+        m += 1
+    return -out if n > 1 else out
+
+
+def orbit_counts(N):
+    """(1/n) sum_(j | n) mu(n/j) N_j for n = 1..len(N), as Fractions."""
+    return [
+        Fraction(sum(mobius(n // j) * N[j - 1] for j in range(1, n + 1) if n % j == 0), n)
+        for n in range(1, len(N) + 1)
+    ]
+
+
+def test_dold_congruences_on_corpus():
+    """When every A^k - I is invertible, N_k counts the points of period k,
+    and the points of least period n fall into free orbits of length n: the
+    orbit counts are nonnegative integers.  A zero N_k stands for infinitely
+    many points, and there the congruences can fail (next test)."""
+    t0 = time.monotonic()
+    qualified = 0
+    for field, _A, _sd, nks in corpus_tables():
+        if any(v.is_zero for v in nks):
+            continue
+        orbits = orbit_counts([field.q**v.exponent for v in nks])
+        assert all(o.denominator == 1 and o >= 0 for o in orbits), (field.q, orbits)
+        qualified += 1
+    assert qualified >= 200
+    elapsed = time.monotonic() - t0
+    assert elapsed < 30.0
+    report(
+        f"Dold congruences PASS: integral orbit counts on {qualified} systems "
+        f"with no zero N_k, k <= {KMAX} ({elapsed:.2f}s)"
+    )
+
+
+def test_dold_congruences_fail_with_a_zero_count():
+    """Over GF(3), A = [[2 + t, 2 + 2t], [0, 2]] has N_1 = 3 and N_2 = 0, as
+    A^2 - I is singular; the second orbit count is (0 - 3)/2."""
+    F3 = make_field(3)
+    A = tmat(F3, [[(2, 1), (2, 2)], [(), (2,)]])
+    ring = polyring(F3)
+    assert not det(ring, mat_sub(ring, mat_mul(ring, A, A), identity(ring, 2)))
+    nks = nk_table(F3, A, 2)
+    assert [v.as_int(3) for v in nks] == [3, 0]
+    assert orbit_counts([3, 0]) == [3, Fraction(-3, 2)]
 
 
 def test_criterion_3_fixed_point_routes():

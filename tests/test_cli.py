@@ -549,6 +549,41 @@ class TestReport:
         _, out, _ = run(capsys, "report", path)
         assert json.loads(out)["det_t_degree"] == det(polyring(field), A).degree
 
+    def test_renders_system_data(self, monkeypatch):
+        """One charpoly and one Newton polygon of it per report: the report
+        reads system_data's record and builds no second one."""
+        from ffzeta import newton, polymat
+
+        calls = {"charpoly": [], "polygon": []}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[name].append((args, out))
+                return out
+
+            return wrapper
+
+        for name, fn in (("charpoly", polymat.charpoly), ("polygon", newton.polygon)):
+            wrapped = recording(name, fn)
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("ffzeta"):
+                    for attr, val in list(vars(module).items()):
+                        if val is fn:
+                            monkeypatch.setattr(module, attr, wrapped)
+        # diag(2, t) over GF(7): a root-of-unity factor X - 2 and P' = X - t
+        doc = {"p": 7, "d": 2, "matrix": [[[2], []], [[], [0, 1]]]}
+        report = cli.build_report(parse_problem(doc), 4, 4)
+        assert len(calls["charpoly"]) == 1
+        P = calls["charpoly"][0][1]
+        assert sum(args[0] is P for args, _ in calls["polygon"]) == 1
+        assert report["entropy"] == {"E": 1, "q": 7, "log_value": math.log(7)}
+        assert report["det_t_degree"] == 1
+        assert report["abs_spectrum"] == [
+            {"slope_num": 0, "slope_den": 1, "length": 1},
+            {"slope_num": 1, "slope_den": 1, "length": 1},
+        ]
+
     def test_closed_form_shape(self, capsys):
         _, out, _ = run(capsys, "report", DIAG62)
         doc = json.loads(out)

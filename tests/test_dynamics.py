@@ -407,6 +407,49 @@ class TestValuationRoute:
         assert len(rings) == 1
         assert rings[0] is F7
 
+    @staticmethod
+    def record_det_rings(monkeypatch):
+        """The list of rings ``dynamics.det`` runs over."""
+        from ffzeta import dynamics
+
+        rings = []
+        real_det = dynamics.det
+
+        def recording_det(ring, M):
+            rings.append(ring)
+            return real_det(ring, M)
+
+        monkeypatch.setattr(dynamics, "det", recording_det)
+        return rings
+
+    def test_direct_takes_one_exact_determinant(self, monkeypatch):
+        """nk_direct runs one det per k, untruncated at N = Dd + 1."""
+        from ffzeta.polycore import TruncRing
+        from ffzeta.polymat import det, matpow_minus_I
+
+        ring = polyring(F2)
+        L = [[x.coeff(2) for x in row] for row in CUBIC_COMP]  # t^2 coefficients
+        assert det(F2, L) == 0
+        rings = self.record_det_rings(monkeypatch)
+        for k in range(1, 7):
+            rings.clear()
+            nk_direct(F2, CUBIC_COMP, k)
+            D = max(x.degree for row in matpow_minus_I(ring, CUBIC_COMP, k) for x in row)
+            assert len(rings) == 1
+            assert isinstance(rings[0], TruncRing)
+            assert rings[0].N == 3 * D + 1
+
+    def test_table_starts_at_one_coefficient(self, monkeypatch):
+        """nk_table's first determinant keeps one coefficient, N = 1."""
+        from ffzeta.polycore import TruncRing
+
+        rings = self.record_det_rings(monkeypatch)
+        for rows in (CUBIC_COMP, tmat(F2, NONLINEAR_V), tmat(F2, PERIODIC_ZERO)):
+            rings.clear()
+            nk_table(F2, rows, 6)
+            truncated = [r for r in rings if isinstance(r, TruncRing)]
+            assert truncated[0].N == 1
+
     def test_independent_of_spectral_route(self, monkeypatch):
         """No charpoly, factor or root order on the direct route."""
         import sys

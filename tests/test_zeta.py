@@ -48,6 +48,8 @@ def fake_sd(field, E, rou, unit, weights=()):
     one = tpoly(field, 1)
     return SpectralData(
         field=field,
+        P=xpoly(field, (1,)),
+        hull=None,
         E=E,
         rou_orders=rou,
         unit_orders=unit,
