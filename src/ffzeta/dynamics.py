@@ -9,18 +9,18 @@ a cap, since exponents grow linearly in k.
 
 Two independent routes compute N_k:
 
-  * nk_direct / nk_table: the determinant, read in the 1/t-adic
-    completion F((s)), s = 1/t.  With M = A^k - I formed exactly over
-    F[t], D its largest entry degree and R = s^D M(1/s),
-    det R = s^(Dd) det M(1/s), so N_k = q^(Dd - v) for v the s-adic
-    valuation of det R.  v is the lowest nonzero coefficient of the
-    division-free ``det`` over F[s]/(s^N), where at N = Dd + 1 nothing
-    is truncated and a zero proves N_k = 0.  nk_direct takes that exact
-    determinant at every k.  nk_table first gives three forced answers:
-    N_k = q^(akd) for every k when the matrix of t^a coefficients (a the
-    largest entry degree of A, a >= 1) is invertible; N_k = 0 when
-    N_j = 0 at a proper divisor j of k, as A^j - I divides A^k - I; and,
-    for p | k, p times the exponent of N_(k/p), as
+  * nk_direct / nk_table: the determinant.  nk_direct takes
+    det(A^k - I) over F[t] at every k and reads its degree.  nk_table
+    reads it in the 1/t-adic completion F((s)), s = 1/t.  With
+    M = A^k - I formed exactly over F[t], D its largest entry degree and
+    R = s^D M(1/s), det R = s^(Dd) det M(1/s), so N_k = q^(Dd - v) for v
+    the s-adic valuation of det R.  v is the lowest nonzero coefficient
+    of the division-free ``det`` over F[s]/(s^N), where at N = Dd + 1
+    nothing is truncated and a zero proves N_k = 0.  nk_table first gives
+    three forced answers: N_k = q^(akd) for every k when the matrix of t^a
+    coefficients (a the largest entry degree of A, a >= 1) is invertible;
+    N_k = 0 when N_j = 0 at a proper divisor j of k, as A^j - I divides
+    A^k - I; and, for p | k, p times the exponent of N_(k/p), as
     A^k - I = (A^(k/p) - I)^p in characteristic p.  Other k start N from
     the degree guessed by the last nonzero N_j and double it on a zero
     result, up to Dd + 1.  No charpoly, factoring or root order is used;
@@ -147,7 +147,7 @@ def _nk_value(field, M, guess) -> NkValue:
     of ``det`` is a product.  N starts at Dd - guess + 1 for a guess at
     deg det M, within [1, Dd + 1]: the least N that sees v if the guess
     is right, and doubles on a zero result up to Dd + 1.  There nothing
-    of det R is cut, so a zero proves N_k = 0; a guess of 0 starts there.
+    of det R is cut, so a zero proves N_k = 0.
     """
     D, R = _reversal(field, M)
     full = D * len(M) + 1
@@ -162,19 +162,20 @@ def _nk_value(field, M, guess) -> NkValue:
 
 
 def nk_direct(field, A, k: int) -> NkValue:
-    """N_k = q^(deg det(A^k - I)), read off at s = 1/t.
+    """N_k = q^(deg det(A^k - I)), zero when the determinant is.
 
-    One determinant at every k, with no forced answer and no guess:
-    A^k - I is formed exactly over F[t], reversed at D, its largest entry
-    degree, and its det taken untruncated at N = Dd + 1 (``_nk_value``).
+    One determinant over F[t] at every k, with no forced answer, no guess
+    and no reversal at s = 1/t: it shares only ``det`` with ``nk_table``.
     """
     if k < 1:
         raise errors.MalformedInputError("k must be a positive integer")
-    return _nk_value(field, matpow_minus_I(polyring(field), A, k), 0)
+    ring = polyring(field)
+    dm = det(ring, matpow_minus_I(ring, A, k))
+    return NkValue.of(dm.degree) if dm else NkValue.zero()
 
 
 def nk_table(field, A, kmax: int) -> list:
-    """[N_1, ..., N_kmax] by the valuation route of ``nk_direct``.
+    """[N_1, ..., N_kmax]: det(A^k - I) read at s = 1/t by ``_nk_value``.
 
     Three answers are forced and take no power of A and no determinant
     over F[s]/(s^N):

@@ -447,7 +447,8 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
     The modulus, if given, is a monic irreducible polynomial over GF(p) of
     degree e as a low-first list or tuple of ints.  Without one, the monic
     irreducible with the smallest packed-integer value is used, e.g.
-    z^2 + z + 1 for GF(4) and z^2 + 1 for GF(9).
+    z^2 + z + 1 for GF(4) and z^2 + 1 for GF(9).  For e = 1 a modulus is
+    only checked: every one gives the one GF(p), with modulus (0, 1).
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise errors.MalformedInputError("p and e must be integers")
@@ -463,10 +464,12 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
         raise errors.CapExceededError(
             f"extension field order {p}**{e} exceeds the 2**20 table cap"
         )
-    if modulus is None:
-        coeffs = (0, 1) if e == 1 else _default_modulus(p, e)
-    else:
+    if modulus is not None:
         coeffs = _validate_modulus(p, e, modulus)
+    if e == 1:
+        coeffs = (0, 1)
+    elif modulus is None:
+        coeffs = _default_modulus(p, e)
     return _cached_field(p, e, coeffs)
 
 

@@ -7,12 +7,15 @@ of absolute value q**s (counted with multiplicity) in an algebraic closure
 of the Laurent series field.  Collinear segments are merged, so slopes
 strictly increase left to right.
 
-The slope-zero edge carries more structure: dividing each on-edge
-coefficient by the power of t fixed by the hull height and reducing leaves
-the residual polynomial over F, whose roots are the reductions of the
-absolute-value-one roots of P.  The reduction of a polynomial c of the
-edge's height is its leading coefficient c.lc, the unit part of c at
-infinity.
+Two hull data need no hull.  For a monic P the entropy exponent E, the
+rise of the positive-slope edges, is the Gauss norm max_i deg c_i (by
+Gauss's lemma the Mahler measure of P at infinity is q**E): the lowest
+hull height is -E and the last vertex is (deg P, 0).  The slope-zero edge, if
+any, lies at that lowest height and runs through the columns with
+deg c_i = E; dividing each on-edge c_i by t^E and reducing keeps its
+leading coefficient, so the residual polynomial over F, whose roots are
+the reductions of the absolute-value-one roots of P, is the t^E slice of
+P with its power of X divided out.
 """
 
 from __future__ import annotations
@@ -33,14 +36,8 @@ class NewtonPolygon:
 
     @property
     def entropy_exponent(self) -> int:
-        """Sum of slope * length over positive-slope edges, as an integer."""
-        total = Fraction(0)
-        for slope, length in self.edges:
-            if slope > 0:
-                total += slope * length
-        if total.denominator != 1:
-            raise errors.NonIntegralError("positive hull rise is not an integer")
-        return int(total)
+        """Rise of the positive-slope edges: minus the lowest vertex height."""
+        return -min(v for _, v in self.vertices)
 
     def slope_zero_span(self):
         """(start index, end index) of the slope-zero edge, or None."""
@@ -65,16 +62,20 @@ def _lower_hull(points):
     return hull
 
 
+def _check_monic(P: Poly) -> None:
+    if P.degree < 1:
+        raise errors.ZeroInputError("polygon needs a nonconstant polynomial")
+    if not P.is_monic():
+        raise errors.NonMonicError("polygon needs a monic polynomial")
+
+
 def polygon(P: Poly) -> NewtonPolygon:
     """Newton polygon of a monic nonconstant P with coefficients in F[t].
 
     A vanishing constant term is allowed; the hull then starts at the first
     nonzero coefficient and the missing columns account for zero roots.
     """
-    if P.degree < 1:
-        raise errors.ZeroInputError("polygon needs a nonconstant polynomial")
-    if not P.is_monic():
-        raise errors.NonMonicError("polygon needs a monic polynomial")
+    _check_monic(P)
     points = [
         (i, -c.degree)
         for i, c in enumerate(P.coeffs)
@@ -91,24 +92,12 @@ def unit_residual(field, P: Poly) -> Poly:
     """Residual polynomial of the slope-zero edge, or 1 if there is none.
 
     The residual lives in F[X]; its roots with multiplicity are the residue
-    classes of the absolute-value-one roots of P.
+    classes of the absolute-value-one roots of P.  It is the top t-slice
+    of P over X^a, a its first column; a monomial slice is a lone vertex.
     """
-    poly = polygon(P)
-    span = poly.slope_zero_span()
-    if span is None:
-        return Poly.const(field, field.one)
-    a, b = span
-    height = next((y for x, y in poly.vertices if x == a), None)
-    if height is None:
-        raise errors.InternalInvariantError("slope-zero edge without a vertex")
-    out = []
-    for i in range(a, b + 1):
-        c = P.coeff(i)
-        if not P.dom.is_zero(c) and -c.degree == height:
-            out.append(c.lc)
-        else:
-            out.append(field.zero)
-    res = Poly(field, out)
-    if res.degree != b - a:
-        raise errors.InternalInvariantError("residual degree mismatch")
-    return res
+    _check_monic(P)
+    top = max(c.degree for c in P.coeffs)
+    cs = [c.coeff(top) for c in P.coeffs]
+    a = next(i for i, c in enumerate(cs) if not field.is_zero(c))
+    res = Poly(field, cs[a:])
+    return res if res.degree > 0 else Poly.const(field, field.one)

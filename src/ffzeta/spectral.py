@@ -188,6 +188,8 @@ def spectral_data(field, P: Poly) -> SpectralData:
     else:
         residual = Poly.const(field, field.one)
     unit, weights = weights_from_residual(field, Pprime, E, residual)
+    # the hull against the slices: the absolute-value-one roots are the
+    # roots of G and those of the top t-slice of Pprime
     span = hull.slope_zero_span()
     zero_len = span[1] - span[0] if span else 0
     if G.degree + residual.degree != zero_len:

@@ -584,6 +584,21 @@ class TestReport:
             {"slope_num": 1, "slope_den": 1, "length": 1},
         ]
 
+    def test_prime_field_modulus_changes_nothing(self, capsys, tmp_path):
+        """A linear modulus names the one GF(p): the report is the same."""
+        doc = {"p": 3, "d": 2, "matrix": [[[1, 1], [0, 1]], [[2], [0, 0, 1]]]}
+        plain = run(capsys, "report", write_problem(tmp_path, doc, "plain.json"))
+        keyed = {**doc, "modulus": [1, 1]}
+        assert run(capsys, "report", write_problem(tmp_path, keyed)) == plain
+        assert plain[0] == 0 and json.loads(plain[1])["problem"]["modulus"] == [0, 1]
+
+    @pytest.mark.parametrize("modulus", [[1, 2], [3, 1], [1], [], [1, 0, 1]])
+    def test_bad_prime_field_modulus_exits_1(self, capsys, tmp_path, modulus):
+        doc = {"p": 3, "modulus": modulus, "d": 1, "matrix": [[[1, 1]]]}
+        code, out, err = run(capsys, "report", write_problem(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_closed_form_shape(self, capsys):
         _, out, _ = run(capsys, "report", DIAG62)
         doc = json.loads(out)

@@ -95,6 +95,14 @@ class TestMakeField:
         assert make_field(7) is F7
         assert make_field(3, 2) is F9
 
+    @pytest.mark.parametrize("modulus", [[1, 1], (2, 1), [0, 1]])
+    def test_one_prime_field(self, modulus):
+        """Every linear modulus gives the one GF(p), so Poly arithmetic mixes."""
+        F3 = make_field(3, 1, modulus)
+        assert F3 is make_field(3) and F3.modulus == (0, 1)
+        x = Poly(F3, [1, 1])
+        assert x * Poly(make_field(3), [2, 1]) == Poly(F3, [2, 0, 1])
+
     @pytest.mark.parametrize("p, e", [(2, 16), (3, 10)])
     def test_repeat_call_searches_no_modulus(self, monkeypatch, p, e):
         from ffzeta import gf

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import tpoly, xpoly, xpolys
 from ffzeta import errors, make_field
 from ffzeta.newton import polygon, unit_residual
+from ffzeta.polycore import Poly
+from ffzeta.spectral import spectral_data
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -71,6 +73,13 @@ class TestPolygon:
                 rhs = (-c.degree - y0) * (x1 - x0)
                 assert lhs <= rhs
 
+    @given(P=xpolys(F5, max_xdeg=5, max_tdeg=3))
+    def test_entropy_exponent_is_gauss_norm(self, P):
+        """E is the positive-slope rise and the top t-degree of a coefficient."""
+        np = polygon(P)
+        rise = sum(s * l for s, l in np.edges if s > 0)
+        assert np.entropy_exponent == rise == max(c.degree for c in P.coeffs)
+
     @given(
         P=xpolys(F5, max_xdeg=3, max_tdeg=2, nonzero_const=True),
         Q=xpolys(F5, max_xdeg=3, max_tdeg=2, nonzero_const=True),
@@ -106,6 +115,13 @@ class TestUnitResidual:
         assert unit_residual(F7, xpoly(F7, (5,), (6,), (1,))) == tpoly(F7, 5, 6, 1)
         assert unit_residual(F2, xpoly(F2, (0, 1), (1,))).is_one()
 
+    def test_argument_checks(self):
+        """unit_residual keeps the argument checks of polygon."""
+        with pytest.raises(errors.ZeroInputError):
+            unit_residual(F2, xpoly(F2, (1,)))
+        with pytest.raises(errors.NonMonicError):
+            unit_residual(F2, xpoly(F2, (1,), (0, 1)))
+
     def test_shifted_height(self):
         # X^3 + tX^2 + tX + t: slope-zero edge at height -1 spans columns 0..2
         P = xpoly(F2, (0, 1), (0, 1), (0, 1), (1,))
@@ -118,3 +134,46 @@ class TestUnitResidual:
         want = span[1] - span[0] if span else 0
         assert res.degree == want
         assert res.coeff(0) != 0  # nonzero constant term by construction
+
+    @pytest.mark.parametrize("field", [F2, F5])
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_top_slice_is_the_edge_walk(self, field, data):
+        """The top t-slice equals the residual read off the hull's edge."""
+        P = data.draw(xpolys(field, max_xdeg=5, max_tdeg=3))
+        assert unit_residual(field, P) == walk_slope_zero_edge(field, P)
+
+
+def walk_slope_zero_edge(field, P):
+    """Oracle: the leading coefficients of the slope-zero edge's points."""
+    hull = polygon(P)
+    span = hull.slope_zero_span()
+    if span is None:
+        return Poly.const(field, field.one)
+    a, b = span
+    height = dict(hull.vertices)[a]
+    out = []
+    for i in range(a, b + 1):
+        c = P.coeff(i)
+        out.append(c.lc if c and -c.degree == height else field.zero)
+    res = Poly(field, out)
+    assert res.degree == b - a
+    return res
+
+
+def test_spectral_data_builds_one_polygon(monkeypatch):
+    """One Newton polygon per system: the residual needs none of its own."""
+    from ffzeta import newton, spectral
+
+    calls = []
+    real = newton.polygon
+
+    def recording(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(newton, "polygon", recording)
+    monkeypatch.setattr(spectral, "polygon", recording)
+    sd = spectral_data(F2, CUBIC)
+    assert len(calls) == 1 and calls[0] is CUBIC
+    assert sd.E == 2 and sd.residual == tpoly(F2, 1, 1)
