@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -135,14 +136,14 @@ def parse_problem(doc) -> ProblemSpec:
 
 
 def load_problem(path: str) -> ProblemSpec:
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except (OSError, UnicodeDecodeError) as ex:
-            raise errors.MalformedInputError(f"cannot read {path}: {ex}")
+    except (OSError, UnicodeDecodeError) as ex:
+        raise errors.MalformedInputError(f"cannot read {path}: {ex}")
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as ex:
@@ -412,11 +413,18 @@ def main(argv=None) -> int:
             if option in vars(args):
                 _check_k(f"--{option}", getattr(args, option))
         spec = load_problem(args.problem)
-        return _COMMANDS[args.command](args, spec)
+        code = _COMMANDS[args.command](args, spec)
+        sys.stdout.flush()
+        return code
     except errors.Error as ex:
         internal = isinstance(ex, errors.InternalInvariantError)
         print(f"{'internal error' if internal else 'error'}: {ex}", file=sys.stderr)
         return ex.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout; on devnull the interpreter's last flush
+        # of what is still buffered stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,19 +11,9 @@ Two independent routes compute N_k:
 
   * nk_direct / nk_table: the determinant.  nk_direct takes
     det(A^k - I) over F[t] at every k and reads its degree.  nk_table
-    reads it in the 1/t-adic completion F((s)), s = 1/t.  With
-    M = A^k - I formed exactly over F[t], D its largest entry degree and
-    R = s^D M(1/s), det R = s^(Dd) det M(1/s), so N_k = q^(Dd - v) for v
-    the s-adic valuation of det R.  v is the lowest nonzero coefficient
-    of the division-free ``det`` over F[s]/(s^N), where at N = Dd + 1
-    nothing is truncated and a zero proves N_k = 0.  nk_table first gives
-    three forced answers: N_k = q^(akd) for every k when the matrix of t^a
-    coefficients (a the largest entry degree of A, a >= 1) is invertible;
-    N_k = 0 when N_j = 0 at a proper divisor j of k, as A^j - I divides
-    A^k - I; and, for p | k, p times the exponent of N_(k/p), as
-    A^k - I = (A^(k/p) - I)^p in characteristic p.  Other k start N from
-    the degree guessed by the last nonzero N_j and double it on a zero
-    result, up to Dd + 1.  No charpoly, factoring or root order is used;
+    gives the three answers forced without a determinant, as its
+    docstring says, and ``_nk_value`` reads every other one at s = 1/t.
+    No charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -114,32 +104,11 @@ def _max_degree(A) -> int:
     return max(0, max((x.degree for row in A for x in row), default=0))
 
 
-def _reversal(field, A):
-    """(a, B): a = _max_degree(A) and B = s^a A(1/s).
-
-    Each entry x of degree at most a becomes s^a x(1/s), its coefficient
-    list reversed and padded at the low end to length a + 1.
-    """
-    a = _max_degree(A)
-    B = [
-        [
-            Poly(field, (field.zero,) * (a - x.degree) + x.coeffs[::-1]) if x else x
-            for x in row
-        ]
-        for row in A
-    ]
-    return a, B
-
-
-def _lowest(field, coeffs) -> int:
-    """Index of the first nonzero coefficient of a nonzero polynomial."""
-    return next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
-
-
 def _nk_value(field, M, guess) -> NkValue:
     """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0.
 
-    With D the largest entry degree of M and R = s^D M(1/s),
+    With D the largest entry degree of M and R = s^D M(1/s), each entry's
+    coefficients reversed and padded at the low end to D + 1,
     det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the s-adic
     valuation of det R: the lowest nonzero coefficient of the
     division-free ``det`` over F[s]/(s^N), where it is exact.  R goes in
@@ -149,13 +118,22 @@ def _nk_value(field, M, guess) -> NkValue:
     is right, and doubles on a zero result up to Dd + 1.  There nothing
     of det R is cut, so a zero proves N_k = 0.
     """
-    D, R = _reversal(field, M)
+    D = _max_degree(M)
+    R = [
+        [
+            Poly(field, (field.zero,) * (D - x.degree) + x.coeffs[::-1]) if x else x
+            for x in row
+        ]
+        for row in M
+    ]
     full = D * len(M) + 1
     N = min(max(full - guess, 1), full)
     while True:
         cs = det(TruncRing(field, N), R).coeffs
         if cs:
-            return NkValue.of(full - 1 - _lowest(field, cs))
+            return NkValue.of(
+                full - 1 - next(i for i, c in enumerate(cs) if not field.is_zero(c))
+            )
         if N == full:
             return NkValue.zero()
         N = min(2 * N, full)
@@ -192,7 +170,8 @@ def nk_table(field, A, kmax: int) -> list:
     Every other k advances A^k exactly over F[t], only then, and takes one
     ``_nk_value`` with the guess e_j * k / j from the last nonzero
     N_j = q^(e_j), which is exact while the exponents grow linearly in k.
-    Before any nonzero N_j the guess is akd, at least Dd, so N starts at 1.
+    Before any nonzero N_j, j = 1 and e_j = ad stand in, so the guess is
+    akd, at least Dd, and N starts at 1.
     """
     d = len(A)
     a = _max_degree(A)
@@ -203,7 +182,7 @@ def nk_table(field, A, kmax: int) -> list:
     I = identity(ring, d)
     power, j = A, 1
     out = []
-    last = None
+    last = (1, a * d)
     for k in range(1, kmax + 1):
         if any(out[i - 1].is_zero for i in range(1, k) if k % i == 0):
             val = NkValue.zero()
@@ -212,8 +191,7 @@ def nk_table(field, A, kmax: int) -> list:
         else:
             while j < k:
                 power, j = mat_mul(ring, power, A), j + 1
-            guess = a * k * d if last is None else last[1] * k // last[0]
-            val = _nk_value(field, mat_sub(ring, power, I), guess)
+            val = _nk_value(field, mat_sub(ring, power, I), last[1] * k // last[0])
         out.append(val)
         if not val.is_zero:
             last = (k, val.exponent)

@@ -450,7 +450,7 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
     z^2 + z + 1 for GF(4) and z^2 + 1 for GF(9).  For e = 1 a modulus is
     only checked: every one gives the one GF(p), with modulus (0, 1).
     """
-    if not isinstance(p, int) or not isinstance(e, int):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, e)):
         raise errors.MalformedInputError("p and e must be integers")
     if e < 1:
         raise errors.MalformedInputError("extension degree must be at least 1")

@@ -98,7 +98,7 @@ def test_criterion_2_route_equivalence_on_corpus():
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(
-        f"criterion 2 PASS: nk_spectral == nk_direct on {len(rows)} systems, "
+        f"criterion 2 PASS: nk_spectral == nk_table on {len(rows)} systems, "
         f"k <= {KMAX} ({checked} comparisons, {elapsed:.2f}s, seed {CORPUS_SEED})"
     )
 

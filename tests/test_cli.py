@@ -1,6 +1,7 @@
 """Command line behavior: parsing, exit codes, determinism, round trips."""
 
 import contextlib
+import io
 import json
 import math
 import random
@@ -152,6 +153,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "classify", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        raw = io.BytesIO(b"\xff{")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "classify", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read -:") and err.count("\n") == 1
 
     def test_nonprime(self, capsys, tmp_path):
         path = write_problem(tmp_path, {"p": 6, "d": 1, "matrix": [[[0, 1]]]})
@@ -638,6 +647,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout and "exit codes" in proc.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the series of t^8 over GF(2^61 - 1) to 60 terms is 539 KB, far more
+    # than a pipe holds, so the writer is still printing when the reader goes
+    doc = {"p": 2**61 - 1, "d": 1, "matrix": [[[0] * 8 + [1]]]}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ffzeta", "zeta", "--terms", "60"]
+        + [write_problem(tmp_path, doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"zeta: 1/(1"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 # over GF(7), entries of degree 3: its N_k table multiplies long polynomials

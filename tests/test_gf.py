@@ -48,6 +48,14 @@ class TestMakeField:
         with pytest.raises(errors.MalformedInputError):
             make_field(2, 0)
 
+    @pytest.mark.parametrize("args", [(3, True), (True,), (2, False)])
+    def test_rejects_bools(self, args):
+        # True == 1 and hash(True) == hash(1), so the field cache would file
+        # GF(3) built with e = True under the key of make_field(3)
+        with pytest.raises(errors.MalformedInputError, match="must be integers"):
+            make_field(*args)
+        assert type(make_field(3).e) is int
+
     def test_prime_cap(self):
         with pytest.raises(errors.CapExceededError):
             make_field(PRIME_CAP)
