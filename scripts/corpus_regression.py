@@ -7,8 +7,9 @@ determinant at every k, where the table often has a forced answer) for
 k <= 6.  Then the two series routes to order KMAX (closed form against
 the N_k recurrence on algebraic systems, and the inverse recurrence back
 to the N_k on every system), then the three fixed-point routes where each
-applies.  Last, N_2 and N_3 of the d = 8, degree-32 cap input against
-sympy's determinant of A^k - I over GF(2)[t], when sympy is installed.
+applies.  Last, when sympy is installed, the d = 8, degree-32 cap input
+against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``,
+and N_2 and N_3 against the determinant of A^k - I.
 Prints one summary line per stage and exits 1 if any route disagrees:
 
     PYTHONPATH=src python3 scripts/corpus_regression.py --kmax 20
@@ -20,12 +21,14 @@ import time
 
 from ffzeta import (
     NkValue,
+    charpoly,
     errors,
     fixed_points_bruteforce,
     fixed_points_smith,
     nk_direct,
     nk_spectral,
     nk_table,
+    polyring,
     system_data,
 )
 from ffzeta.corpus import cap_system, corpus, is_bruteforce_sized
@@ -40,20 +43,26 @@ DIRECT_KMAX = 6
 CAP_KS = (2, 3)
 
 
-def sympy_nk(A, p, k):
-    """N_k of A over GF(p) from sympy's DomainMatrix over GF(p)[t]."""
+def sympy_matrix(A, p):
+    """A as a sympy DomainMatrix over GF(p)[t], and the entry lift."""
     import sympy
     from sympy.polys.matrices import DomainMatrix
 
     t = sympy.symbols("t")
     dom = sympy.GF(p)[t]
+
+    def lift(a):
+        return dom.from_sympy(sum(c * t**i for i, c in enumerate(a.coeffs)))
+
     d = len(A)
-    entries = [
-        [dom.from_sympy(sum(c * t**i for i, c in enumerate(a.coeffs))) for a in row]
-        for row in A
-    ]
-    M = DomainMatrix(entries, (d, d), dom)
-    D = (M**k - DomainMatrix.eye(d, dom)).det()
+    return DomainMatrix([[lift(a) for a in row] for row in A], (d, d), dom), lift
+
+
+def sympy_nk(M, k):
+    """N_k of the sympy matrix M from its determinant of M^k - I."""
+    from sympy.polys.matrices import DomainMatrix
+
+    D = (M**k - DomainMatrix.eye(M.shape[0], M.domain)).det()
     return NkValue.of(D.degree()) if D else NkValue.zero()
 
 
@@ -138,10 +147,13 @@ def main():
         print("cap oracle: sympy not installed, skipped")
     else:
         field, A = cap_system()
+        M, lift = sympy_matrix(A, field.p)
+        P = charpoly(polyring(field), A)
+        cap_bad = M.charpoly() != [lift(c) for c in reversed(P.coeffs)]
         table = nk_table(field, A, max(CAP_KS))
-        cap_bad = sum(sympy_nk(A, field.p, k) != table[k - 1] for k in CAP_KS)
-        print(f"cap oracle (d = 8, degree 32, GF(2), k in {CAP_KS}): "
-              f"{cap_bad} mismatches in {time.time() - t0:.2f}s")
+        cap_bad += sum(sympy_nk(M, k) != table[k - 1] for k in CAP_KS)
+        print(f"cap oracle (d = 8, degree 32, GF(2), charpoly and "
+              f"k in {CAP_KS}): {cap_bad} mismatches in {time.time() - t0:.2f}s")
     failures = (mismatches, det_bad, series_bad, bad, brute_bad, cap_bad)
     return 1 if any(failures) else 0
 

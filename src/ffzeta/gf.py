@@ -54,8 +54,8 @@ for the whole call; past it order_of_root raises CapExceededError naming
 itself.  The order is then found by a descent over a product tree of the
 primes of n (``_order_from``); elem_order(field, a) is the order of the
 root a of X - a.  order_of_root checks that f is irreducible, which costs
-a full factorization; the spectral layer calls ``_root_order``, the same
-computation without the checks, on factors that ``factor`` has just
+a distinct-degree split; the spectral layer calls ``_root_order``, the
+same computation without the checks, on factors that ``factor`` has just
 certified.
 """
 

@@ -28,8 +28,8 @@ polynomials in t; the coefficient domain decides.
 Beyond arithmetic this module provides monic gcd, modular exponentiation,
 resultants by the subresultant pseudo-remainder sequence, and full
 factorization over a finite field (squarefree split, distinct-degree split,
-equal-degree split); a polynomial is irreducible when its factorization is
-itself with multiplicity one.
+equal-degree split); ``is_irreducible`` reads the distinct-degree split
+alone.
 
 The equal-degree split is Cantor-Zassenhaus.  For a product f of distinct
 degree-d irreducibles and a random alpha mod f, the map T(alpha) is
@@ -554,5 +554,12 @@ def factor(field, f: Poly):
 
 
 def is_irreducible(field, f: Poly) -> bool:
-    """True when f is irreducible over GF(q): one factor, multiplicity one."""
-    return f.degree >= 1 and factor(field, f) == [(f.monic(), 1)]
+    """True when f is irreducible over GF(q), by the distinct-degree split.
+
+    No squarefree split is needed: a reducible f has an irreducible factor
+    of degree <= deg f / 2, so the split's loop finds a gcd before it ends.
+    """
+    if f.degree < 1:
+        return False
+    g = f.monic()
+    return _distinct_degree(field, g) == [(g, g.degree)]

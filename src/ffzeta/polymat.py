@@ -1,14 +1,14 @@
 """Exact matrix routines over a commutative coefficient ring.
 
 Matrices are plain lists of lists whose entries belong to an explicit
-domain (finite field elements, polynomials over a finite field, nested
-polynomials).  Determinants and characteristic polynomials are
-division-free: ``det`` expands row by row over memoized column-subset
-minors, at most d * 2^(d-1) ring products for a d x d matrix, using only
-``mul``, ``add`` and ``neg``; ``charpoly`` is that same ``det`` over the
-nested ring F[t][X].  Powers go through ``polycore.power``, and
-diagonalization through a gcd-driven Smith reduction that needs a
-Euclidean entry ring (polynomials over a field).
+domain (finite field elements or polynomials over a finite field).
+Determinants and characteristic polynomials are division-free, using only
+``mul``, ``add`` and ``neg``: ``det`` expands row by row over memoized
+column-subset minors, at most d * 2^(d-1) ring products for a d x d
+matrix; ``charpoly`` is Berkowitz's recursion over the entry ring itself,
+O(d^4) ring products and no determinant.  Powers go through
+``polycore.power``, and diagonalization through a gcd-driven Smith
+reduction that needs a Euclidean entry ring (polynomials over a field).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from . import errors
-from .polycore import Poly, polyring, power
+from .polycore import Poly, power
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,21 +35,18 @@ def identity(dom, d: int) -> list:
     return [[dom.one if i == j else dom.zero for j in range(d)] for i in range(d)]
 
 
+def _dot(dom, xs, ys):
+    """sum xs[i] * ys[i] over the shorter length, skipping zero xs[i]."""
+    acc = dom.zero
+    for x, y in zip(xs, ys):
+        if not dom.is_zero(x):
+            acc = dom.add(acc, dom.mul(x, y))
+    return acc
+
+
 def mat_mul(dom, A: list, B: list) -> list:
-    n, mid, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = dom.zero
-            for k in range(mid):
-                if dom.is_zero(Ai[k]):
-                    continue
-                acc = dom.add(acc, dom.mul(Ai[k], B[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*B))
+    return [[_dot(dom, row, col) for col in cols] for row in A]
 
 
 def mat_sub(dom, A: list, B: list) -> list:
@@ -101,20 +98,26 @@ def det(dom, A: list):
 
 
 def charpoly(ring, A: list) -> Poly:
-    """det(X*I - A) for a matrix with entries in ring; monic of degree d."""
-    outer = polyring(ring)
-    d = len(A)
-    char = [
-        [
-            Poly(ring, [ring.neg(A[i][j]), ring.one])
-            if i == j
-            else Poly(ring, [ring.neg(A[i][j])])
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    f = det(outer, char)
-    if f.degree != d or not f.is_monic():
+    """det(X*I - A) for A over ring, monic of degree d, by Berkowitz.
+
+    c is the charpoly of the leading r x r block M, highest coefficient
+    first.  With a = A[r][r] and R, S the rest of row r and column r, the
+    next block's is c times the lower-triangular Toeplitz matrix with first
+    column 1, -a, -R.S, -R.M.S, ..., -R.M^(r-1).S (Inf. Process. Lett. 18,
+    1984).  Division-free: only ring's mul, add and neg.
+    """
+    c = [ring.one]
+    for r, row in enumerate(A):
+        S = [A[i][r] for i in range(r)]
+        col = [ring.one, ring.neg(row[r])]
+        for k in range(r):
+            if k:
+                S = [_dot(ring, A[i], S) for i in range(r)]
+            col.append(ring.neg(_dot(ring, row, S)))
+        c.append(ring.zero)
+        c = [_dot(ring, c[i::-1], col) for i in range(r + 2)]
+    f = Poly(ring, c[::-1])
+    if f.degree != len(A) or not f.is_monic():
         raise errors.InternalInvariantError("characteristic polynomial not monic")
     return f
 
@@ -144,12 +147,8 @@ def smith(field, A: list) -> SmithForm:
     out = []
 
     def min_entry(top):
-        best = None
-        for i in range(top, d):
-            for j in range(top, d):
-                if M[i][j] and (best is None or M[i][j].degree < M[best[0]][best[1]].degree):
-                    best = (i, j)
-        return best
+        cells = [(i, j) for i in range(top, d) for j in range(top, d) if M[i][j]]
+        return min(cells, key=lambda ij: M[ij[0]][ij[1]].degree, default=None)
 
     for top in range(d):
         while True:
@@ -180,14 +179,8 @@ def smith(field, A: list) -> SmithForm:
             if dirty:
                 continue
             # pivot must divide the rest of the block for b_i | b_{i+1}
-            offender = None
-            for r in range(top + 1, d):
-                for c in range(top + 1, d):
-                    if M[r][c] % pivot:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
+            rest = range(top + 1, d)
+            offender = next((r for r in rest if any(M[r][c] % pivot for c in rest)), None)
             if offender is None:
                 break
             M[top] = [a + b for a, b in zip(M[top], M[offender])]

@@ -199,6 +199,20 @@ class TestIrreducibility:
             )
             assert count == gauss_count(field.q, n)
 
+    @pytest.mark.parametrize(
+        "field, nmax", [(F2, 8), (F3, 6), (F5, 4), (F4, 4), (F9, 3)], ids=repr
+    )
+    def test_agrees_with_factor_exhaustively(self, field, nmax):
+        """Every polynomial of degree <= nmax with leading coefficient 1 or
+        the top field element, repeated factors included: the distinct-degree
+        answer equals "factor gives one factor of multiplicity one"."""
+        for n in range(nmax + 1):
+            for low in product(range(field.q), repeat=n):
+                for lc in {1, field.q - 1}:
+                    f = Poly(field, list(low) + [lc])
+                    want = f.degree >= 1 and factor(field, f) == [(f.monic(), 1)]
+                    assert is_irreducible(field, f) == want, f
+
     def test_non_squarefree(self):
         assert not is_irreducible(F2, tpoly(F2, 1, 0, 1))  # (X + 1)^2
         cube = tpoly(F3, 2, 0, 0, 1)  # (X - 1)^3 = X^3 - 1, derivative zero

@@ -1,10 +1,13 @@
 """Exact matrix algebra over F[t]: determinants, charpoly, powers, Smith form."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tmat, tpoly, tpolys, xpoly
-from ffzeta import errors, make_field
+from ffzeta import errors, make_field, polymat
+from ffzeta.corpus import cap_system, corpus
 from ffzeta.polycore import Poly, PolyRing, polyring, resultant
 from ffzeta.polymat import (
     SmithForm,
@@ -55,6 +58,20 @@ def cofactor_det(ring, A):
     return acc
 
 
+def x_minus(ring, A):
+    """X*I - A as a matrix over ring[X]."""
+    d = len(A)
+    return [
+        [Poly(ring, [-A[i][j], ring.one] if i == j else [-A[i][j]]) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def nested_charpoly(ring, A):
+    """det(X*I - A) by the subset-minor det over ring[X], the reference."""
+    return det(polyring(ring), x_minus(ring, A))
+
+
 class TestDet:
     def test_anchors(self):
         r7 = polyring(F7)
@@ -85,12 +102,8 @@ class TestDet:
     def test_division_free(self, A):
         inner = polyring(F3)
         assert det(NoDivRing(F3), A) == cofactor_det(inner, A)
-        d = len(A)
-        char = [
-            [Poly(inner, [-A[i][j], inner.one] if i == j else [-A[i][j]]) for j in range(d)]
-            for i in range(d)
-        ]
-        assert det(NoDivRing(inner), char) == charpoly(inner, A)
+        assert det(NoDivRing(inner), x_minus(inner, A)) == charpoly(inner, A)
+        assert charpoly(NoDivRing(F3), A).coeffs == charpoly(inner, A).coeffs
 
     def test_singular_rows(self):
         ring = polyring(F7)
@@ -155,6 +168,50 @@ class TestCharpoly:
         xk = Poly(ring, [ring.neg(ring.one)] + [ring.zero] * (k - 1) + [ring.one])
         rhs = resultant(charpoly(ring, A), xk)
         assert lhs == rhs or lhs == -rhs
+
+    def test_matches_nested_expansion_on_corpus(self):
+        """Every corpus system, GF(4) and GF(9) included."""
+        for field, A in corpus():
+            ring = polyring(field)
+            assert charpoly(ring, A) == nested_charpoly(ring, A)
+
+    def test_needs_no_det(self, monkeypatch):
+        cases = corpus()[::9] + [cap_system()]
+        want = [charpoly(polyring(field), A) for field, A in cases]
+
+        def no_det(*args):
+            raise AssertionError("charpoly must not call det")
+
+        monkeypatch.setattr(polymat, "det", no_det)
+        assert [charpoly(polyring(field), A) for field, A in cases] == want
+
+    @pytest.mark.parametrize("d", [12, 16])
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    def test_conjugated_companion_past_the_cap(self, field, d):
+        """charpoly(E C E^-1) = f for C = companion(f) and E a product of
+        three transvections over F[t]: I + u e_j^T, I + e_j v^T, I + u' e_j^T
+        with u_j = v_j = u'_j = 0, each inverted by negating u or v.  The
+        conjugate is dense, so a cost exponential in d would show here."""
+        rng = random.Random(d * field.q)
+        ring = polyring(field)
+
+        def entry(deg):
+            low = [rng.randrange(field.q) for _ in range(deg)]
+            return Poly(field, low + [rng.randrange(1, field.q)])
+
+        f = Poly(ring, [entry(2) for _ in range(d)] + [ring.one])
+        B = companion(ring, f)
+        j = rng.randrange(d)
+        for column in (True, False, True):
+            E, Einv = identity(ring, d), identity(ring, d)
+            for i in range(d):
+                if i != j:
+                    a, b = (i, j) if column else (j, i)
+                    E[a][b] = entry(1)
+                    Einv[a][b] = -E[a][b]
+            B = mat_mul(ring, mat_mul(ring, E, B), Einv)
+        assert sum(not a for row in B for a in row) < d
+        assert charpoly(ring, B) == f
 
 
 class TestMatpow:
