@@ -27,10 +27,11 @@ The cases are every command line below on every problem below, run through
   under ``classify``, ``entropy``, ``nk``, ``nk --max 20``, ``zeta``,
   ``report`` and ``report --text``.
 
-Each case gets one line: the sha256 of its exit code and stdout, then its
-name.  numpy is made unimportable before ``ffzeta`` is imported, so a
-command that came to need it would fail here.  ``--write FILE`` stores the digests; ``--check FILE`` recomputes
-them and exits 1 naming each case that differs:
+Each case gets one line: the sha256 of its exit code, stdout and stderr,
+then its name.  numpy is made unimportable before ``ffzeta`` is imported,
+so a command that came to need it would fail here.  ``--write FILE``
+stores the digests; ``--check FILE`` recomputes them and exits 1 naming
+each case that differs:
 
     PYTHONPATH=src python3 scripts/cli_cases.py --check scripts/cli_cases.sha256
 """
@@ -199,19 +200,20 @@ def problems():
 
 
 def run_case(argv, text):
-    """sha256 over the exit code and stdout of one in-process CLI run."""
-    out = io.StringIO()
+    """sha256 over the exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 status = str(cli.main(argv + ["-"]))
             except Exception as ex:  # a traceback is an outcome to record too
                 status = f"raised {type(ex).__name__}"
     finally:
         sys.stdin = stdin
-    return hashlib.sha256(f"{status}\n{out.getvalue()}".encode()).hexdigest()
+    record = f"{status}\n{out.getvalue()}\n{err.getvalue()}"
+    return hashlib.sha256(record.encode()).hexdigest()
 
 
 def digests():
