@@ -109,7 +109,7 @@ def main():
             series_bad += cf_series != nk_series
         try:
             back = nk_from_series(nk_series)
-        except errors.NonIntegralError:
+        except errors.MalformedInputError:
             back = None
         series_bad += back != [v.as_int(field.q) for v in direct]
     print(f"series routes (order {args.kmax}): {len(analysed)} systems, "

@@ -112,7 +112,7 @@ def parse_problem(doc) -> ProblemSpec:
     if d < 1:
         raise errors.MalformedInputError("d must be positive")
     if d > MAX_DIM:
-        raise errors.DimensionTooLargeError(f"d = {d} exceeds the limit {MAX_DIM}")
+        raise errors.MalformedInputError(f"d = {d} exceeds the limit {MAX_DIM}")
     matrix = doc["matrix"]
     if not isinstance(matrix, list) or len(matrix) != d:
         raise errors.MalformedInputError(f"matrix must be a list of {d} rows")
@@ -127,7 +127,7 @@ def parse_problem(doc) -> ProblemSpec:
                     "matrix entries must be coefficient lists"
                 )
             if len(entry) > MAX_ENTRY_DEG + 1:
-                raise errors.DimensionTooLargeError(
+                raise errors.MalformedInputError(
                     f"entry degree exceeds the limit {MAX_ENTRY_DEG}"
                 )
             entries.append(tuple(_packed_coeff(c, p, e) for c in entry))

@@ -237,11 +237,6 @@ def _torus_point(field, num: Poly, den: Poly):
     return (num.exact_div(g).scale(c) % den, den)
 
 
-def _poly_tuples(field, degree_bound: int):
-    """All polynomials over F of degree < degree_bound, as coefficient tuples."""
-    return product(range(field.q), repeat=degree_bound)
-
-
 def fixed_points_bruteforce(field, A, cap: int = 100_000) -> int:
     """Count fixed points by enumeration; only viable for tiny systems.
 
@@ -279,7 +274,7 @@ def fixed_points_bruteforce(field, A, cap: int = 100_000) -> int:
                 f"bruteforce enumeration q**{d * D} exceeds cap {cap}"
             )
         seen = set()
-        for flat in _poly_tuples(field, d * D):
+        for flat in product(range(field.q), repeat=d * D):
             z = [Poly(field, flat[i * D : (i + 1) * D]) for i in range(d)]
             seen.add(solve(z))
         return len(seen)

@@ -422,7 +422,7 @@ def _validate_modulus(p: int, e: int, modulus) -> tuple:
         raise errors.MalformedInputError("modulus must be a list of integers")
     coeffs = tuple(modulus)
     if len(coeffs) != e + 1:
-        raise errors.DegreeMismatchError(
+        raise errors.MalformedInputError(
             f"modulus must have degree {e}, got degree {len(coeffs) - 1}"
         )
     if any(c < 0 or c >= p for c in coeffs):
@@ -432,7 +432,7 @@ def _validate_modulus(p: int, e: int, modulus) -> tuple:
     if e >= 2:
         base = _cached_field(p, 1, (0, 1))
         if not is_irreducible(base, Poly(base, coeffs)):
-            raise errors.ReducibleModulusError("modulus is reducible over GF(p)")
+            raise errors.MalformedInputError("modulus is reducible over GF(p)")
     return coeffs
 
 
@@ -457,7 +457,7 @@ def make_field(p: int, e: int = 1, modulus=None) -> Field:
     if p >= PRIME_CAP:
         raise errors.CapExceededError(f"prime modulus must be below 2**63, got {p}")
     if not is_prime(p):
-        raise errors.NotPrimeError(f"{p} is not prime")
+        raise errors.MalformedInputError(f"{p} is not prime")
     # p >= 2, so p**e > EXT_CAP whenever 2**e is: decide those e without
     # computing p**e, which has millions of digits for e = 10**8
     if e >= 2 and (e >= EXT_CAP.bit_length() or p**e > EXT_CAP):
@@ -519,7 +519,7 @@ def _order_from(fac: dict, x, power, one) -> int:
 def elem_order(field: Field, a: int) -> int:
     """Multiplicative order of a in GF(q)*."""
     if a == 0:
-        raise errors.ZeroElementError("zero has no multiplicative order")
+        raise errors.MalformedInputError("zero has no multiplicative order")
     if not isinstance(a, int) or a < 0 or a >= field.q:
         raise errors.MalformedInputError("element out of range")
     return _root_order(field, Poly(field, [field.neg(a), field.one]))
@@ -533,14 +533,14 @@ def order_of_root(field: Field, f: Poly) -> int:
     of the class of X.
     """
     if f.degree < 1:
-        raise errors.ReducibleError("constant polynomials have no roots")
+        raise errors.MalformedInputError("constant polynomials have no roots")
     f = f.monic()
     if f.coeff(0) == 0:
         if f.degree == 1:
-            raise errors.RootIsZeroError("the root of X is zero")
-        raise errors.ReducibleError("X divides the polynomial")
+            raise errors.MalformedInputError("the root of X is zero")
+        raise errors.MalformedInputError("X divides the polynomial")
     if not is_irreducible(field, f):
-        raise errors.ReducibleError("polynomial is reducible")
+        raise errors.MalformedInputError("polynomial is reducible")
     return _root_order(field, f)
 
 

@@ -64,9 +64,9 @@ def _lower_hull(points):
 
 def _check_monic(P: Poly) -> None:
     if P.degree < 1:
-        raise errors.ZeroInputError("polygon needs a nonconstant polynomial")
+        raise errors.MalformedInputError("polygon needs a nonconstant polynomial")
     if not P.is_monic():
-        raise errors.NonMonicError("polygon needs a monic polynomial")
+        raise errors.MalformedInputError("polygon needs a monic polynomial")
 
 
 def polygon(P: Poly) -> NewtonPolygon:

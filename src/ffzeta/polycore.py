@@ -144,7 +144,7 @@ class Poly:
     @property
     def lc(self):
         if not self.coeffs:
-            raise errors.ZeroInputError("zero polynomial has no leading coefficient")
+            raise errors.MalformedInputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def coeff(self, i: int):
@@ -215,11 +215,11 @@ class Poly:
 
     def monic(self):
         if not self:
-            raise errors.ZeroInputError("cannot normalize the zero polynomial")
+            raise errors.MalformedInputError("cannot normalize the zero polynomial")
         if self.is_monic():
             return self
         if not self.dom.is_field:
-            raise errors.NonMonicError("cannot normalize over a non-field")
+            raise errors.MalformedInputError("cannot normalize over a non-field")
         return self.scale(self.dom.inv(self.lc))
 
     def derivative(self):
@@ -360,7 +360,7 @@ def power(x, n: int, mul, one):
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor over a coefficient field."""
     if not f and not g:
-        raise errors.BothZeroError("gcd(0, 0) is undefined")
+        raise errors.MalformedInputError("gcd(0, 0) is undefined")
     if not f.dom.is_field:
         raise TypeError("poly_gcd needs field coefficients")
     while g:
@@ -375,7 +375,7 @@ def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
     reduction valid over any coefficient domain, fields or not.
     """
     if not modulus.is_monic() or modulus.degree < 1:
-        raise errors.NonMonicModulusError("modulus must be monic of positive degree")
+        raise errors.MalformedInputError("modulus must be monic of positive degree")
     if n < 0:
         raise ValueError("negative exponent")
     one = Poly.const(base.dom, base.dom.one) % modulus
@@ -412,7 +412,7 @@ def resultant(f: Poly, g: Poly):
     field it is a remainder sequence with rescaled remainders.
     """
     if not f or not g:
-        raise errors.ZeroInputError("resultant of the zero polynomial")
+        raise errors.MalformedInputError("resultant of the zero polynomial")
     dom = f.dom
 
     def dpow(c, k):
@@ -541,7 +541,7 @@ def factor(field, f: Poly):
     coefficient is dropped: f = lc(f) * prod factor**mult.
     """
     if not f:
-        raise errors.ZeroInputError("cannot factor the zero polynomial")
+        raise errors.MalformedInputError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
     found = {}

@@ -125,7 +125,7 @@ def charpoly(ring, A: list) -> Poly:
 def companion(ring, f: Poly) -> list:
     """Companion matrix of a monic f over ring; charpoly(companion(f)) = f."""
     if not f.is_monic() or f.degree < 1:
-        raise errors.NonMonicError("companion matrix needs a monic polynomial")
+        raise errors.MalformedInputError("companion matrix needs a monic polynomial")
     d = f.degree
     M = [[ring.zero for _ in range(d)] for _ in range(d)]
     for i in range(1, d):

@@ -104,7 +104,7 @@ def rou_split(field, P: Poly):
     roots are exactly the root-of-unity roots of P, with multiplicity.
     """
     if P.dom.is_zero(P.coeff(0)):
-        raise errors.ZeroConstantTermError("zero root contradicts invertibility")
+        raise errors.MalformedInputError("zero root contradicts invertibility")
     G = _slice_gcd(field, P)
     if G.degree == 0:
         return G, P
@@ -120,7 +120,7 @@ def rou_split(field, P: Poly):
 def rou_orders(field, G: Poly):
     """Order multiset of the root-of-unity eigenvalues (roots of G in F[X])."""
     if G.degree >= 1 and not G.coeff(0):
-        raise errors.ZeroRootError("zero is not a root of unity")
+        raise errors.MalformedInputError("zero is not a root of unity")
     agg = {}
     for h, mult in factor(field, G):
         n = _root_order(field, h)
@@ -150,7 +150,7 @@ def weights_from_residual(field, Pprime: Poly, E: int, residual: Poly):
         weights[n] = weights.get(n, 0) + h.degree * (j - E)
     for n, w in weights.items():
         if w >= 0:
-            raise errors.NonNegativeWeightError(f"weight at order {n} is {w}")
+            raise errors.InternalInvariantError(f"weight at order {n} is {w}")
     return tuple(sorted(orders.items())), tuple(sorted(weights.items()))
 
 
@@ -177,9 +177,7 @@ def weights_by_divisibility(field, Pprime: Poly, E: int, unit_orders):
 
 def spectral_data(field, P: Poly) -> SpectralData:
     """Full spectral decomposition of a monic P in F[t][X], P(0) != 0."""
-    if not P.is_monic():
-        raise errors.NonMonicError("spectral data needs a monic polynomial")
-    hull = polygon(P)
+    hull = polygon(P)  # checks that P is monic and nonconstant
     E = hull.entropy_exponent
     G, Pprime = rou_split(field, P)
     rou = rou_orders(field, G)

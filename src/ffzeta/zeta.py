@@ -168,7 +168,7 @@ def closed_form(sd: SpectralData) -> ZetaClosedForm:
     """Expand the inclusion-exclusion product for an algebraic system."""
     bad = _bad_unit_order(sd)
     if bad is not None:
-        raise errors.NotAlgebraicError(
+        raise errors.MalformedInputError(
             f"unit order {bad} is not divisible by any root-of-unity order"
         )
     # c holds the product of (1 - [m]) over the orders so far, in the
@@ -285,6 +285,6 @@ def nk_from_series(st: SeriesTrunc) -> list:
                 acc -= N[j - 1] * a[k - j]
         nk, rem = divmod(acc, D)
         if rem:
-            raise errors.NonIntegralError(f"N_{k} from series is {Fraction(acc, D)}")
+            raise errors.MalformedInputError(f"N_{k} from series is {Fraction(acc, D)}")
         N.append(nk)
     return N

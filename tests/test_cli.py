@@ -87,7 +87,7 @@ class TestParseProblem:
 
     def test_dimension_limit(self):
         doc = {"p": 2, "d": 9, "matrix": [[[1]] * 9] * 9}
-        with pytest.raises(errors.DimensionTooLargeError):
+        with pytest.raises(errors.MalformedInputError, match="^d = 9 exceeds the limit 8$"):
             parse_problem(doc)
 
     def test_row_shape(self):
@@ -117,7 +117,7 @@ class TestParseProblem:
 
     def test_entry_degree_limit_is_a_shape_cap(self):
         entry = [0] * 34
-        with pytest.raises(errors.DimensionTooLargeError):
+        with pytest.raises(errors.MalformedInputError, match="entry degree exceeds the limit 32"):
             parse_problem({"p": 2, "d": 1, "matrix": [[entry]]})
         parse_problem({"p": 2, "d": 1, "matrix": [[entry[:33]]]})
 
@@ -290,8 +290,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "exc, code, label",
         [
-            (errors.NonNegativeWeightError, 4, "internal error: "),
-            (errors.NotAlgebraicError, 1, "error: "),
+            (errors.InternalInvariantError, 4, "internal error: "),
+            (errors.CapExceededError, 3, "error: "),
+            (errors.SingularMatrixError, 2, "error: "),
+            (errors.MalformedInputError, 1, "error: "),
         ],
     )
     def test_error_class_sets_exit(self, capsys, monkeypatch, exc, code, label):
@@ -302,20 +304,21 @@ class TestExitCodes:
         assert run(capsys, "classify", DIAG62) == (code, "", f"{label}raised here\n")
 
     def test_exit_code_follows_documented_base(self):
-        bases = [
-            (errors.InternalInvariantError, 4),
-            (errors.CapExceededError, 3),
-            (errors.SingularMatrixError, 2),
-            (errors.Error, 1),
-        ]
-        classes = [
+        """One class per exit code: the messages tell failures apart."""
+        codes = {
+            errors.Error: 1,
+            errors.MalformedInputError: 1,
+            errors.SingularMatrixError: 2,
+            errors.CapExceededError: 3,
+            errors.InternalInvariantError: 4,
+        }
+        classes = {
             c for c in vars(errors).values()
             if isinstance(c, type) and issubclass(c, errors.Error)
-        ]
-        assert {errors.NotPrimeError, errors.NonNegativeWeightError} <= set(classes)
-        for cls in classes:
-            want = next(code for base, code in bases if issubclass(cls, base))
-            assert cls.exit_code == want, cls.__name__
+        }
+        assert classes == set(codes)
+        for cls, code in codes.items():
+            assert cls.exit_code == code, cls.__name__
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate", DIAG62)[0] == 1

@@ -37,9 +37,9 @@ def fpow(field, a, n):
 
 class TestMakeField:
     def test_rejects_nonprime(self):
-        with pytest.raises(errors.NotPrimeError):
+        with pytest.raises(errors.MalformedInputError, match="^6 is not prime$"):
             make_field(6)
-        with pytest.raises(errors.NotPrimeError):
+        with pytest.raises(errors.MalformedInputError, match="^1 is not prime$"):
             make_field(1)
 
     def test_rejects_bad_types(self):
@@ -84,9 +84,9 @@ class TestMakeField:
         assert F9.modulus == (1, 0, 1)
 
     def test_modulus_validation(self):
-        with pytest.raises(errors.ReducibleModulusError):
+        with pytest.raises(errors.MalformedInputError, match="modulus is reducible"):
             make_field(2, 2, modulus=(1, 0, 1))  # (X+1)^2
-        with pytest.raises(errors.DegreeMismatchError):
+        with pytest.raises(errors.MalformedInputError, match="must have degree 2, got degree 3"):
             make_field(2, 2, modulus=(1, 1, 1, 1))
         with pytest.raises(errors.MalformedInputError):
             make_field(2, 2, modulus=(1, 2, 1))
@@ -245,7 +245,7 @@ class TestOrders:
         assert elem_order(F7, 1) == 1
 
     def test_elem_order_errors(self):
-        with pytest.raises(errors.ZeroElementError):
+        with pytest.raises(errors.MalformedInputError, match="zero has no multiplicative order"):
             elem_order(F7, 0)
         with pytest.raises(errors.MalformedInputError):
             elem_order(F7, 7)
@@ -269,13 +269,13 @@ class TestOrders:
         assert order_of_root(F3, Poly(F3, [1, 1])) == 2
 
     def test_order_of_root_errors(self):
-        with pytest.raises(errors.ReducibleError):
+        with pytest.raises(errors.MalformedInputError, match="constant polynomials have no roots"):
             order_of_root(F2, Poly(F2, [1]))
-        with pytest.raises(errors.RootIsZeroError):
+        with pytest.raises(errors.MalformedInputError, match="the root of X is zero"):
             order_of_root(F2, Poly(F2, [0, 1]))
-        with pytest.raises(errors.ReducibleError):
+        with pytest.raises(errors.MalformedInputError, match="X divides the polynomial"):
             order_of_root(F2, Poly(F2, [0, 1, 1]))  # X(X+1)
-        with pytest.raises(errors.ReducibleError):
+        with pytest.raises(errors.MalformedInputError, match="^polynomial is reducible$"):
             order_of_root(F2, Poly(F2, [1, 0, 1]))  # (X+1)^2
 
     @pytest.mark.parametrize("field", [F2, F3])

@@ -51,7 +51,7 @@ class TestPolyBasics:
         assert not z and z.degree == -1
 
     def test_lc_of_zero_raises(self):
-        with pytest.raises(errors.ZeroInputError):
+        with pytest.raises(errors.MalformedInputError, match="zero polynomial has no leading coefficient"):
             Poly(F7).lc
 
     def test_coeff_out_of_range_is_zero(self):
@@ -63,7 +63,7 @@ class TestPolyBasics:
 
     def test_monic_over_nonfield(self):
         f = xpoly(F7, (1,), (0, 1))  # t X + 1: no normalization over F[t]
-        with pytest.raises(errors.NonMonicError):
+        with pytest.raises(errors.MalformedInputError, match="cannot normalize over a non-field"):
             f.monic()
         g = xpoly(F7, (0, 1), (1,))
         assert g.monic() is g
@@ -88,7 +88,7 @@ class TestPolyBasics:
 
 class TestGcd:
     def test_both_zero(self):
-        with pytest.raises(errors.BothZeroError):
+        with pytest.raises(errors.MalformedInputError, match=r"gcd\(0, 0\) is undefined"):
             poly_gcd(Poly(F5), Poly(F5))
 
     def test_one_zero(self):
@@ -117,7 +117,7 @@ class TestModpow:
         assert modpow(f, n, m) == (f**n) % m
 
     def test_nonmonic_modulus(self):
-        with pytest.raises(errors.NonMonicModulusError):
+        with pytest.raises(errors.MalformedInputError, match="modulus must be monic of positive degree"):
             modpow(tpoly(F5, 1), 2, tpoly(F5, 1, 2))
 
     def test_over_polyring(self):
@@ -148,7 +148,7 @@ class TestResultant:
         c = tpoly(F7, 4)
         g = tpoly(F7, 1, 2, 1)
         assert resultant(c, g) == pow(4, 2, 7)
-        with pytest.raises(errors.ZeroInputError):
+        with pytest.raises(errors.MalformedInputError, match="resultant of the zero polynomial"):
             resultant(Poly(F7), g)
 
     @given(f=tpolys(F5, min_deg=1, max_deg=4), g=tpolys(F5, min_deg=1, max_deg=4))
@@ -218,7 +218,7 @@ class TestIrreducibility:
         cube = tpoly(F3, 2, 0, 0, 1)  # (X - 1)^3 = X^3 - 1, derivative zero
         assert not cube.derivative()
         assert not is_irreducible(F3, cube)
-        with pytest.raises(errors.ReducibleError):
+        with pytest.raises(errors.MalformedInputError, match="^polynomial is reducible$"):
             order_of_root(F3, tpoly(F3, 1, 2, 1))  # (X + 1)^2
 
 

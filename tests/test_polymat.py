@@ -140,7 +140,7 @@ class TestCharpoly:
         assert charpoly(polyring(F2), companion(polyring(F2), P)) == P
 
     def test_companion_needs_monic(self):
-        with pytest.raises(errors.NonMonicError):
+        with pytest.raises(errors.MalformedInputError, match="companion matrix needs a monic polynomial"):
             companion(polyring(F2), xpoly(F2, (1,), (0, 1)))
 
     @given(P=st.data())
