@@ -1,16 +1,16 @@
 """Exception taxonomy shared by every module in the package.
 
-There is one class per process exit code, and the CLI returns the
-``exit_code`` of the class it catches: Error, the base, is 1, and so is
-MalformedInputError, for anything that means "the input was bad" (a
-non-prime p, a reducible modulus, the caps on the dimension d and the
-entry degree, a zero or non-monic polynomial where a nonzero or monic
-one is needed, a closed form asked of a transcendental zeta function);
-SingularMatrixError is 2; CapExceededError, for "a documented
-computational cap was hit" (field size, --max and --terms, the factoring
-step budget), is 3; and InternalInvariantError, for "an internal
-consistency check failed", is 4.  The message, not the class, tells the
-failures of one code apart.
+Error is the base of every package error.  Below it there is one class
+per nonzero exit code, and the CLI returns the ``exit_code`` of the class
+it catches: MalformedInputError, for anything that means "the input was
+bad" (a non-prime p, a reducible modulus, the caps on the dimension d
+and the entry degree, a zero or non-monic polynomial where a nonzero or
+monic one is needed, a closed form asked of a transcendental zeta
+function), is 1, as is Error itself; SingularMatrixError is 2;
+CapExceededError, for "a documented computational cap was hit" (field
+size, --max and --terms, the factoring step budget), is 3; and
+InternalInvariantError, for "an internal consistency check failed", is 4.
+The message, not the class, tells the failures of one code apart.
 """
 
 
