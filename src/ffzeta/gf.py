@@ -11,6 +11,14 @@ slots are folded and reduced mod p by whole-integer and bytes operations,
 with no loop over coefficients in Python for e >= 2.  Short products keep
 the scalar loop (``KRON_CUTOFF``).
 
+``Field.poly_mulmod``, the product mod a monic f that ``polycore.modpow``
+runs on, reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008).  For
+e = 1 the products are summed as plain ints, each coefficient at
+X^k, k >= deg f, is taken mod p once as it is folded into the lower ones,
+and the deg f low coefficients once at the end.  For e >= 2 the same loop
+reads the log and exp tables inline and adds by XOR for p = 2 and by the
+Zech ``add`` for odd p, with no Poly and no ``mul`` call per product.
+
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
 multiplication goes through discrete log/exp tables over a fixed
@@ -62,6 +70,7 @@ certified.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from functools import lru_cache
 
@@ -75,7 +84,8 @@ EXT_CAP = 2**20
 # poly_mul's scalar loop beats one Kronecker product below KRON_CUTOFF *
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
-# has digits.  Each field keeps that bound as an integer, _kron_pairs.
+# has digits.  Each field keeps that bound as an integer, _kron_pairs, and
+# poly_mulmod takes the same rule.
 KRON_CUTOFF = 64
 
 
@@ -390,6 +400,66 @@ class Field(Domain):
             slots = int.from_bytes(cells, "little")
             acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
         return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
+
+    def poly_mulmod(self, xs, ys, fs):
+        """xs * ys mod the monic fs, with no Poly and no scalar method call
+        per product.
+
+        A long product is one ``_kron_mul``, by the rule of ``poly_mul``.
+        Otherwise, for e = 1 every product is summed as a plain int, and
+        for e >= 2 it is read off the log and exp tables inline and added
+        by XOR (p = 2) or ``add``.  Then each coefficient c at X^k, k >= m
+        = deg fs, from the top, is folded in as c X^(k - m) (X^m - fs).
+        For e = 1, c is taken mod p as it is read, and the m low
+        coefficients once at the end; no other sum is reduced.
+        """
+        if not xs or not ys:
+            return []
+        m = len(fs) - 1
+        kron = min(len(xs), len(ys)) > self.e and len(xs) * len(ys) >= self._kron_pairs
+        if self.e == 1:
+            p = self.p
+            if kron:
+                out = self._kron_mul(xs, ys)
+            else:
+                out = [0] * (len(xs) + len(ys) - 1)
+                for i, a in enumerate(xs):
+                    if a:
+                        for k, b in enumerate(ys, i):
+                            out[k] += a * b
+            low = [(i, f) for i, f in enumerate(fs[:m]) if f]
+            for k in range(len(out) - 1, m - 1, -1):
+                c = out[k] % p
+                if c:
+                    for i, f in low:
+                        out[k - m + i] -= c * f
+            out = [v % p for v in out[:m]]
+        else:
+            # exp has n = q - 1 entries, so exp[s - n] = g^s for 0 <= s < 2n:
+            # one side of each log sum carries the - n, and no % n is taken
+            log, exp, n = self._log, self._exp, self.q - 1
+            add = operator.xor if self.p == 2 else self.add
+            if kron:
+                out = self._kron_mul(xs, ys)
+            else:
+                out = [0] * (len(xs) + len(ys) - 1)
+                logs = [(j, log[b] - n) for j, b in enumerate(ys) if b]
+                for i, a in enumerate(xs):
+                    if a:
+                        la = log[a]
+                        for j, lb in logs:
+                            out[i + j] = add(out[i + j], exp[la + lb])
+            low = [(i, log[self.neg(f)] - n) for i, f in enumerate(fs[:m]) if f]
+            for k in range(len(out) - 1, m - 1, -1):
+                c = out[k]
+                if c:
+                    lc = log[c]
+                    for i, lf in low:
+                        out[k - m + i] = add(out[k - m + i], exp[lc + lf])
+            out = out[:m]
+        while out and not out[-1]:
+            out.pop()
+        return out
 
     def __repr__(self):
         if self.e == 1:

@@ -3,12 +3,14 @@
 A coefficient domain is a ``Domain`` subclass with ``zero``, ``one`` and
 the scalar interface ``add/sub/neg/mul/is_zero/exact_div`` (plus
 ``inv/div`` when ``is_field`` is true; a field's ``exact_div`` is ``div``).
-``Domain`` supplies the bulk kernels ``poly_add``, ``poly_sub``,
-``poly_neg``, ``poly_mul`` and ``poly_divmod`` on plain coefficient lists,
-low degree first, as loops over the scalar operations.  ``Poly``
-arithmetic runs on these five, so a domain may override one wholesale,
-as ``gf.Field`` does for long ``poly_mul`` (one Kronecker product on
-Python ints), and a tracer can time them per domain.
+``Domain`` supplies six bulk kernels on plain coefficient lists, low
+degree first, as loops over the scalar operations: ``poly_add``,
+``poly_sub``, ``poly_neg``, ``poly_mul`` and ``poly_divmod``, which
+``Poly`` arithmetic runs on, and ``poly_mulmod``, the product mod a monic
+polynomial, which ``modpow`` runs on.  A domain may override one
+wholesale, as ``gf.Field`` does for long ``poly_mul`` (one Kronecker
+product on Python ints) and for ``poly_mulmod`` (one reduction per
+coefficient), and a tracer can time them per domain.
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings
@@ -109,6 +111,13 @@ class Domain:
             for i in range(m):
                 rem[j + i] = self.sub(rem[j + i], self.mul(c, ys[i]))
         return quo, rem[:m]
+
+    def poly_mulmod(self, xs, ys, fs):
+        """xs * ys mod the monic fs, with no trailing zeros."""
+        rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
+        while rem and self.is_zero(rem[-1]):
+            rem.pop()
+        return rem
 
 
 class Poly:
@@ -371,15 +380,19 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
     """base**n mod modulus by binary exponentiation.
 
-    The modulus must be monic of degree at least 1; monicity keeps the
-    reduction valid over any coefficient domain, fields or not.
+    The powering runs on coefficient lists, each product one
+    ``poly_mulmod`` of the coefficient domain, and one Poly is built at
+    the end.  The modulus must be monic of degree at least 1; monicity
+    keeps the reduction valid over any coefficient domain, fields or not.
     """
     if not modulus.is_monic() or modulus.degree < 1:
         raise errors.MalformedInputError("modulus must be monic of positive degree")
     if n < 0:
         raise ValueError("negative exponent")
-    one = Poly.const(base.dom, base.dom.one) % modulus
-    return power(base % modulus, n, lambda a, b: (a * b) % modulus, one)
+    dom, fs = base.dom, list(modulus.coeffs)
+    xs = list((base % modulus).coeffs)
+    out = power(xs, n, lambda a, b: dom.poly_mulmod(a, b, fs), [dom.one])
+    return Poly(dom, out)
 
 
 # ---------------------------------------------------------------------------

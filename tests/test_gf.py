@@ -1,5 +1,6 @@
 """Finite field construction, arithmetic, and multiplicative orders."""
 
+import math
 import random
 import time
 
@@ -11,7 +12,7 @@ from ffzeta import elem_order, errors, make_field, order_of_root
 from ffzeta import gf, integers
 from ffzeta.gf import EXT_CAP, PRIME_CAP, Field
 from ffzeta.integers import factorint
-from ffzeta.polycore import Domain, Poly, is_irreducible
+from ffzeta.polycore import Domain, Poly, is_irreducible, power
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -278,27 +279,48 @@ class TestOrders:
         with pytest.raises(errors.MalformedInputError, match="^polynomial is reducible$"):
             order_of_root(F2, Poly(F2, [1, 0, 1]))  # (X+1)^2
 
-    @pytest.mark.parametrize("field", [F2, F3])
+    @pytest.mark.parametrize(
+        "field", [F2, F3, make_field(1048573), M61, make_field(2, 16), make_field(3, 10)]
+    )
     def test_order_of_root_is_minimal(self, field):
-        """Exhaustive over irreducibles of degree <= 2 with nonzero root."""
-        from ffzeta.polycore import modpow
-
+        """Every irreducible of degree <= 2 with a nonzero root over GF(2)
+        and GF(3), and one random irreducible of each degree 2..5 over the
+        larger fields (2..4 over 2^61 - 1, whose q^5 - 1 is past the rho
+        budget).  X is powered by Poly arithmetic mod f, not by modpow,
+        which order_of_root runs on."""
         one = Poly.const(field, field.one)
-        for deg in (1, 2):
-            for packed in range(field.q**deg):
-                cs = []
-                v = packed
-                for _ in range(deg):
-                    cs.append(v % field.q)
-                    v //= field.q
-                f = Poly(field, cs + [1])
-                if not f.coeff(0) or not is_irreducible(field, f):
-                    continue
-                n = order_of_root(field, f)
-                assert (field.q**deg - 1) % n == 0
-                assert modpow(Poly.x(field), n, f) == one
-                for r in factorint(n):
-                    assert modpow(Poly.x(field), n // r, f) != one
+
+        def wanted(f):
+            return f.coeff(0) and is_irreducible(field, f)
+
+        if field.q <= 3:
+            polys = [
+                Poly(field, [packed // field.q**i % field.q for i in range(deg)] + [1])
+                for deg in (1, 2)
+                for packed in range(field.q**deg)
+            ]
+            polys = [f for f in polys if wanted(f)]
+        else:
+            rng, polys = random.Random(field.q), []
+            for deg in range(2, 5 if field is M61 else 6):
+                f = None
+                while f is None or not wanted(f):
+                    f = Poly(field, [rng.randrange(field.q) for _ in range(deg)] + [1])
+                polys.append(f)
+        for f in polys:
+            n = order_of_root(field, f)
+            group = field.q**f.degree - 1
+            fac = integers.factor_group_order(field.q, f.degree)
+            assert math.prod(ell**k for ell, k in fac.items()) == group
+            assert group % n == 0
+
+            def x_pow(k):
+                return power(Poly.x(field) % f, k, lambda a, b: (a * b) % f, one)
+
+            assert x_pow(n) == one
+            for ell in fac:
+                if n % ell == 0:
+                    assert x_pow(n // ell) != one
 
 
 def test_factorint_frozen():
@@ -460,6 +482,22 @@ class TestBulkKernels:
                 low, high = n * per_pair, (n + 1) * per_pair
                 steps.update(b for b in (8, 16, 32, 64) if low < 2**b <= high)
         assert steps == {8, 16, 32, 64}
+
+    @pytest.mark.parametrize(
+        "field", [F2, F7, M61, F4, F9, make_field(2, 16), make_field(3, 10)]
+    )
+    @given(data=st.data())
+    def test_mulmod(self, field, data):
+        # operands of any length up to 70, long ones by the Kronecker
+        # product where poly_mul would take it, zeros and empty ones too
+        m = data.draw(st.sampled_from([1, 2, 5, 8]))
+        fs = data.draw(st.lists(felems(field), min_size=m, max_size=m)) + [1]
+        elems = st.one_of(st.just(0), felems(field))
+        a = data.draw(st.lists(elems, max_size=70))
+        b = data.draw(st.lists(elems, max_size=70))
+        want = Domain.poly_mulmod(field, a, b, fs)
+        assert field.poly_mulmod(a, b, fs) == want
+        assert len(want) <= m and (not want or want[-1] != 0)
 
     @pytest.mark.parametrize("field", [F5, F9])
     @given(data=st.data())
