@@ -131,9 +131,7 @@ def _nk_value(field, M, guess) -> NkValue:
     while True:
         cs = det(TruncRing(field, N), R).coeffs
         if cs:
-            return NkValue.of(
-                full - 1 - next(i for i, c in enumerate(cs) if not field.is_zero(c))
-            )
+            return NkValue.of(full - 1 - next(i for i, c in enumerate(cs) if c))
         if N == full:
             return NkValue.zero()
         N = min(2 * N, full)
@@ -176,7 +174,7 @@ def nk_table(field, A, kmax: int) -> list:
     d = len(A)
     a = _max_degree(A)
     L = [[x.coeff(a) for x in row] for row in A]
-    if a >= 1 and not field.is_zero(det(field, L)):
+    if a >= 1 and det(field, L):
         return [NkValue.of(a * k * d) for k in range(1, kmax + 1)]
     ring = polyring(field)
     I = identity(ring, d)

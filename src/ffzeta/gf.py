@@ -8,16 +8,18 @@ Kronecker product on Python ints (``Field._kron_mul``): the digits of the
 coefficients are laid out in byte slots of two integers wide enough for
 every sum of digit products, the integers are multiplied once, and the
 slots are folded and reduced mod p by whole-integer and bytes operations,
-with no loop over coefficients in Python for e >= 2.  Short products keep
-the scalar loop (``KRON_CUTOFF``).
+with no loop over coefficients in Python for e >= 2.  Short products run
+one loop per field kind (``Field._short_mul``): for e = 1 the products
+are summed as plain ints, and for e >= 2 they are read off the log and
+exp tables inline and added by XOR for p = 2 and by the Zech ``add`` for
+odd p, with no ``mul`` call per product.  ``poly_mul`` and
+``poly_mulmod`` share both products under one rule (``KRON_CUTOFF``).
 
 ``Field.poly_mulmod``, the product mod a monic f that ``polycore.modpow``
-runs on, reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008).  For
-e = 1 the products are summed as plain ints, each coefficient at
+runs on, reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for
+e = 1 the short product's sums stay unreduced, each coefficient at
 X^k, k >= deg f, is taken mod p once as it is folded into the lower ones,
-and the deg f low coefficients once at the end.  For e >= 2 the same loop
-reads the log and exp tables inline and adds by XOR for p = 2 and by the
-Zech ``add`` for odd p, with no Poly and no ``mul`` call per product.
+and the deg f low coefficients once at the end.
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -81,11 +83,11 @@ from .polycore import Domain, Poly, is_irreducible, modpow
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
 
-# poly_mul's scalar loop beats one Kronecker product below KRON_CUTOFF *
+# The short-product loop beats one Kronecker product below KRON_CUTOFF *
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
 # has digits.  Each field keeps that bound as an integer, _kron_pairs, and
-# poly_mulmod takes the same rule.
+# Field._long states the rule for poly_mul and poly_mulmod alike.
 KRON_CUTOFF = 64
 
 
@@ -263,9 +265,6 @@ class Field(Domain):
 
     # -- scalar arithmetic ---------------------------------------------------
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
@@ -350,14 +349,46 @@ class Field(Domain):
             _move(out, j * w, stride, digits, 0, cell, min(w, cell))
         return int.from_bytes(out, "little")
 
+    def _long(self, xs, ys) -> bool:
+        """True when xs * ys, both nonempty, is one ``_kron_mul``."""
+        return min(len(xs), len(ys)) > self.e and len(xs) * len(ys) >= self._kron_pairs
+
+    def _short_mul(self, xs, ys):
+        """xs * ys, both nonempty, by the schoolbook loop of the field kind,
+        with no scalar method call per product: for e = 1 the products are
+        summed as plain ints and left unreduced, and for e >= 2 each is read
+        off the log and exp tables and added by XOR (p = 2) or ``add``."""
+        out = [0] * (len(xs) + len(ys) - 1)
+        if self.e == 1:
+            for i, a in enumerate(xs):
+                if a:
+                    for k, b in enumerate(ys, i):
+                        out[k] += a * b
+            return out
+        # exp has n = q - 1 entries, so exp[s - n] = g^s for 0 <= s < 2n:
+        # one side of each log sum carries the - n, and no % n is taken
+        log, exp, n = self._log, self._exp, self.q - 1
+        add = operator.xor if self.p == 2 else self.add
+        logs = [(j, log[b] - n) for j, b in enumerate(ys) if b]
+        for i, a in enumerate(xs):
+            if a:
+                la = log[a]
+                for j, lb in logs:
+                    out[i + j] = add(out[i + j], exp[la + lb])
+        return out
+
     def poly_mul(self, xs, ys):
-        """Short products by the scalar loop, long ones by ``_kron_mul``."""
-        short = min(len(xs), len(ys))
-        if short == 0:
+        """Long products by ``_kron_mul``, short ones by ``_short_mul``,
+        each coefficient taken mod p once for e = 1."""
+        if not xs or not ys:
             return []
-        if short <= self.e or len(xs) * len(ys) < self._kron_pairs:
-            return super().poly_mul(xs, ys)
-        return self._kron_mul(xs, ys)
+        if self._long(xs, ys):
+            return self._kron_mul(xs, ys)
+        out = self._short_mul(xs, ys)
+        if self.e == 1:
+            p = self.p
+            return [v % p for v in out]
+        return out
 
     def _kron_mul(self, xs, ys):
         """The product of two nonempty lists as one Kronecker product on
@@ -405,28 +436,19 @@ class Field(Domain):
         """xs * ys mod the monic fs, with no Poly and no scalar method call
         per product.
 
-        A long product is one ``_kron_mul``, by the rule of ``poly_mul``.
-        Otherwise, for e = 1 every product is summed as a plain int, and
-        for e >= 2 it is read off the log and exp tables inline and added
-        by XOR (p = 2) or ``add``.  Then each coefficient c at X^k, k >= m
-        = deg fs, from the top, is folded in as c X^(k - m) (X^m - fs).
-        For e = 1, c is taken mod p as it is read, and the m low
-        coefficients once at the end; no other sum is reduced.
+        The product is the one of ``poly_mul``, with its e = 1 sums left
+        unreduced.  Then each coefficient c at X^k, k >= m = deg fs, from
+        the top, is folded in as c X^(k - m) (X^m - fs), by the same int
+        sums or table reads.  For e = 1, c is taken mod p as it is read,
+        and the m low coefficients once at the end; no other sum is
+        reduced.
         """
         if not xs or not ys:
             return []
         m = len(fs) - 1
-        kron = min(len(xs), len(ys)) > self.e and len(xs) * len(ys) >= self._kron_pairs
+        out = self._kron_mul(xs, ys) if self._long(xs, ys) else self._short_mul(xs, ys)
         if self.e == 1:
             p = self.p
-            if kron:
-                out = self._kron_mul(xs, ys)
-            else:
-                out = [0] * (len(xs) + len(ys) - 1)
-                for i, a in enumerate(xs):
-                    if a:
-                        for k, b in enumerate(ys, i):
-                            out[k] += a * b
             low = [(i, f) for i, f in enumerate(fs[:m]) if f]
             for k in range(len(out) - 1, m - 1, -1):
                 c = out[k] % p
@@ -435,20 +457,8 @@ class Field(Domain):
                         out[k - m + i] -= c * f
             out = [v % p for v in out[:m]]
         else:
-            # exp has n = q - 1 entries, so exp[s - n] = g^s for 0 <= s < 2n:
-            # one side of each log sum carries the - n, and no % n is taken
             log, exp, n = self._log, self._exp, self.q - 1
             add = operator.xor if self.p == 2 else self.add
-            if kron:
-                out = self._kron_mul(xs, ys)
-            else:
-                out = [0] * (len(xs) + len(ys) - 1)
-                logs = [(j, log[b] - n) for j, b in enumerate(ys) if b]
-                for i, a in enumerate(xs):
-                    if a:
-                        la = log[a]
-                        for j, lb in logs:
-                            out[i + j] = add(out[i + j], exp[la + lb])
             low = [(i, log[self.neg(f)] - n) for i, f in enumerate(fs[:m]) if f]
             for k in range(len(out) - 1, m - 1, -1):
                 c = out[k]

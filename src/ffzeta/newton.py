@@ -76,11 +76,7 @@ def polygon(P: Poly) -> NewtonPolygon:
     nonzero coefficient and the missing columns account for zero roots.
     """
     _check_monic(P)
-    points = [
-        (i, -c.degree)
-        for i, c in enumerate(P.coeffs)
-        if not P.dom.is_zero(c)
-    ]
+    points = [(i, -c.degree) for i, c in enumerate(P.coeffs) if c]
     hull = _lower_hull(points)
     edges = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
@@ -98,6 +94,6 @@ def unit_residual(field, P: Poly) -> Poly:
     _check_monic(P)
     top = max(c.degree for c in P.coeffs)
     cs = [c.coeff(top) for c in P.coeffs]
-    a = next(i for i, c in enumerate(cs) if not field.is_zero(c))
+    a = next(i for i, c in enumerate(cs) if c)
     res = Poly(field, cs[a:])
     return res if res.degree > 0 else Poly.const(field, field.one)

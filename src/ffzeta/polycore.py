@@ -1,16 +1,18 @@
 """Dense univariate polynomial engine over pluggable coefficient domains.
 
 A coefficient domain is a ``Domain`` subclass with ``zero``, ``one`` and
-the scalar interface ``add/sub/neg/mul/is_zero/exact_div`` (plus
-``inv/div`` when ``is_field`` is true; a field's ``exact_div`` is ``div``).
+the scalar interface ``add/sub/neg/mul/exact_div`` (plus ``inv/div``
+when ``is_field`` is true; a field's ``exact_div`` is ``div``).  An
+element is zero exactly when it is falsy: a field element is an int,
+and a polynomial is a ``Poly``, falsy when it has no coefficients.
 ``Domain`` supplies six bulk kernels on plain coefficient lists, low
 degree first, as loops over the scalar operations: ``poly_add``,
 ``poly_sub``, ``poly_neg``, ``poly_mul`` and ``poly_divmod``, which
 ``Poly`` arithmetic runs on, and ``poly_mulmod``, the product mod a monic
 polynomial, which ``modpow`` runs on.  A domain may override one
-wholesale, as ``gf.Field`` does for long ``poly_mul`` (one Kronecker
-product on Python ints) and for ``poly_mulmod`` (one reduction per
-coefficient), and a tracer can time them per domain.
+wholesale, as ``gf.Field`` does for ``poly_mul`` and ``poly_mulmod``
+(one product loop per field kind, one Kronecker product on Python ints
+for long operands), and a tracer can time them per domain.
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings
@@ -81,7 +83,7 @@ class Domain:
             return []
         out = [self.zero] * (len(xs) + len(ys) - 1)
         for i, a in enumerate(xs):
-            if self.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(ys):
                 out[i + j] = self.add(out[i + j], self.mul(a, b))
@@ -103,7 +105,7 @@ class Domain:
         quo = [self.zero] * (len(xs) - m)
         for j in range(len(xs) - m - 1, -1, -1):
             lead = rem[j + m]
-            if self.is_zero(lead):
+            if not lead:
                 continue
             c = lead if monic else self.exact_div(lead, dlc)
             quo[j] = c
@@ -115,7 +117,7 @@ class Domain:
     def poly_mulmod(self, xs, ys, fs):
         """xs * ys mod the monic fs, with no trailing zeros."""
         rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
-        while rem and self.is_zero(rem[-1]):
+        while rem and not rem[-1]:
             rem.pop()
         return rem
 
@@ -127,7 +129,7 @@ class Poly:
 
     def __init__(self, dom, coeffs=()):
         cs = list(coeffs)
-        while cs and dom.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.dom = dom
         self.coeffs = tuple(cs)
@@ -192,7 +194,7 @@ class Poly:
         return power(self, n, Poly.__mul__, Poly.const(self.dom, self.dom.one))
 
     def scale(self, c):
-        if self.dom.is_zero(c):
+        if not c:
             return Poly(self.dom)
         mul = self.dom.mul
         return Poly(self.dom, [mul(x, c) for x in self.coeffs])
@@ -264,7 +266,7 @@ class Poly:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if self.dom.is_zero(c):
+            if not c:
                 continue
             cs = str(c)
             if i == 0:
@@ -299,9 +301,6 @@ class PolyRing(Domain):
 
     def mul(self, a, b):
         return a * b
-
-    def is_zero(self, a):
-        return not a
 
     def exact_div(self, a, b):
         return a.exact_div(b)

@@ -39,7 +39,7 @@ def _dot(dom, xs, ys):
     """sum xs[i] * ys[i] over the shorter length, skipping zero xs[i]."""
     acc = dom.zero
     for x, y in zip(xs, ys):
-        if not dom.is_zero(x):
+        if x:
             acc = dom.add(acc, dom.mul(x, y))
     return acc
 
@@ -78,11 +78,7 @@ def det(dom, A: list):
     """
     minors = {0: dom.one}
     for row in A:
-        cols = [
-            (j, 1 << j, (a, dom.neg(a)))
-            for j, a in enumerate(row)
-            if not dom.is_zero(a)
-        ]
+        cols = [(j, 1 << j, (a, dom.neg(a))) for j, a in enumerate(row) if a]
         nxt = {}
         for S, m in minors.items():
             for j, bit, signed in cols:
@@ -91,7 +87,7 @@ def det(dom, A: list):
                 term = dom.mul(signed[(S >> (j + 1)).bit_count() & 1], m)
                 T = S | bit
                 nxt[T] = dom.add(nxt[T], term) if T in nxt else term
-        minors = {S: m for S, m in nxt.items() if not dom.is_zero(m)}
+        minors = {S: m for S, m in nxt.items() if m}
         if not minors:
             return dom.zero
     return minors[(1 << len(A)) - 1]

@@ -103,7 +103,7 @@ def rou_split(field, P: Poly):
     G is the largest monic divisor of P with constant coefficients; its
     roots are exactly the root-of-unity roots of P, with multiplicity.
     """
-    if P.dom.is_zero(P.coeff(0)):
+    if not P.coeff(0):
         raise errors.MalformedInputError("zero root contradicts invertibility")
     G = _slice_gcd(field, P)
     if G.degree == 0:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import felems, tpoly
 from ffzeta import elem_order, errors, make_field, order_of_root
 from ffzeta import gf, integers
+from ffzeta.dynamics import checked_charpoly, nk_table, system_data
 from ffzeta.gf import EXT_CAP, PRIME_CAP, Field
 from ffzeta.integers import factorint
 from ffzeta.polycore import Domain, Poly, is_irreducible, power
@@ -512,6 +513,36 @@ class TestBulkKernels:
         back = field.poly_add(field.poly_mul(list(quo), g), list(rem))
         assert Poly(field, list(back)) == Poly(field, f)
         assert Poly(field, list(rem)).degree < Poly(field, g).degree
+
+
+class TestFieldProductsStayInTheField:
+    """No field product reaches the generic ``Domain.poly_mul`` loop."""
+
+    @staticmethod
+    def system(field):
+        """A 3 x 3 system whose t^3 coefficient matrix is singular, so that
+        nk_table takes a determinant over F[s]/(s^N) at most k."""
+        rng = random.Random(1)
+
+        def entry(top):
+            return Poly(field, [rng.randrange(field.q) for _ in range(3)] + top)
+
+        A = [[entry([]) for _ in range(3)] for _ in range(3)]
+        A[0][0] = entry([1])
+        return A
+
+    @pytest.mark.parametrize("field", [F7, F9, make_field(2, 16)], ids=repr)
+    def test_routes_run_without_the_generic_product(self, field, monkeypatch):
+        A = self.system(field)
+        want = (checked_charpoly(field, A), nk_table(field, A, 6))
+
+        def generic(dom, xs, ys):
+            raise AssertionError(f"generic poly_mul reached over {dom!r}")
+
+        monkeypatch.setattr(Domain, "poly_mul", generic)
+        assert checked_charpoly(field, A) == want[0]
+        assert system_data(field, A).P == want[0]
+        assert nk_table(field, A, 6) == want[1]
 
 
 def test_tpoly_builder_consistency():

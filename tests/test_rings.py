@@ -1,5 +1,6 @@
-"""F[s]/(s^N) against the full polynomial ring, the one binary-powering
-helper behind every power, and ring identity."""
+"""The zero-is-falsy contract of every domain, F[s]/(s^N) against the full
+polynomial ring, the one binary-powering helper behind every power, and
+ring identity."""
 
 from functools import reduce
 
@@ -15,6 +16,55 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 FIELDS = [F2, F3, F4]
+
+
+CONTRACT_FIELDS = [
+    F2,
+    make_field(7),
+    make_field(2**61 - 1),
+    F4,
+    make_field(3, 2),
+    make_field(2, 16),
+    make_field(3, 10),
+]
+CONTRACT_DOMAINS = [
+    dom
+    for field in CONTRACT_FIELDS
+    for dom in (field, polyring(field), TruncRing(field, 4))
+]
+
+
+def domain_elems(dom):
+    """Elements of a contract domain, zero-heavy; TruncRing ones reduced."""
+    field = getattr(dom, "base", dom)
+    coeff = st.one_of(st.just(0), felems(field))
+    if dom is field:
+        return coeff
+    size = getattr(dom, "N", 6)
+    return st.lists(coeff, max_size=size).map(lambda cs: Poly(field, cs))
+
+
+class TestZeroIsFalsy:
+    """An element is zero exactly when it is falsy, in every domain."""
+
+    @pytest.mark.parametrize("dom", CONTRACT_DOMAINS, ids=repr)
+    @given(data=st.data())
+    def test_zero_is_the_falsy_element(self, dom, data):
+        assert not dom.zero
+        assert dom.one
+        a = data.draw(domain_elems(dom))
+        assert not dom.sub(a, a)
+        assert not dom.add(a, dom.neg(a))
+        assert bool(a) == (a != dom.zero)
+
+    @pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=repr)
+    def test_truncated_product_is_falsy(self, field):
+        N = 4
+        ring = TruncRing(field, N)
+        s = Poly.x(field)
+        for j in range(N + 1):
+            assert not ring.mul(s**j, s ** (N - j))
+        assert ring.mul(s, s ** (N - 2))
 
 
 def cut(f, N):
