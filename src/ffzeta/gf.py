@@ -15,11 +15,11 @@ exp tables inline and added by XOR for p = 2 and by the Zech ``add`` for
 odd p, with no ``mul`` call per product.  ``poly_mul`` and
 ``poly_mulmod`` share both products under one rule (``KRON_CUTOFF``).
 
-``Field.poly_mulmod``, the product mod a monic f that ``polycore.modpow``
-runs on, reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for
-e = 1 the short product's sums stay unreduced, each coefficient at
-X^k, k >= deg f, is taken mod p once as it is folded into the lower ones,
-and the deg f low coefficients once at the end.
+Division runs one loop per field kind too (``Field.poly_divmod``) and
+reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
+coefficient at X^k, k >= deg f, is taken mod p once as it is read and the
+deg f low ones once at the end, so ``poly_mulmod``, the product mod a
+monic f that ``polycore.modpow`` runs on, leaves its e = 1 sums unreduced.
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -432,44 +432,53 @@ class Field(Domain):
             acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
         return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
 
-    def poly_mulmod(self, xs, ys, fs):
-        """xs * ys mod the monic fs, with no Poly and no scalar method call
-        per product.
-
-        The product is the one of ``poly_mul``, with its e = 1 sums left
-        unreduced.  Then each coefficient c at X^k, k >= m = deg fs, from
-        the top, is folded in as c X^(k - m) (X^m - fs), by the same int
-        sums or table reads.  For e = 1, c is taken mod p as it is read,
-        and the m low coefficients once at the end; no other sum is
-        reduced.
-        """
-        if not xs or not ys:
-            return []
-        m = len(fs) - 1
-        out = self._kron_mul(xs, ys) if self._long(xs, ys) else self._short_mul(xs, ys)
+    def poly_divmod(self, xs, ys):
+        """xs // ys and xs % ys as ``Domain.poly_divmod`` lays them out, by
+        one loop per field kind as in ``_short_mul``, over the monic
+        ys / lc(ys), the quotient scaled after it.  For e = 1, xs may hold
+        the unreduced sums of ``poly_mulmod``."""
+        m, p, lead = len(ys) - 1, self.p, ys[-1]
+        if len(xs) <= m:
+            return [], [v % p for v in xs] if self.e == 1 else list(xs)
+        if lead != 1:
+            inv = self.inv(lead)
+            ys = [self.mul(f, inv) for f in ys]
+        quo, rem = [0] * (len(xs) - m), list(xs)
         if self.e == 1:
-            p = self.p
-            low = [(i, f) for i, f in enumerate(fs[:m]) if f]
-            for k in range(len(out) - 1, m - 1, -1):
-                c = out[k] % p
+            low = [(i, f) for i, f in enumerate(ys[:m]) if f]
+            for j in range(len(quo) - 1, -1, -1):
+                c = rem[j + m] % p
                 if c:
+                    quo[j] = c
                     for i, f in low:
-                        out[k - m + i] -= c * f
-            out = [v % p for v in out[:m]]
+                        rem[j + i] -= c * f
+            rem = [v % p for v in rem[:m]]
         else:
             log, exp, n = self._log, self._exp, self.q - 1
-            add = operator.xor if self.p == 2 else self.add
-            low = [(i, log[self.neg(f)] - n) for i, f in enumerate(fs[:m]) if f]
-            for k in range(len(out) - 1, m - 1, -1):
-                c = out[k]
+            add = operator.xor if p == 2 else self.add
+            low = [(i, log[self.neg(f)] - n) for i, f in enumerate(ys[:m]) if f]
+            for j in range(len(quo) - 1, -1, -1):
+                c = rem[j + m]
                 if c:
+                    quo[j] = c
                     lc = log[c]
                     for i, lf in low:
-                        out[k - m + i] = add(out[k - m + i], exp[lc + lf])
-            out = out[:m]
-        while out and not out[-1]:
-            out.pop()
-        return out
+                        rem[j + i] = add(rem[j + i], exp[lc + lf])
+            rem = rem[:m]
+        if lead != 1:
+            quo = [self.mul(c, inv) for c in quo]
+        return quo, rem
+
+    def poly_mulmod(self, xs, ys, fs):
+        """xs * ys mod the monic fs: the product of ``poly_mul``, with its
+        e = 1 sums left unreduced for ``poly_divmod`` to take mod p."""
+        if not xs or not ys:
+            return []
+        out = self._kron_mul(xs, ys) if self._long(xs, ys) else self._short_mul(xs, ys)
+        rem = self.poly_divmod(out, fs)[1]
+        while rem and not rem[-1]:
+            rem.pop()
+        return rem
 
     def __repr__(self):
         if self.e == 1:

@@ -10,9 +10,9 @@ degree first, as loops over the scalar operations: ``poly_add``,
 ``poly_sub``, ``poly_neg``, ``poly_mul`` and ``poly_divmod``, which
 ``Poly`` arithmetic runs on, and ``poly_mulmod``, the product mod a monic
 polynomial, which ``modpow`` runs on.  A domain may override one
-wholesale, as ``gf.Field`` does for ``poly_mul`` and ``poly_mulmod``
-(one product loop per field kind, one Kronecker product on Python ints
-for long operands), and a tracer can time them per domain.
+wholesale, as ``gf.Field`` does for ``poly_mul``, ``poly_divmod`` and
+``poly_mulmod`` (one loop per field kind, and one Kronecker product on
+Python ints for long operands); a tracer can time them per domain.
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings
@@ -474,7 +474,8 @@ def squarefree_parts(field, f: Poly):
     f = prod g**m.
     """
     out = []
-    c = poly_gcd(f, f.derivative()) if f.derivative() else f
+    df = f.derivative()
+    c = poly_gcd(f, df) if df else f
     w = f.exact_div(c)
     i = 1
     while not w.is_one():

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import felems, tpoly
 from ffzeta import elem_order, errors, make_field, order_of_root
 from ffzeta import gf, integers
-from ffzeta.dynamics import checked_charpoly, nk_table, system_data
+from ffzeta.dynamics import checked_charpoly, fixed_points_smith, nk_table, system_data
 from ffzeta.gf import EXT_CAP, PRIME_CAP, Field
 from ffzeta.integers import factorint
-from ffzeta.polycore import Domain, Poly, is_irreducible, power
+from ffzeta.polycore import Domain, Poly, PolyRing, is_irreducible, power
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -514,6 +514,24 @@ class TestBulkKernels:
         assert Poly(field, list(back)) == Poly(field, f)
         assert Poly(field, list(rem)).degree < Poly(field, g).degree
 
+    @pytest.mark.parametrize("field", KRON_FIELDS)
+    @given(data=st.data())
+    def test_divmod(self, field, data):
+        # divisors of degree 0 to 8 with any nonzero lead, dividends of
+        # length 0 to 70, zero-heavy ones and ones shorter than the divisor;
+        # for e = 1 also the unreduced sums poly_mulmod passes, up to
+        # 70 (p - 1)^2, against the reference on their residues
+        m = data.draw(st.integers(0, 8))
+        ys = data.draw(st.lists(felems(field), min_size=m, max_size=m))
+        ys.append(data.draw(st.integers(1, field.q - 1)))
+        xs = data.draw(st.lists(st.one_of(st.just(0), felems(field)), max_size=70))
+        assert field.poly_divmod(xs, ys) == Domain.poly_divmod(field, xs, ys)
+        if field.e == 1:
+            top = 70 * (field.p - 1) ** 2
+            sums = data.draw(st.lists(st.integers(0, top), max_size=70))
+            want = Domain.poly_divmod(field, [v % field.p for v in sums], ys)
+            assert field.poly_divmod(sums, ys) == want
+
 
 class TestFieldProductsStayInTheField:
     """No field product reaches the generic ``Domain.poly_mul`` loop."""
@@ -543,6 +561,54 @@ class TestFieldProductsStayInTheField:
         assert checked_charpoly(field, A) == want[0]
         assert system_data(field, A).P == want[0]
         assert nk_table(field, A, 6) == want[1]
+
+
+class TestFieldDivisionsStayInTheField:
+    """No field division reaches the generic ``Domain.poly_divmod`` loop;
+    divisions over ``PolyRing`` (``spectral.rou_split``) still do."""
+
+    @staticmethod
+    def forbid_generic(monkeypatch):
+        """Make ``Domain.poly_divmod`` raise over a field; the list returned
+        collects the other domains it still divides over."""
+        generic, others = Domain.poly_divmod, []
+
+        def guarded(dom, xs, ys):
+            if isinstance(dom, Field):
+                raise AssertionError(f"generic poly_divmod reached over {dom!r}")
+            others.append(dom)
+            return generic(dom, xs, ys)
+
+        monkeypatch.setattr(Domain, "poly_divmod", guarded)
+        return others
+
+    @pytest.mark.parametrize("field", [F7, F9, make_field(2, 16)], ids=repr)
+    def test_routes_run_without_the_generic_division(self, field, monkeypatch):
+        # a 1 x 1 block [2] adds the root of unity 2, so that rou_split
+        # divides P by its root-of-unity factor over PolyRing
+        zero = Poly(field)
+        A = [row + [zero] for row in TestFieldProductsStayInTheField.system(field)]
+        A.append([zero] * 3 + [Poly.const(field, 2)])
+
+        def routes():
+            return (
+                checked_charpoly(field, A),
+                system_data(field, A),
+                nk_table(field, A, 6),
+                fixed_points_smith(field, A),
+            )
+
+        want = routes()
+        others = self.forbid_generic(monkeypatch)
+        assert routes() == want
+        assert others and all(isinstance(dom, PolyRing) for dom in others)
+
+    def test_tables_build_without_the_generic_division(self, monkeypatch):
+        want = make_field(3, 3)
+        self.forbid_generic(monkeypatch)
+        got = Field(3, 3, want.modulus)  # uncached: the tables are rebuilt
+        for name in ("_exp", "_log", "_zech", "_fold"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def test_tpoly_builder_consistency():
