@@ -12,8 +12,9 @@ Two independent routes compute N_k:
   * nk_direct / nk_table: the determinant.  nk_direct takes
     det(A^k - I) over F[t] at every k and reads its degree.  nk_table
     gives the three answers forced without a determinant, as its
-    docstring says, and ``_nk_value`` reads every other one at s = 1/t.
-    No charpoly, factoring or root order is used;
+    docstring says, and reads every other one at s = 1/t by
+    division-free elimination over F[s]/(s^N); the two share no
+    determinant.  No charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -33,7 +34,7 @@ from itertools import product
 
 from . import errors
 from .newton import polygon
-from .polycore import Poly, TruncRing, poly_gcd, polyring
+from .polycore import Poly, poly_gcd, polyring
 from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
 
@@ -104,34 +105,62 @@ def _max_degree(A) -> int:
     return max(0, max((x.degree for row in A for x in row), default=0))
 
 
+def _valuation(field, rows, N):
+    """The s-adic valuation v of det R if v < N, else None, for R given as
+    rows of coefficient lists in s, low degree first; R is left unchanged.
+
+    Division-free elimination with the pivot an entry of least valuation,
+    zero counting as N (Caruso, Roe and Vaccon, ISSAC 2015, with s for p).
+    For the pivot s^w u in column j, u a unit, every other row r becomes
+    u r - (r_j / s^w) (pivot row): that clears column j and multiplies
+    det R by a unit, so v is w plus the valuation of the rest, needed
+    only mod s^(N - w).  u and r_j / s^w are known mod s^(N - w) and every
+    entry they multiply has valuation at least w, so each step is exact.
+    """
+    mul, sub = field.poly_mul, field.poly_sub
+    P = N
+    while rows:
+        w, i, j = min(
+            (next((k for k, a in enumerate(x[:P]) if a), P), i, j)
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+        )
+        if w >= P:
+            return None
+        P -= w
+        u, pivot = rows[i][j][w : w + P], rows[i][:j] + rows[i][j + 1 :]
+        rows = [
+            [
+                sub(mul(u, x[:P])[:P], mul(r[j][w : w + P], y[:P])[:P])
+                for x, y in zip(r[:j] + r[j + 1 :], pivot)
+            ]
+            for r in rows[:i] + rows[i + 1 :]
+        ]
+    return N - P
+
+
 def _nk_value(field, M, guess) -> NkValue:
     """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0.
 
     With D the largest entry degree of M and R = s^D M(1/s), each entry's
     coefficients reversed and padded at the low end to D + 1,
     det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the s-adic
-    valuation of det R: the lowest nonzero coefficient of the
-    division-free ``det`` over F[s]/(s^N), where it is exact.  R goes in
-    whole: ``TruncRing`` cuts each entry as it multiplies, and every term
-    of ``det`` is a product.  N starts at Dd - guess + 1 for a guess at
-    deg det M, within [1, Dd + 1]: the least N that sees v if the guess
-    is right, and doubles on a zero result up to Dd + 1.  There nothing
-    of det R is cut, so a zero proves N_k = 0.
+    valuation of det R, which ``_valuation`` reads mod s^N.  N starts at
+    Dd - guess + 1 for a guess at deg det M, within [1, Dd + 1]: the
+    least N that sees v if the guess is right, and doubles while v >= N
+    up to Dd + 1.  There nothing of det R is cut, so v >= N proves N_k = 0.
     """
     D = _max_degree(M)
     R = [
-        [
-            Poly(field, (field.zero,) * (D - x.degree) + x.coeffs[::-1]) if x else x
-            for x in row
-        ]
+        [[field.zero] * (D - x.degree) + list(x.coeffs[::-1]) if x else [] for x in row]
         for row in M
     ]
     full = D * len(M) + 1
     N = min(max(full - guess, 1), full)
     while True:
-        cs = det(TruncRing(field, N), R).coeffs
-        if cs:
-            return NkValue.of(full - 1 - next(i for i, c in enumerate(cs) if c))
+        v = _valuation(field, R, N)
+        if v is not None:
+            return NkValue.of(full - 1 - v)
         if N == full:
             return NkValue.zero()
         N = min(2 * N, full)
@@ -141,7 +170,7 @@ def nk_direct(field, A, k: int) -> NkValue:
     """N_k = q^(deg det(A^k - I)), zero when the determinant is.
 
     One determinant over F[t] at every k, with no forced answer, no guess
-    and no reversal at s = 1/t: it shares only ``det`` with ``nk_table``.
+    and no reversal at s = 1/t: it shares no determinant with ``nk_table``.
     """
     if k < 1:
         raise errors.MalformedInputError("k must be a positive integer")
@@ -153,7 +182,7 @@ def nk_direct(field, A, k: int) -> NkValue:
 def nk_table(field, A, kmax: int) -> list:
     """[N_1, ..., N_kmax]: det(A^k - I) read at s = 1/t by ``_nk_value``.
 
-    Three answers are forced and take no power of A and no determinant
+    Three answers are forced and take no power of A and no elimination
     over F[s]/(s^N):
 
       * with a >= 1 the largest entry degree, if the matrix L of t^a

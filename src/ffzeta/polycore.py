@@ -309,35 +309,6 @@ class PolyRing(Domain):
         return f"PolyRing({self.base!r})"
 
 
-class TruncRing(PolyRing):
-    """F[s]/(s^N) for a field F: polynomials in s kept below degree N.
-
-    Elements are Poly over F, as in PolyRing(F).  ``mul`` cuts both
-    operands to N coefficients before the product and the product after
-    it, and ``neg`` cuts its operand; sums of reduced elements stay
-    reduced.  So any division-free algorithm over PolyRing(F),
-    ``polymat.det`` and ``mat_mul`` among them, runs mod s^N unchanged,
-    on entries of any length when it only adds products.
-    """
-
-    def __init__(self, base: Domain, N: int):
-        super().__init__(base)
-        self.N = N
-
-    def neg(self, a):
-        return Poly(self.base, self.base.poly_neg(list(a.coeffs[: self.N])))
-
-    def mul(self, a, b):
-        N = self.N
-        xs, ys = a.coeffs[:N], b.coeffs[:N]
-        if not xs or not ys:
-            return self.zero
-        return Poly(self.base, self.base.poly_mul(list(xs), list(ys))[:N])
-
-    def __repr__(self):
-        return f"TruncRing({self.base!r}, {self.N})"
-
-
 @lru_cache(maxsize=None)
 def polyring(base) -> PolyRing:
     return PolyRing(base)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tmat, tpoly, tpolys
+from conftest import felems, tmat, tpoly, tpolys
 from ffzeta import errors, make_field
 from ffzeta.dynamics import (
     INT_RENDER_CAP,
@@ -312,6 +312,32 @@ class TestValuationRoute:
         k = data.draw(st.integers(1, kmax))
         assert nk_direct(field, A, k) == want[k - 1]
 
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_valuation_is_that_of_the_cut_determinant(self, data):
+        """_valuation against det over F[s] cut to s^N, entries longer
+        than N included, as R's are; its rows are left as they were."""
+        from ffzeta.dynamics import _valuation
+        from ffzeta.polymat import det
+
+        field = data.draw(st.sampled_from([F2, F3, F4, make_field(2**61 - 1)]))
+        d, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        coeff = st.one_of(st.just(0), felems(field))
+        entry = st.lists(coeff, max_size=N + 3)
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+        )
+        shape = data.draw(st.sampled_from(["drawn", "zero row", "zero block"]))
+        if shape == "zero row":
+            rows[data.draw(st.integers(0, d - 1))] = [[] for _ in range(d)]
+        elif shape == "zero block":
+            rows = [[[0] * len(x) for x in row] for row in rows]
+        given_rows = [[list(x) for x in row] for row in rows]
+        cs = det(polyring(field), [[Poly(field, x) for x in row] for row in rows]).coeffs
+        want = next((i for i, c in enumerate(cs[:N]) if c), None)
+        assert _valuation(field, rows, N) == want
+        assert rows == given_rows
+
     @pytest.mark.parametrize(
         "field, rows",
         [
@@ -435,16 +461,29 @@ class TestValuationRoute:
             assert len(rings) == 1
             assert rings[0] is polyring(F2)
 
-    def test_table_starts_at_one_coefficient(self, monkeypatch):
-        """nk_table's first determinant keeps one coefficient, N = 1."""
-        from ffzeta.polycore import TruncRing
-
+    def test_table_takes_det_for_the_leading_matrix_only(self, monkeypatch):
+        """With L singular, nk_table's one det is the L rule's, over F."""
+        want = [nk_direct(F2, CUBIC_COMP, k) for k in range(1, 10)]
         rings = self.record_det_rings(monkeypatch)
+        assert nk_table(F2, CUBIC_COMP, 9) == want
+        assert rings == [F2]
+
+    def test_table_starts_at_one_coefficient(self, monkeypatch):
+        """nk_table's first valuation keeps one coefficient, N = 1."""
+        from ffzeta import dynamics
+
+        precisions = []
+        real_valuation = dynamics._valuation
+
+        def recording_valuation(field, rows, N):
+            precisions.append(N)
+            return real_valuation(field, rows, N)
+
+        monkeypatch.setattr(dynamics, "_valuation", recording_valuation)
         for rows in (CUBIC_COMP, tmat(F2, NONLINEAR_V), tmat(F2, PERIODIC_ZERO)):
-            rings.clear()
+            precisions.clear()
             nk_table(F2, rows, 6)
-            truncated = [r for r in rings if isinstance(r, TruncRing)]
-            assert truncated[0].N == 1
+            assert precisions[0] == 1
 
     def test_independent_of_spectral_route(self, monkeypatch):
         """No charpoly, factor or root order on the direct route."""

@@ -539,7 +539,7 @@ class TestFieldProductsStayInTheField:
     @staticmethod
     def system(field):
         """A 3 x 3 system whose t^3 coefficient matrix is singular, so that
-        nk_table takes a determinant over F[s]/(s^N) at most k."""
+        nk_table reads a valuation by elimination over F[s]/(s^N) at most k."""
         rng = random.Random(1)
 
         def entry(top):

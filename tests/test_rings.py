@@ -1,6 +1,5 @@
-"""The zero-is-falsy contract of every domain, F[s]/(s^N) against the full
-polynomial ring, the one binary-powering helper behind every power, and
-ring identity."""
+"""The zero-is-falsy contract of every domain, the one binary-powering
+helper behind every power, and ring identity."""
 
 from functools import reduce
 
@@ -9,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from conftest import felems, monic_tpolys, tpoly, tpolys
 from ffzeta import make_field
-from ffzeta.polycore import Poly, TruncRing, modpow, polyring, power
-from ffzeta.polymat import det, identity, mat_mul, matpow
+from ffzeta.polycore import Poly, modpow, polyring, power
+from ffzeta.polymat import identity, mat_mul, matpow
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -27,21 +26,16 @@ CONTRACT_FIELDS = [
     make_field(2, 16),
     make_field(3, 10),
 ]
-CONTRACT_DOMAINS = [
-    dom
-    for field in CONTRACT_FIELDS
-    for dom in (field, polyring(field), TruncRing(field, 4))
-]
+CONTRACT_DOMAINS = [dom for field in CONTRACT_FIELDS for dom in (field, polyring(field))]
 
 
 def domain_elems(dom):
-    """Elements of a contract domain, zero-heavy; TruncRing ones reduced."""
+    """Elements of a contract domain, zero-heavy."""
     field = getattr(dom, "base", dom)
     coeff = st.one_of(st.just(0), felems(field))
     if dom is field:
         return coeff
-    size = getattr(dom, "N", 6)
-    return st.lists(coeff, max_size=size).map(lambda cs: Poly(field, cs))
+    return st.lists(coeff, max_size=6).map(lambda cs: Poly(field, cs))
 
 
 class TestZeroIsFalsy:
@@ -56,50 +50,6 @@ class TestZeroIsFalsy:
         assert not dom.sub(a, a)
         assert not dom.add(a, dom.neg(a))
         assert bool(a) == (a != dom.zero)
-
-    @pytest.mark.parametrize("field", CONTRACT_FIELDS, ids=repr)
-    def test_truncated_product_is_falsy(self, field):
-        N = 4
-        ring = TruncRing(field, N)
-        s = Poly.x(field)
-        for j in range(N + 1):
-            assert not ring.mul(s**j, s ** (N - j))
-        assert ring.mul(s, s ** (N - 2))
-
-
-def cut(f, N):
-    return Poly(f.dom, f.coeffs[:N])
-
-
-@st.composite
-def trunc_cases(draw):
-    """(field, N, A, B): d x d matrices, d <= 3, whose entries may be longer
-    than N, as the unreduced B of the direct N_k route is."""
-    field = draw(st.sampled_from(FIELDS))
-    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    entry = st.lists(felems(field), max_size=2 * N + 2).map(lambda cs: Poly(field, cs))
-    mats = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
-    return field, N, draw(mats), draw(mats)
-
-
-class TestTruncRing:
-    @given(trunc_cases())
-    def test_det_and_mat_mul_are_the_full_results_cut(self, case):
-        field, N, A, B = case
-        full, trunc = polyring(field), TruncRing(field, N)
-        assert det(trunc, A) == cut(det(full, A), N)
-        assert mat_mul(trunc, A, B) == [
-            [cut(x, N) for x in row] for row in mat_mul(full, A, B)
-        ]
-
-    def test_long_operands_are_cut_before_the_product(self):
-        # s^2 * s^2 is zero mod s^3 though neither factor is
-        ring = TruncRing(F2, 3)
-        s2 = tpoly(F2, 0, 0, 1)
-        assert ring.mul(s2, s2) == ring.zero
-        assert ring.mul(tpoly(F2, 1, 0, 0, 1), tpoly(F2, 1, 1)) == tpoly(F2, 1, 1)
-        # -(1 + 2s + s^3) is 2 + s mod s^3 over GF(3)
-        assert TruncRing(F3, 3).neg(tpoly(F3, 1, 2, 0, 1)) == tpoly(F3, 2, 1)
 
 
 class TestPower:
