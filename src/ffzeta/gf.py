@@ -3,17 +3,19 @@ r"""Finite fields GF(p^e) with integer-packed elements.
 An element of GF(p^e) is a plain Python int in ``range(p**e)``: the base-p
 digits are the coefficients of the residue polynomial in the generator z,
 low digit first.  For e = 1 this is just the residue mod p.  Packing keeps
-elements hashable and lets a long product of polynomials run as one
-Kronecker product on Python ints (``Field._kron_mul``): the digits of the
-coefficients are laid out in byte slots of two integers wide enough for
-every sum of digit products, the integers are multiplied once, and the
-slots are folded and reduced mod p by whole-integer and bytes operations,
-with no loop over coefficients in Python for e >= 2.  Short products run
-one loop per field kind (``Field._short_mul``): for e = 1 the products
-are summed as plain ints, and for e >= 2 they are read off the log and
-exp tables inline and added by XOR for p = 2 and by the Zech ``add`` for
-odd p, with no ``mul`` call per product.  ``poly_mul`` and
-``poly_mulmod`` share both products under one rule (``KRON_CUTOFF``).
+elements hashable and lets long products of polynomials run as
+Kronecker products on Python ints (``Field._kron_dot``): the digits of
+the coefficients are laid out in byte slots wide enough for every sum of
+digit products, each pair of integers is multiplied once, and the sum of
+the products is folded and reduced mod p once, by whole-integer and
+bytes operations, with no loop over coefficients in Python for e >= 2.
+Short products run one loop per field kind (``Field._short_mul``), in
+place: for e = 1 the products are summed as plain ints, and for e >= 2
+they are read off the log and exp tables inline and added by XOR for
+p = 2 and by the Zech ``add`` for odd p, with no ``mul`` call per
+product.  ``poly_dot``, a sum of products, takes both under one rule
+(``KRON_CUTOFF``) and reduces once, as ``poly_mul`` and ``poly_mulmod``
+do on one pair.
 
 Division runs one loop per field kind too (``Field.poly_divmod``) and
 reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
@@ -35,8 +37,8 @@ modulus f, a field that needs no tables: g is the first packed value
 from z = p on with g^(n/l) != 1 mod f for every prime l | n (the values
 below p lie in GF(p), whose orders divide p - 1 < n), each g^m below is
 the square of the last, and the digits of z^k mod f for k = e..2e-2,
-which ``_kron_mul`` folds, are remainders.  The exp table is built with
-the slot arithmetic of ``_kron_mul``, on digit rows: row j is one int
+which ``_kron_dot`` folds, are remainders.  The exp table is built with
+the slot arithmetic of ``_kron_dot``, on digit rows: row j is one int
 holding digit j of g^0..g^(m-1), one per cell.  Multiplying by g^m is an
 e x e digit map over GF(p), column j the digits of g^m z^j mod f, so
 g^m..g^(2m-1) are sums of the rows times its entries, reduced mod p in
@@ -87,7 +89,7 @@ EXT_CAP = 2**20
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
 # has digits.  Each field keeps that bound as an integer, _kron_pairs, and
-# Field._long states the rule for poly_mul and poly_mulmod alike.
+# Field._long states the rule for poly_dot and poly_mulmod alike.
 KRON_CUTOFF = 64
 
 
@@ -350,15 +352,15 @@ class Field(Domain):
         return int.from_bytes(out, "little")
 
     def _long(self, xs, ys) -> bool:
-        """True when xs * ys, both nonempty, is one ``_kron_mul``."""
+        """True when xs * ys, both nonempty, goes through ``_kron_dot``."""
         return min(len(xs), len(ys)) > self.e and len(xs) * len(ys) >= self._kron_pairs
 
-    def _short_mul(self, xs, ys):
-        """xs * ys, both nonempty, by the schoolbook loop of the field kind,
-        with no scalar method call per product: for e = 1 the products are
-        summed as plain ints and left unreduced, and for e >= 2 each is read
-        off the log and exp tables and added by XOR (p = 2) or ``add``."""
-        out = [0] * (len(xs) + len(ys) - 1)
+    def _short_mul(self, xs, ys, out):
+        """Add xs * ys, both nonempty, into out in place and return out,
+        by the schoolbook loop of the field kind, with no scalar method
+        call per product: for e = 1 the products are summed as plain ints
+        and left unreduced, and for e >= 2 each is read off the log and
+        exp tables and added by XOR (p = 2) or ``add``."""
         if self.e == 1:
             for i, a in enumerate(xs):
                 if a:
@@ -378,39 +380,58 @@ class Field(Domain):
         return out
 
     def poly_mul(self, xs, ys):
-        """Long products by ``_kron_mul``, short ones by ``_short_mul``,
-        each coefficient taken mod p once for e = 1."""
+        """Long products by ``_kron_dot`` of the one pair, short ones by
+        ``_short_mul``, each coefficient taken mod p once for e = 1."""
         if not xs or not ys:
             return []
         if self._long(xs, ys):
-            return self._kron_mul(xs, ys)
-        out = self._short_mul(xs, ys)
+            return self._kron_dot([(xs, ys)])
+        out = self._short_mul(xs, ys, [0] * (len(xs) + len(ys) - 1))
         if self.e == 1:
             p = self.p
             return [v % p for v in out]
         return out
 
-    def _kron_mul(self, xs, ys):
-        """The product of two nonempty lists as one Kronecker product on
-        Python ints.
+    def poly_dot(self, pairs):
+        """The sum of xs * ys over a nonempty list of pairs of nonempty
+        lists, as long as the longest product: the long pairs share one
+        ``_kron_dot``, the short ones are added into it by ``_short_mul``,
+        and for e = 1 each coefficient is then taken mod p once."""
+        long, short = [], []
+        for pair in pairs:
+            (long if self._long(*pair) else short).append(pair)
+        out = self._kron_dot(long) if long else []
+        out += [0] * (max(len(xs) + len(ys) for xs, ys in pairs) - 1 - len(out))
+        for xs, ys in short:
+            self._short_mul(xs, ys, out)
+        if short and self.e == 1:
+            p = self.p
+            return [v % p for v in out]
+        return out
+
+    def _kron_dot(self, pairs):
+        """The sum of xs * ys over a nonempty list of pairs of nonempty
+        lists, as one Kronecker product on Python ints per pair, summed
+        and then reduced once.
 
         Each coefficient takes 2e - 1 sub-slots of w bytes, its e digits
         and e - 1 zeros (``_spread``), so one integer product sums every
-        digit product of every coefficient pair in place; w fits the
-        largest sum.  A product digit at z^k, k >= e, is then folded into
-        the low sub-slots as its digits of z^k mod the modulus, still on
-        the integer.  Last, digit j of every coefficient is moved to a cell
-        of its own, reduced mod p (``_divmod_slots``) and taken into the
-        packed coefficients by Horner's rule, from j = e - 1 down.  For
-        e = 1 a slot is a coefficient, reduced by ``bytes.translate`` when
-        w * (p - 1) < 256 and one by one otherwise.
+        digit product of every coefficient pair in place, and the sum of
+        the pairs' products every such sum; w fits the largest.  A digit
+        at z^k, k >= e, is then folded into the low sub-slots as its
+        digits of z^k mod the modulus, still on the integer.  Last, digit
+        j of every coefficient is moved to a cell of its own, reduced mod
+        p (``_divmod_slots``) and taken into the packed coefficients by
+        Horner's rule, from j = e - 1 down.  For e = 1 a slot is a
+        coefficient, reduced by ``bytes.translate`` when w * (p - 1) < 256
+        and one by one otherwise.
         """
         p, e = self.p, self.e
-        n = len(xs) + len(ys) - 1
-        top = min(len(xs), len(ys)) * self._slot_terms * (p - 1) ** 2
-        w = -(-top.bit_length() // 8)
+        n = max(len(xs) + len(ys) for xs, ys in pairs) - 1
+        top = sum(min(len(xs), len(ys)) for xs, ys in pairs)
+        w = -(-(top * self._slot_terms * (p - 1) ** 2).bit_length() // 8)
         stride = (2 * e - 1) * w
-        prod = self._spread(xs, w) * self._spread(ys, w)
+        prod = sum(self._spread(xs, w) * self._spread(ys, w) for xs, ys in pairs)
         if e == 1:
             buf = prod.to_bytes(n * w, "little")
             if w * (p - 1) < 256:
@@ -474,7 +495,10 @@ class Field(Domain):
         e = 1 sums left unreduced for ``poly_divmod`` to take mod p."""
         if not xs or not ys:
             return []
-        out = self._kron_mul(xs, ys) if self._long(xs, ys) else self._short_mul(xs, ys)
+        if self._long(xs, ys):
+            out = self._kron_dot([(xs, ys)])
+        else:
+            out = self._short_mul(xs, ys, [0] * (len(xs) + len(ys) - 1))
         rem = self.poly_divmod(out, fs)[1]
         while rem and not rem[-1]:
             rem.pop()

@@ -5,14 +5,17 @@ the scalar interface ``add/sub/neg/mul/exact_div`` (plus ``inv/div``
 when ``is_field`` is true; a field's ``exact_div`` is ``div``).  An
 element is zero exactly when it is falsy: a field element is an int,
 and a polynomial is a ``Poly``, falsy when it has no coefficients.
-``Domain`` supplies six bulk kernels on plain coefficient lists, low
+``Domain`` supplies seven bulk kernels on plain coefficient lists, low
 degree first, as loops over the scalar operations: ``poly_add``,
 ``poly_sub``, ``poly_neg``, ``poly_mul`` and ``poly_divmod``, which
-``Poly`` arithmetic runs on, and ``poly_mulmod``, the product mod a monic
-polynomial, which ``modpow`` runs on.  A domain may override one
-wholesale, as ``gf.Field`` does for ``poly_mul``, ``poly_divmod`` and
-``poly_mulmod`` (one loop per field kind, and one Kronecker product on
-Python ints for long operands); a tracer can time them per domain.
+``Poly`` arithmetic runs on, ``poly_mulmod``, the product mod a monic
+polynomial, which ``modpow`` runs on, and ``poly_dot``, a sum of
+products, which ``PolyRing.dot`` runs on, so that each matrix entry of
+``polymat`` over F[t] (``Domain.dot``) is reduced once.  A domain may
+override one wholesale, as ``gf.Field`` does for ``poly_mul``,
+``poly_divmod``, ``poly_mulmod`` and ``poly_dot`` (one loop per field
+kind, and one Kronecker routine on Python ints for long operands); a
+tracer can time them per domain.
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings
@@ -120,6 +123,21 @@ class Domain:
         while rem and not rem[-1]:
             rem.pop()
         return rem
+
+    def poly_dot(self, pairs):
+        """The sum of xs * ys over a list of pairs of nonempty lists."""
+        out = []
+        for xs, ys in pairs:
+            out = self.poly_add(out, self.poly_mul(xs, ys))
+        return out
+
+    def dot(self, xs, ys):
+        """sum xs[i] * ys[i] over the shorter length, skipping zero xs[i]."""
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            if x:
+                acc = self.add(acc, self.mul(x, y))
+        return acc
 
 
 class Poly:
@@ -304,6 +322,11 @@ class PolyRing(Domain):
 
     def exact_div(self, a, b):
         return a.exact_div(b)
+
+    def dot(self, xs, ys):
+        """sum xs[i] * ys[i] as one ``poly_dot`` of the base domain."""
+        pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x and y]
+        return Poly(self.base, self.base.poly_dot(pairs)) if pairs else self.zero
 
     def __repr__(self):
         return f"PolyRing({self.base!r})"

@@ -3,10 +3,12 @@
 Matrices are plain lists of lists whose entries belong to an explicit
 domain (finite field elements or polynomials over a finite field).
 Determinants and characteristic polynomials are division-free, using only
-``mul``, ``add`` and ``neg``: ``det`` expands row by row over memoized
-column-subset minors, at most d * 2^(d-1) ring products for a d x d
-matrix; ``charpoly`` is Berkowitz's recursion over the entry ring itself,
-O(d^4) ring products and no determinant.  Powers go through
+``mul``, ``add``, ``neg`` and ``dot``: ``det`` expands row by row over
+memoized column-subset minors, at most d * 2^(d-1) ring products for a
+d x d matrix; ``charpoly`` is Berkowitz's recursion over the entry ring
+itself, O(d^4) ring products and no determinant.  ``mat_mul`` and
+``charpoly`` build every sum of products as one ``dom.dot``, which over
+F[t] is one ``poly_dot`` of the field, reduced once.  Powers go through
 ``polycore.power``, and diagonalization through a gcd-driven Smith
 reduction that needs a Euclidean entry ring (polynomials over a field).
 """
@@ -35,18 +37,9 @@ def identity(dom, d: int) -> list:
     return [[dom.one if i == j else dom.zero for j in range(d)] for i in range(d)]
 
 
-def _dot(dom, xs, ys):
-    """sum xs[i] * ys[i] over the shorter length, skipping zero xs[i]."""
-    acc = dom.zero
-    for x, y in zip(xs, ys):
-        if x:
-            acc = dom.add(acc, dom.mul(x, y))
-    return acc
-
-
 def mat_mul(dom, A: list, B: list) -> list:
     cols = list(zip(*B))
-    return [[_dot(dom, row, col) for col in cols] for row in A]
+    return [[dom.dot(row, col) for col in cols] for row in A]
 
 
 def mat_sub(dom, A: list, B: list) -> list:
@@ -100,7 +93,7 @@ def charpoly(ring, A: list) -> Poly:
     first.  With a = A[r][r] and R, S the rest of row r and column r, the
     next block's is c times the lower-triangular Toeplitz matrix with first
     column 1, -a, -R.S, -R.M.S, ..., -R.M^(r-1).S (Inf. Process. Lett. 18,
-    1984).  Division-free: only ring's mul, add and neg.
+    1984).  Division-free: only ring's dot and neg.
     """
     c = [ring.one]
     for r, row in enumerate(A):
@@ -108,10 +101,10 @@ def charpoly(ring, A: list) -> Poly:
         col = [ring.one, ring.neg(row[r])]
         for k in range(r):
             if k:
-                S = [_dot(ring, A[i], S) for i in range(r)]
-            col.append(ring.neg(_dot(ring, row, S)))
+                S = [ring.dot(A[i], S) for i in range(r)]
+            col.append(ring.neg(ring.dot(row, S)))
         c.append(ring.zero)
-        c = [_dot(ring, c[i::-1], col) for i in range(r + 2)]
+        c = [ring.dot(c[i::-1], col) for i in range(r + 2)]
     f = Poly(ring, c[::-1])
     if f.degree != len(A) or not f.is_monic():
         raise errors.InternalInvariantError("characteristic polynomial not monic")

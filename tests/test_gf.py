@@ -450,7 +450,8 @@ class TestBulkKernels:
     @pytest.mark.parametrize("field", KRON_FIELDS)
     def test_mul_shapes(self, field):
         # balanced up to 300, and 1 x n, 2 x n on both sides; the Kronecker
-        # product is checked on its own too, where poly_mul would not use it
+        # product of the one pair is checked on its own too, where poly_mul
+        # would not use it
         rng = random.Random(field.q)
         shapes = [(n, n) for n in (2, 3, 5, 8, 13, 24, 40, 64, 100, 170, 300)]
         shapes += [(k, n) for k in (1, 2) for n in (2, 7, 30, 64, 150, 300)]
@@ -460,7 +461,7 @@ class TestBulkKernels:
             b = [rng.randrange(field.q) for _ in range(lb)]
             want = Domain.poly_mul(field, a, b)
             assert field.poly_mul(a, b) == want, (la, lb)
-            assert field._kron_mul(a, b) == want, (la, lb)
+            assert field._kron_dot([(a, b)]) == want, (la, lb)
 
     @pytest.mark.parametrize("field", KRON_FIELDS)
     def test_mul_full_slots(self, field):
@@ -471,7 +472,7 @@ class TestBulkKernels:
             for la, lb in ((n, n), (n, n + 3)):
                 a, b = [top] * la, [top] * lb
                 want = Domain.poly_mul(field, a, b)
-                assert field._kron_mul(a, b) == want, (la, lb)
+                assert field._kron_dot([(a, b)]) == want, (la, lb)
                 assert field.poly_mul(a, b) == want, (la, lb)
 
     def test_slot_crossings_cover_the_widths(self):
@@ -483,6 +484,46 @@ class TestBulkKernels:
                 low, high = n * per_pair, (n + 1) * per_pair
                 steps.update(b for b in (8, 16, 32, 64) if low < 2**b <= high)
         assert steps == {8, 16, 32, 64}
+
+    @pytest.mark.parametrize("field", KRON_FIELDS)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_dot(self, field, data):
+        # 1 to 10 pairs, with sides of 1 to 12 coefficients or of just past
+        # the square root of the Kronecker rule's pair count, so that short
+        # and long pairs mix; no zeros, half zeros or nine in ten zeros
+        edge = math.isqrt(field._kron_pairs - 1) + 1
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 10))):
+            lo = data.draw(st.sampled_from([1, edge]))
+            zeros = data.draw(st.sampled_from([0, 0.5, 0.9]))
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+            def side():
+                n = rng.randint(lo, lo + 11)
+                draw = [rng.randrange(field.q) for _ in range(n)]
+                return [0 if rng.random() < zeros else c for c in draw]
+
+            pairs.append((side(), side()))
+        assert field.poly_dot(pairs) == Domain.poly_dot(field, pairs)
+
+    @pytest.mark.parametrize("field", [F7, F9, make_field(2, 16), M61], ids=repr)
+    def test_dot_full_slots(self, field):
+        # 8 long pairs of all digits p - 1, at the least length n where the
+        # slots of one such pair are a byte narrower than those of the sum
+        # of all 8: a slot width sized for one pair overflows here
+        per_pair = field._slot_terms * (field.p - 1) ** 2
+
+        def width(m):
+            return -(-(m * per_pair).bit_length() // 8)
+
+        n = max(math.isqrt(field._kron_pairs - 1) + 1, field.e + 1)
+        while width(n) == width(8 * n):
+            n += 1
+        top = field.q - 1
+        pairs = [([top] * (n + i), [top] * (n + 7 - i)) for i in range(8)]
+        assert all(field._long(*pair) for pair in pairs)
+        assert field.poly_dot(pairs) == Domain.poly_dot(field, pairs)
 
     @pytest.mark.parametrize(
         "field", [F2, F7, M61, F4, F9, make_field(2, 16), make_field(3, 10)]

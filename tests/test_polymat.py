@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import tmat, tpoly, tpolys, xpoly
 from ffzeta import errors, make_field, polymat
 from ffzeta.corpus import cap_system, corpus
-from ffzeta.polycore import Poly, PolyRing, polyring, resultant
+from ffzeta.gf import Field
+from ffzeta.polycore import Domain, Poly, PolyRing, polyring, resultant
 from ffzeta.polymat import (
     SmithForm,
     charpoly,
@@ -212,6 +213,36 @@ class TestCharpoly:
             B = mat_mul(ring, mat_mul(ring, E, B), Einv)
         assert sum(not a for row in B for a in row) < d
         assert charpoly(ring, B) == f
+
+
+class TestSumsStayInTheKernel:
+    """``mat_mul`` and ``charpoly`` over F[t] build each entry as one
+    ``poly_dot`` of the field: no product or sum of one pair reaches the
+    generic ``Domain.poly_mul`` or ``Domain.poly_add`` over a field."""
+
+    @pytest.mark.parametrize("field", [F2, F7, F4, F9], ids=repr)
+    def test_products_and_charpoly(self, field, monkeypatch):
+        # entries of degree -1 to 24, so that both short and long pairs
+        # of the Kronecker rule occur
+        rng = random.Random(field.q)
+
+        def entry():
+            n = rng.randint(0, 25)
+            return Poly(field, [rng.randrange(field.q) for _ in range(n)])
+
+        A = [[entry() for _ in range(4)] for _ in range(4)]
+        ring = polyring(field)
+        want = (mat_mul(ring, A, A), charpoly(ring, A))
+        for name in ("poly_add", "poly_mul"):
+            generic = getattr(Domain, name)
+
+            def guarded(dom, xs, ys, generic=generic, name=name):
+                if isinstance(dom, Field):
+                    raise AssertionError(f"generic {name} reached over {dom!r}")
+                return generic(dom, xs, ys)
+
+            monkeypatch.setattr(Domain, name, guarded)
+        assert (mat_mul(ring, A, A), charpoly(ring, A)) == want
 
 
 class TestMatpow:
