@@ -13,8 +13,10 @@ Two independent routes compute N_k:
     det(A^k - I) over F[t] at every k and reads its degree.  nk_table
     gives the three answers forced without a determinant, as its
     docstring says, and reads every other one at s = 1/t by
-    division-free elimination over F[s]/(s^N); the two share no
-    determinant.  No charpoly, factoring or root order is used;
+    division-free elimination over F[s]/(s^N), on packed ints over prime
+    fields; the power A^k is taken only at those k, each the last one
+    times a gap power built once.  The two share no determinant.  No
+    charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -116,25 +118,29 @@ def _valuation(field, rows, N):
     det R by a unit, so v is w plus the valuation of the rest, needed
     only mod s^(N - w).  u and r_j / s^w are known mod s^(N - w) and every
     entry they multiply has valuation at least w, so each step is exact.
+
+    The entries are the elements of ``Field.series_ops``: over a prime
+    field one Kronecker int each, its slots the coefficients, so that an
+    update is two int products, a mask and one reduction mod p; over
+    GF(p^e), e >= 2, coefficient lists.  The pivot row is negated once per
+    pivot, and every other row takes u r + (r_j / s^w) (-pivot row).
     """
-    mul, sub = field.poly_mul, field.poly_sub
+    pack, val, cut, neg, update = field.series_ops(N)
+    rows = [[pack(x) for x in row] for row in rows]
     P = N
     while rows:
         w, i, j = min(
-            (next((k for k, a in enumerate(x[:P]) if a), P), i, j)
-            for i, row in enumerate(rows)
-            for j, x in enumerate(row)
+            (val(x, P), i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
         )
         if w >= P:
             return None
         P -= w
-        u, pivot = rows[i][j][w : w + P], rows[i][:j] + rows[i][j + 1 :]
+        u = cut(rows[i][j], w, P)
+        pivot = [neg(y, P) for y in rows[i][:j] + rows[i][j + 1 :]]
+        others = rows[:i] + rows[i + 1 :]
         rows = [
-            [
-                sub(mul(u, x[:P])[:P], mul(r[j][w : w + P], y[:P])[:P])
-                for x, y in zip(r[:j] + r[j + 1 :], pivot)
-            ]
-            for r in rows[:i] + rows[i + 1 :]
+            [update(u, x, c, ny, P) for x, ny in zip(r[:j] + r[j + 1 :], pivot)]
+            for r, c in zip(others, [cut(r[j], w, P) for r in others])
         ]
     return N - P
 
@@ -194,7 +200,10 @@ def nk_table(field, A, kmax: int) -> list:
       * for p | k, A^k - I = (A^(k/p) - I)^p in characteristic p, so the
         exponent is p times that of N_(k/p).
 
-    Every other k advances A^k exactly over F[t], only then, and takes one
+    Every other k takes A^k exactly over F[t], only then, as A^j A^(k - j)
+    from the last such j, with each gap power A^g built once, on first
+    use, as A^(g // 2) A^(g - g // 2): over GF(2), where every such k is
+    odd, that is one product per k past A^2.  Each takes one
     ``_nk_value`` with the guess e_j * k / j from the last nonzero
     N_j = q^(e_j), which is exact while the exponents grow linearly in k.
     Before any nonzero N_j, j = 1 and e_j = ad stand in, so the guess is
@@ -207,6 +216,14 @@ def nk_table(field, A, kmax: int) -> list:
         return [NkValue.of(a * k * d) for k in range(1, kmax + 1)]
     ring = polyring(field)
     I = identity(ring, d)
+    gaps = {1: A}
+
+    def gap(g):
+        """A^g, built once as A^(g // 2) A^(g - g // 2)."""
+        if g not in gaps:
+            gaps[g] = mat_mul(ring, gap(g // 2), gap(g - g // 2))
+        return gaps[g]
+
     power, j = A, 1
     out = []
     last = (1, a * d)
@@ -216,8 +233,8 @@ def nk_table(field, A, kmax: int) -> list:
         elif k % field.p == 0:
             val = NkValue.of(field.p * out[k // field.p - 1].exponent)
         else:
-            while j < k:
-                power, j = mat_mul(ring, power, A), j + 1
+            if j < k:
+                power, j = mat_mul(ring, power, gap(k - j)), k
             val = _nk_value(field, mat_sub(ring, power, I), last[1] * k // last[0])
         out.append(val)
         if not val.is_zero:

@@ -17,6 +17,15 @@ product.  ``poly_dot``, a sum of products, takes both under one rule
 (``KRON_CUTOFF``) and reduces once, as ``poly_mul`` and ``poly_mulmod``
 do on one pair.
 
+The elimination over F[s]/(s^N) that reads the N_k table's valuations
+(``dynamics._valuation``) runs on the elements of ``Field.series_ops``.
+Over a prime field each is one int in the slot layout of ``_kron_dot``
+(Kronecker substitution, Harvey, J. Symb. Comp. 2009): a row update is
+two int products, a mask to s^P and one reduction of the slots by the
+e = 1 rule of ``_kron_dot``, and a valuation is read off the lowest set
+bit.  For e >= 2 the elements stay coefficient lists, as a spread-form
+packing measured slower there.
+
 Division runs one loop per field kind too (``Field.poly_divmod``) and
 reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
 coefficient at X^k, k >= deg f, is taken mod p once as it is read and the
@@ -452,6 +461,57 @@ class Field(Domain):
             slots = int.from_bytes(cells, "little")
             acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
         return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
+
+    def series_ops(self, N: int):
+        """(pack, val, cut, neg, update): elements of F[s]/(s^N) and the
+        steps of an elimination on them, each at a precision P <= N.
+
+        pack(xs) takes a coefficient list in s, low first, mod s^N;
+        val(x, P) is the s-adic valuation of x, or P if it is P or more;
+        cut(x, w, P) is (x / s^w) mod s^P, dropping the low w coefficients;
+        neg(y, P) is -y mod s^P, and update(u, x, c, ny, P) is
+        u x + c ny mod s^P for u, c, ny at precision P.
+
+        For e >= 2 the elements are coefficient lists, multiplied by
+        ``poly_mul``.  For e = 1 each is one int, coefficient i in slot i
+        of W bytes, with W such that 2 N p (p - 1) fits in a slot: an
+        update's slots, u x + c ny with digits below p and the negated
+        ones p - y in (0, p], then sum at most that, so the two products
+        and their sum never carry.  The mask to P slots is the truncation,
+        the lowest set bit gives the valuation, and each slot is then
+        reduced mod p by the rule of ``_kron_dot``.
+        """
+        if self.e >= 2:
+            mul, add = self.poly_mul, self.poly_add
+            return (
+                lambda xs: list(xs[:N]),
+                lambda x, P: next((k for k, a in enumerate(x[:P]) if a), P),
+                lambda x, w, P: x[w : w + P],
+                lambda y, P: self.poly_neg(y[:P]),
+                lambda u, x, c, ny, P: add(mul(u, x[:P])[:P], mul(c, ny)[:P]),
+            )
+        p = self.p
+        W = -(-(2 * N * p * (p - 1)).bit_length() // 8)
+        bits, ones = 8 * W, _ones(N, W, 1)
+
+        def val(x, P):
+            return min(((x & -x).bit_length() - 1) // bits, P) if x else P
+
+        def cut(x, w, P):
+            return (x >> bits * w) & ((1 << bits * P) - 1)
+
+        def neg(y, P):
+            low = (1 << bits * P) - 1
+            return p * (ones & low) - (y & low)
+
+        def update(u, x, c, ny, P):
+            sums = (u * x + c * ny) & ((1 << bits * P) - 1)
+            buf = sums.to_bytes(P * W, "little")
+            if W * (p - 1) < 256:
+                return _pack(_mod_bytes(buf, W, p), W, True)
+            return _pack([v % p for v in _read(buf, P, W, W)], W, False)
+
+        return lambda xs: _pack(xs[:N], W, p <= 256), val, cut, neg, update
 
     def poly_divmod(self, xs, ys):
         """xs // ys and xs % ys as ``Domain.poly_divmod`` lays them out, by

@@ -19,12 +19,15 @@ generalized binomial expansion of the closed-form product.  The inverse
 recurrence recovers the N_k from a series, closing the loop for tests.
 
 Both exponential recurrences run on Python ints, with no Fraction per term.
-The forward one carries b_n = n! c_n, an integer because the N_k are:
-b_n = sum_k N_k b_{n-k} (n-1)!/(n-k)!, with the falling factorial grown by
-one small multiply per k, and c_n = b_n / n! is normalised once.  The
-inverse one scales the series by the common denominator D of c_0..c_order,
-so that a_n = D c_n are ints: D N_k = k a_k - sum_{j<k} N_j a_{k-j}, and one
-divmod by D gives N_k or shows it is not an integer.
+The forward one runs on the series in w = q^c z, for the largest c that
+leaves every nonzero N'_k = N_k / q^(ck) an int, so that its products stay
+short.  It carries b_n = n! c'_n, an integer because the N'_k are:
+b_n = sum_k N'_k b_{n-k} (n-1)!/(n-k)!, with the falling factorial grown
+by one small multiply per k, and c_n = q^(cn) b_n / n! is normalised once.
+The inverse one scales the series by the common denominator D of
+c_0..c_order, so that a_n = D c_n are ints:
+D N_k = k a_k - sum_{j<k} N_j a_{k-j}, and one divmod by D gives N_k or
+shows it is not an integer.
 
 Large numbers are rendered by one rule, here: num_str prints an int or a
 Fraction in full, and power_str prints q^n in full while n is at most
@@ -205,25 +208,26 @@ def classify(sd: SpectralData) -> ZetaResult:
     )
 
 
-def _nk_ints(q: int, nks) -> list:
-    out = []
-    for v in nks:
-        out.append(0 if v.is_zero else q**v.exponent)
-    return out
-
-
 def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
     """exp(sum N_k z^k / k) truncated at z^order, exactly.
 
-    nk_source is a sequence of NkValue covering k = 1..order.
+    nk_source is a sequence of NkValue covering k = 1..order.  With
+    N_k = q^(e_k) and c the least floor(e_k / k) over the nonzero N_k
+    (0 if there are none), z = w / q^c gives exp(sum N'_k w^k / k) with
+    N'_k = q^(e_k - ck), ints, so the recurrence runs on the c'_n of that
+    series and c_n = q^(cn) c'_n.  c is read off the table itself, never
+    off the spectral data, so the route stays independent of the closed
+    form.
     """
     nks = list(nk_source)
     if len(nks) < order:
         raise errors.MalformedInputError("not enough N_k values for the order")
-    N = _nk_ints(q, nks)
-    bs = [1]  # b_n = n! c_n
+    nks = list(enumerate(nks[:order], start=1))
+    c = min((v.exponent // k for k, v in nks if not v.is_zero), default=0)
+    N = [0 if v.is_zero else q ** (v.exponent - c * k) for k, v in nks]
+    bs = [1]  # b_n = n! c'_n
     cs = [Fraction(1)]
-    fact = 1
+    fact, scale, qc = 1, 1, q**c
     for n in range(1, order + 1):
         acc = 0
         falling = 1  # (n-1)!/(n-k)!
@@ -233,7 +237,8 @@ def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
             falling *= n - k
         bs.append(acc)
         fact *= n
-        cs.append(Fraction(acc, fact))
+        scale *= qc
+        cs.append(Fraction(acc * scale, fact))
     return SeriesTrunc(order=order, coeffs=tuple(cs))
 
 

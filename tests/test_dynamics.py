@@ -320,7 +320,7 @@ class TestValuationRoute:
         from ffzeta.dynamics import _valuation
         from ffzeta.polymat import det
 
-        field = data.draw(st.sampled_from([F2, F3, F4, make_field(2**61 - 1)]))
+        field = data.draw(st.sampled_from([F2, F3, F7, F4, make_field(2**61 - 1)]))
         d, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
         coeff = st.one_of(st.just(0), felems(field))
         entry = st.lists(coeff, max_size=N + 3)
@@ -512,3 +512,89 @@ class TestValuationRoute:
                             monkeypatch.setattr(module, attr, forbidden)
         assert nk_table(F2, A, 9) == want_table
         assert nk_direct(F2, A, 6) == want_direct
+
+
+F5 = make_field(5)
+
+
+def stepped_nk(field, A, kmax):
+    """N_1..N_kmax from det(A^k - I) over F[t], A^k stepped one A at a time."""
+    from ffzeta.polymat import det, mat_sub
+
+    ring = polyring(field)
+    I = identity(ring, len(A))
+    out, power = [], A
+    for _ in range(kmax):
+        D = det(ring, mat_sub(ring, power, I))
+        out.append(NkValue.of(D.degree) if D else NkValue.zero())
+        power = mat_mul(ring, power, A)
+    return out
+
+
+class TestPowerAdvance:
+    """nk_table takes A^k only at the k that reach ``_nk_value``, each as
+    the last such power times a gap power built once."""
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """The list of ``mat_mul`` calls nk_table makes, one entry each."""
+        from ffzeta import dynamics
+
+        calls = []
+        real_mat_mul = dynamics.mat_mul
+
+        def counting_mat_mul(ring, X, Y):
+            calls.append(ring)
+            return real_mat_mul(ring, X, Y)
+
+        monkeypatch.setattr(dynamics, "mat_mul", counting_mat_mul)
+        return calls
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 14])
+    @pytest.mark.parametrize(
+        "rows",
+        [CUBIC_COMP, NONLINEAR_V, PERIODIC_ZERO],
+        ids=["cubic", "nonlinear", "periodic zero"],
+    )
+    def test_gf2_needs_one_product_per_odd_k(self, monkeypatch, rows, m):
+        """Over GF(2) every k that takes a determinant is odd: to k = 2m + 1
+        that is A^2 once and at most one product per odd k past 1."""
+        A = rows if isinstance(rows[0][0], Poly) else tmat(F2, rows)
+        want = stepped_nk(F2, A, 2 * m + 1)
+        calls = self.count_products(monkeypatch)
+        assert nk_table(F2, A, 2 * m + 1) == want
+        assert len(calls) <= m + 2
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=repr)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[(1,), (0, 1)], [(0,), (1, 1)]],  # eigenvalue 1: N_k = 0 for all k
+            [[(-1,), (0, 1)], [(0,), (1, 1)]],  # eigenvalue -1: N_2 = 0 for odd p
+            NONLINEAR_V,
+            PERIODIC_ZERO,
+        ],
+        ids=["eigenvalue 1", "eigenvalue -1", "nonlinear", "periodic zero"],
+    )
+    def test_matches_one_power_at_a_time(self, monkeypatch, field, rows):
+        """The table is that of powers stepped one A at a time, and the
+        matrices that reach ``_nk_value`` are A^k - I at increasing k that
+        p does not divide."""
+        A = tmat(field, [[tuple(c % field.p for c in x) for x in row] for row in rows])
+        want = stepped_nk(field, A, 16)
+        ms = TestValuationRoute.record_matrices(monkeypatch)
+        assert nk_table(field, A, 16) == want
+        ks = TestValuationRoute.ks_of(field, A, ms, 16)
+        assert ks == sorted(ks) and all(k % field.p for k in ks)
+        if field is not F2 and rows[0][0] == (-1,):
+            # N_2 = 0 settles every even k with no power past A^2
+            odd = [k for k in range(1, 17) if k % 2 and k % field.p]
+            assert want[1] == NkValue.zero() and ks == sorted(odd + [2])
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_matches_stepped_powers(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F5]))
+        A = data.draw(planted_zeros(field))
+        kmax = data.draw(st.integers(1, 14))
+        assert nk_table(field, A, kmax) == stepped_nk(field, A, kmax)

@@ -1,5 +1,6 @@
 """Finite field construction, arithmetic, and multiplicative orders."""
 
+import itertools
 import math
 import random
 import time
@@ -572,6 +573,71 @@ class TestBulkKernels:
             sums = data.draw(st.lists(st.integers(0, top), max_size=70))
             want = Domain.poly_divmod(field, [v % field.p for v in sums], ys)
             assert field.poly_divmod(sums, ys) == want
+
+
+class TestSeriesOps:
+    """The elements of F[s]/(s^N) that ``dynamics._valuation`` eliminates on."""
+
+    @staticmethod
+    def full_slot_lengths(p):
+        """Two precisions N for the packed update over GF(p): the largest
+        with the slot width W of N = 8, sized from 2 N p (p - 1), and the
+        least at which a width sized for one product, N (p - 1)^2, is a
+        byte narrower than slot N - 2 of the sum of two needs, below the
+        top slot, whose carry the mask would drop."""
+
+        def width(m):
+            return -(-m.bit_length() // 8)
+
+        bound = 2 * p * (p - 1)
+        top = (256 ** width(8 * bound) - 1) // bound
+        assert width(top * bound) < width((top + 1) * bound)
+        one = next(
+            n for n in itertools.count(1)
+            if width(n * (p - 1) ** 2) < width((n - 1) * (p - 1) * (2 * p - 1))
+        )
+        return top, one
+
+    @pytest.mark.parametrize("field", [F2, F7, make_field(1048573), M61], ids=repr)
+    def test_update_full_slots(self, field):
+        # every digit p - 1 in u, x and c, and -y of digits 1 or p (y = 0):
+        # the largest slot sums an update can take
+        p = field.p
+        for N in self.full_slot_lengths(p):
+            pack, val, cut, neg, update = field.series_ops(N)
+            top = [p - 1] * N
+            for y in (top, []):
+                want = field.poly_sub(
+                    field.poly_mul(top, top)[:N], field.poly_mul(top, y)[:N]
+                )
+                got = update(pack(top), pack(top), pack(top), neg(pack(y), N), N)
+                assert got == pack(want)
+                assert val(got, N) == next((i for i, a in enumerate(want) if a), N)
+
+    @pytest.mark.parametrize("field", [F2, F3, F7, make_field(1048573), M61], ids=repr)
+    @given(data=st.data())
+    def test_packed_steps_match_coefficient_lists(self, field, data):
+        """The packed pack, val, cut, neg and update against list arithmetic
+        mod s^P, with entries longer than N, as the rows of R are."""
+        N = data.draw(st.integers(1, 40))
+        pack, val, cut, neg, update = field.series_ops(N)
+        elems = st.lists(st.one_of(st.just(0), felems(field)), max_size=N + 5)
+        u, x, c, y = (data.draw(elems) for _ in range(4))
+        w = data.draw(st.integers(0, N - 1))
+        P = N - w
+
+        def low(xs, n):
+            xs = list(xs[:n])
+            return xs + [0] * (n - len(xs))
+
+        assert val(pack(x), N) == next((i for i, a in enumerate(x[:N]) if a), N)
+        assert cut(pack(x), w, P) == pack(low(x[w:], P))
+        want = field.poly_sub(
+            field.poly_mul(low(u, P), low(x, P))[:P],
+            field.poly_mul(low(c, P), low(y, P))[:P],
+        )
+        got = update(pack(low(u, P)), pack(x), pack(low(c, P)), neg(pack(y), P), P)
+        assert got == pack(low(want, P))
 
 
 class TestFieldProductsStayInTheField:

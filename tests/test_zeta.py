@@ -216,6 +216,24 @@ class TestSeriesFromNk:
             q, nks, len(nks)
         )
 
+    @pytest.mark.parametrize(
+        "q, exps",
+        [
+            (7, [3 * k for k in range(1, 13)]),  # c = 3, every N'_k = 1
+            (2, [0] + list(range(3, 14))),  # N_1 = 1: c = 0
+            (4, [None if k % 2 == 0 else 2 * k + 1 for k in range(1, 13)]),  # c = 2
+            (2**61 - 1, [5 * k - 1 for k in range(1, 13)]),  # k does not divide e_k
+            (5, [None, 4, 9, 30] + [8 * k for k in range(5, 13)]),  # c from k = 2
+            (3, [None] * 12),  # no nonzero N_k: c = 0
+        ],
+    )
+    def test_rescaled_recurrence_matches_unscaled(self, q, exps):
+        """The recurrence on N_k / q^(ck) against the one on the N_k."""
+        nks = [NkValue.zero() if e is None else NkValue.of(e) for e in exps]
+        for order in (0, 1, 2, 7, 12):
+            want = series_by_fractions(q, nks, order)
+            assert series_from_nk(q, nks, order).coeffs == want
+
     def test_dold_breaking_counts_give_fractions(self):
         # N_1 = 1, N_2 = 0: c_2 = (N_2 + N_1^2) / 2
         nks = [NkValue.of(0), NkValue.zero()]
