@@ -11,11 +11,11 @@ Two independent routes compute N_k:
 
   * nk_direct / nk_table: the determinant.  nk_direct takes
     det(A^k - I) over F[t] at every k and reads its degree.  nk_table
-    gives the three answers forced without a determinant, as its
-    docstring says, and reads every other one at s = 1/t by
-    division-free elimination over F[s]/(s^N), on packed ints over prime
-    fields; the power A^k is taken only at those k, each the last one
-    times a gap power built once.  The two share no determinant.  No
+    takes no det: it gives the answers forced by N_1 and by divisors of
+    k, as its docstring says, and reads every other one from A^k at
+    s = 1/t by division-free elimination over F[s]/(s^N), on packed
+    ints over prime fields; A^k is taken only at those k, each the last
+    one times a gap power built once.  The two share only mat_mul.  No
     charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
@@ -119,11 +119,9 @@ def _valuation(field, rows, N):
     only mod s^(N - w).  u and r_j / s^w are known mod s^(N - w) and every
     entry they multiply has valuation at least w, so each step is exact.
 
-    The entries are the elements of ``Field.series_ops``: over a prime
-    field one Kronecker int each, its slots the coefficients, so that an
-    update is two int products, a mask and one reduction mod p; over
-    GF(p^e), e >= 2, coefficient lists.  The pivot row is negated once per
-    pivot, and every other row takes u r + (r_j / s^w) (-pivot row).
+    The entries are the elements of ``Field.series_ops``, one packed int
+    each over a prime field.  The pivot row is negated once per pivot,
+    and every other row takes u r + (r_j / s^w) (-pivot row).
     """
     pack, val, cut, neg, update = field.series_ops(N)
     rows = [[pack(x) for x in row] for row in rows]
@@ -145,23 +143,26 @@ def _valuation(field, rows, N):
     return N - P
 
 
-def _nk_value(field, M, guess) -> NkValue:
-    """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0.
+def _nk_value(field, P, guess) -> NkValue:
+    """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0, from P = A^k.
 
-    With D the largest entry degree of M and R = s^D M(1/s), each entry's
-    coefficients reversed and padded at the low end to D + 1,
-    det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the s-adic
-    valuation of det R, which ``_valuation`` reads mod s^N.  N starts at
-    Dd - guess + 1 for a guess at deg det M, within [1, Dd + 1]: the
-    least N that sees v if the guess is right, and doubles while v >= N
-    up to Dd + 1.  There nothing of det R is cut, so v >= N proves N_k = 0.
+    R = s^D M(1/s), for D the largest entry degree of P and M, is P's
+    entries reversed, padded at the low end to D + 1, less 1 at s^D on the
+    diagonal.  det R = s^(Dd) det M(1/s), so deg det M = Dd - v for v the
+    s-adic valuation of det R, which ``_valuation`` reads mod s^N.  N
+    starts at Dd - guess + 1 for a guess at deg det M, within [1, Dd + 1]:
+    the least N that sees v if the guess is right, and doubles while
+    v >= N up to Dd + 1, where nothing is cut and v >= N proves N_k = 0.
     """
-    D = _max_degree(M)
+    D = _max_degree(P)
     R = [
         [[field.zero] * (D - x.degree) + list(x.coeffs[::-1]) if x else [] for x in row]
-        for row in M
+        for row in P
     ]
-    full = D * len(M) + 1
+    for i, row in enumerate(R):
+        row[i] = row[i] or [field.zero] * (D + 1)
+        row[i][D] = field.sub(row[i][D], field.one)
+    full = D * len(P) + 1
     N = min(max(full - guess, 1), full)
     while True:
         v = _valuation(field, R, N)
@@ -188,13 +189,13 @@ def nk_direct(field, A, k: int) -> NkValue:
 def nk_table(field, A, kmax: int) -> list:
     """[N_1, ..., N_kmax]: det(A^k - I) read at s = 1/t by ``_nk_value``.
 
-    Three answers are forced and take no power of A and no elimination
-    over F[s]/(s^N):
+    Three rules settle k with no power of A and no elimination past N_1's:
 
-      * with a >= 1 the largest entry degree, if the matrix L of t^a
-        coefficients is invertible, then A^k has the invertible leading
-        matrix L^k, det(A^k - I) has degree akd and N_k = q^(akd) for
-        every k; one det over F decides this;
+      * with a >= 1 the largest entry degree and L the matrix of t^a
+        coefficients, det L is the t^(ad) coefficient of det(A - I), and
+        N_1's elimination, at N = 1, is that of L over F.  If L is
+        invertible, which N_1 = q^(ad) says, A^k has the invertible
+        leading matrix L^k and N_k = q^(akd) for every k;
       * N_k = 0 when N_j = 0 at a proper divisor j of k, as A^j - I
         divides A^k - I;
       * for p | k, A^k - I = (A^(k/p) - I)^p in characteristic p, so the
@@ -211,11 +212,7 @@ def nk_table(field, A, kmax: int) -> list:
     """
     d = len(A)
     a = _max_degree(A)
-    L = [[x.coeff(a) for x in row] for row in A]
-    if a >= 1 and det(field, L):
-        return [NkValue.of(a * k * d) for k in range(1, kmax + 1)]
     ring = polyring(field)
-    I = identity(ring, d)
     gaps = {1: A}
 
     def gap(g):
@@ -235,7 +232,9 @@ def nk_table(field, A, kmax: int) -> list:
         else:
             if j < k:
                 power, j = mat_mul(ring, power, gap(k - j)), k
-            val = _nk_value(field, mat_sub(ring, power, I), last[1] * k // last[0])
+            val = _nk_value(field, power, last[1] * k // last[0])
+        if k == 1 and a >= 1 and val == NkValue.of(a * d):
+            return [NkValue.of(a * i * d) for i in range(1, kmax + 1)]
         out.append(val)
         if not val.is_zero:
             last = (k, val.exponent)

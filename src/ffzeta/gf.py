@@ -158,6 +158,14 @@ def _mod_bytes(buf, width: int, p: int) -> bytes:
     return total.to_bytes(len(buf) // width, "little").translate(_byte_residues(p, 0))
 
 
+def _mod_slots(x: int, count: int, width: int, p: int) -> list:
+    """x's count slots of width bytes mod p, by ``_mod_bytes`` if it applies."""
+    buf = x.to_bytes(count * width, "little")
+    if width * (p - 1) < 256:
+        return list(_mod_bytes(buf, width, p))
+    return [v % p for v in _read(buf, count, width, width)]
+
+
 def _ones(count: int, width: int, value: int) -> int:
     """value in each of count slots of width bytes."""
     return int.from_bytes(value.to_bytes(width, "little") * count, "little")
@@ -432,8 +440,7 @@ class Field(Domain):
         j of every coefficient is moved to a cell of its own, reduced mod
         p (``_divmod_slots``) and taken into the packed coefficients by
         Horner's rule, from j = e - 1 down.  For e = 1 a slot is a
-        coefficient, reduced by ``bytes.translate`` when w * (p - 1) < 256
-        and one by one otherwise.
+        coefficient, reduced by ``_mod_slots``.
         """
         p, e = self.p, self.e
         n = max(len(xs) + len(ys) for xs, ys in pairs) - 1
@@ -442,10 +449,7 @@ class Field(Domain):
         stride = (2 * e - 1) * w
         prod = sum(self._spread(xs, w) * self._spread(ys, w) for xs, ys in pairs)
         if e == 1:
-            buf = prod.to_bytes(n * w, "little")
-            if w * (p - 1) < 256:
-                return list(_mod_bytes(buf, w, p))
-            return [v % p for v in _read(buf, n, w, w)]
+            return _mod_slots(prod, n, w, p)
         low = _ones(n, stride, (1 << 8 * w) - 1)
         for k, digits in enumerate(self._fold, e):
             high = (prod >> (8 * w * k)) & low
@@ -478,8 +482,7 @@ class Field(Domain):
         update's slots, u x + c ny with digits below p and the negated
         ones p - y in (0, p], then sum at most that, so the two products
         and their sum never carry.  The mask to P slots is the truncation,
-        the lowest set bit gives the valuation, and each slot is then
-        reduced mod p by the rule of ``_kron_dot``.
+        the lowest set bit the valuation, and ``_mod_slots`` the reduction.
         """
         if self.e >= 2:
             mul, add = self.poly_mul, self.poly_add
@@ -506,10 +509,7 @@ class Field(Domain):
 
         def update(u, x, c, ny, P):
             sums = (u * x + c * ny) & ((1 << bits * P) - 1)
-            buf = sums.to_bytes(P * W, "little")
-            if W * (p - 1) < 256:
-                return _pack(_mod_bytes(buf, W, p), W, True)
-            return _pack([v % p for v in _read(buf, P, W, W)], W, False)
+            return _pack(_mod_slots(sums, P, W, p), W, p <= 256)
 
         return lambda xs: _pack(xs[:N], W, p <= 256), val, cut, neg, update
 

@@ -360,27 +360,27 @@ class TestValuationRoute:
 
     @staticmethod
     def record_matrices(monkeypatch):
-        """The list of matrices M = A^k - I that reach ``_nk_value``."""
+        """The list of powers P = A^k that reach ``_nk_value``."""
         from ffzeta import dynamics
 
         ms = []
         real_nk_value = dynamics._nk_value
 
-        def recording_nk_value(field, M, guess):
-            ms.append(M)
-            return real_nk_value(field, M, guess)
+        def recording_nk_value(field, P, guess):
+            ms.append(P)
+            return real_nk_value(field, P, guess)
 
         monkeypatch.setattr(dynamics, "_nk_value", recording_nk_value)
         return ms
 
     @staticmethod
     def ks_of(field, A, ms, kmax=12):
-        """The k with A^k - I = M, for each M in ms."""
-        from ffzeta.polymat import matpow_minus_I
+        """The k with A^k = P, for each P in ms."""
+        from ffzeta.polymat import matpow
 
         ring = polyring(field)
-        powers = [matpow_minus_I(ring, A, k) for k in range(1, kmax + 1)]
-        return [powers.index(M) + 1 for M in ms]
+        powers = [matpow(ring, A, k) for k in range(1, kmax + 1)]
+        return [powers.index(P) + 1 for P in ms]
 
     def test_edge_cases_reach_their_branch(self, monkeypatch):
         """N_j = 0 settles every multiple of j, and p | k settles k, with no det."""
@@ -412,7 +412,8 @@ class TestValuationRoute:
         assert tab == [nk_direct(F3, A, k) for k in range(1, 10)]
 
     def test_nonsingular_leading_matrix_needs_one_coefficient(self, monkeypatch):
-        """An invertible L gives N_k = q^(akd) from one det over F itself."""
+        """An invertible L gives N_k = q^(akd) from N_1's one elimination,
+        at N = 1, with no power of A and no det."""
         from ffzeta import dynamics
 
         A = tmat(F7, [[(1, 2, 3), (0, 0, 1), (4, 0, 2)],
@@ -420,18 +421,32 @@ class TestValuationRoute:
                       [(6, 0, 2), (1, 2, 4), (5, 5, 3)]])
         L = tmat(F7, [[(x.lc,) for x in row] for row in A])
         assert dynamics.det(polyring(F7), L)
-        rings = []
-        real_det = dynamics.det
-
-        def recording_det(ring, M):
-            rings.append(ring)
-            return real_det(ring, M)
-
-        monkeypatch.setattr(dynamics, "det", recording_det)
+        precisions = self.record_precisions(monkeypatch)
+        products = TestPowerAdvance.count_products(monkeypatch)
+        monkeypatch.setattr(dynamics, "det", self.forbidden)
         tab = nk_table(F7, A, 40)
         assert tab == [NkValue.of(6 * k) for k in range(1, 41)]
-        assert len(rings) == 1
-        assert rings[0] is F7
+        assert precisions == [1]
+        assert products == []
+
+    @staticmethod
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nk_table took a det, identity or A^k - I")
+
+    @staticmethod
+    def record_precisions(monkeypatch):
+        """The list of precisions N that ``_valuation`` runs at."""
+        from ffzeta import dynamics
+
+        precisions = []
+        real_valuation = dynamics._valuation
+
+        def recording_valuation(field, rows, N):
+            precisions.append(N)
+            return real_valuation(field, rows, N)
+
+        monkeypatch.setattr(dynamics, "_valuation", recording_valuation)
+        return precisions
 
     @staticmethod
     def record_det_rings(monkeypatch):
@@ -461,29 +476,34 @@ class TestValuationRoute:
             assert len(rings) == 1
             assert rings[0] is polyring(F2)
 
-    def test_table_takes_det_for_the_leading_matrix_only(self, monkeypatch):
-        """With L singular, nk_table's one det is the L rule's, over F."""
-        want = [nk_direct(F2, CUBIC_COMP, k) for k in range(1, 10)]
-        rings = self.record_det_rings(monkeypatch)
-        assert nk_table(F2, CUBIC_COMP, 9) == want
-        assert rings == [F2]
+    def test_table_takes_no_det(self, monkeypatch):
+        """With det, mat_sub and identity patched to raise, nk_table still
+        matches nk_direct, on an invertible L and on a singular one."""
+        from ffzeta import dynamics
+
+        invertible = tmat(F7, [[(1, 2), (0, 3)], [(4, 1), (2, 6)]])
+        cases = [(F7, invertible, 12), (F2, CUBIC_COMP, 9)]
+        wants = [[nk_direct(f, A, k) for k in range(1, n + 1)] for f, A, n in cases]
+        for name in ("det", "mat_sub", "identity"):
+            monkeypatch.setattr(dynamics, name, self.forbidden)
+        assert [nk_table(f, A, n) for f, A, n in cases] == wants
+        assert wants[0] == [NkValue.of(2 * k) for k in range(1, 13)]
 
     def test_table_starts_at_one_coefficient(self, monkeypatch):
         """nk_table's first valuation keeps one coefficient, N = 1."""
-        from ffzeta import dynamics
-
-        precisions = []
-        real_valuation = dynamics._valuation
-
-        def recording_valuation(field, rows, N):
-            precisions.append(N)
-            return real_valuation(field, rows, N)
-
-        monkeypatch.setattr(dynamics, "_valuation", recording_valuation)
+        precisions = self.record_precisions(monkeypatch)
         for rows in (CUBIC_COMP, tmat(F2, NONLINEAR_V), tmat(F2, PERIODIC_ZERO)):
             precisions.clear()
             nk_table(F2, rows, 6)
             assert precisions[0] == 1
+
+    def test_constant_matrix_keeps_the_leading_matrix_rule_off(self):
+        """With a = 0, N_1 = q^0 says nothing of N_2: A = [[6]] over GF(7)
+        has A^2 = I."""
+        A = tmat(F7, [[(6,)]])
+        want = [NkValue.of(0), NkValue.zero(), NkValue.of(0), NkValue.zero()]
+        assert nk_table(F7, A, 4) == want
+        assert [nk_direct(F7, A, k) for k in range(1, 5)] == want
 
     def test_independent_of_spectral_route(self, monkeypatch):
         """No charpoly, factor or root order on the direct route."""
