@@ -18,13 +18,20 @@ recurrence n c_n = sum N_k c_{n-k} driven by N_k from any route, and the
 generalized binomial expansion of the closed-form product.  The inverse
 recurrence recovers the N_k from a series, closing the loop for tests.
 
-Both exponential recurrences run on Python ints, with no Fraction per term.
-The forward one runs on the series in w = q^c z, for the largest c that
-leaves every nonzero N'_k = N_k / q^(ck) an int, so that its products stay
-short.  It carries b_n = n! c'_n, an integer because the N'_k are:
-b_n = sum_k N'_k b_{n-k} (n-1)!/(n-k)!, with the falling factorial grown
-by one small multiply per k, and c_n = q^(cn) b_n / n! is normalised once.
-The inverse one scales the series by the common denominator D of
+All three series routines run on Python ints over one common denominator
+and build each coefficient once, at the end, by _exact: an int when it
+is integral, as the Dold congruences make it unless the N_k = 0
+convention breaks them, and a Fraction in lowest terms otherwise.  The
+forward recurrence runs on the series in w = q^c z, for the largest c
+that leaves every nonzero N'_k = N_k / q^(ck) an int, so that its products
+stay short.  It carries p_n = order! c'_n, ints because the N'_k are:
+n p_n = sum_k N'_k p_{n-k}, one exact divmod by n, and
+c_n = q^(cn) p_n / order!.  The closed form is expanded in w = q^E z: a
+factor (1 - w^L)^(a/b) has the integer terms
+t_j = prod_{i<j} (i b - a) b^(J-j) J!/j! over b^J J!, J = order // L, the
+factors are multiplied by an integer convolution at stride L and their
+denominators multiplied, and c_n = q^(En) num_n / den.  The inverse
+recurrence scales the series by the common denominator D of
 c_0..c_order, so that a_n = D c_n are ints:
 D N_k = k a_k - sum_{j<k} N_j a_{k-j}, and one divmod by D gives N_k or
 shows it is not an integer.
@@ -43,7 +50,8 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
+from operator import mul
 
 from . import errors
 from .dynamics import INT_RENDER_CAP
@@ -98,7 +106,7 @@ class SeriesTrunc:
     """Truncated power series around 0 with exact rational coefficients."""
 
     order: int
-    coeffs: tuple  # Fractions, length order + 1
+    coeffs: tuple  # ints; Fractions where not integral; length order + 1
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
@@ -208,16 +216,26 @@ def classify(sd: SpectralData) -> ZetaResult:
     )
 
 
+def _exact(xs: list, Q: int, d: int) -> tuple:
+    """Q^n xs[n] / d for each n: an int where d divides it, else a Fraction."""
+    out, power = [], 1
+    for x in xs:
+        quo, rem = divmod(x * power, d)
+        out.append(Fraction(x * power, d) if rem else quo)
+        power *= Q
+    return tuple(out)
+
+
 def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
     """exp(sum N_k z^k / k) truncated at z^order, exactly.
 
     nk_source is a sequence of NkValue covering k = 1..order.  With
     N_k = q^(e_k) and c the least floor(e_k / k) over the nonzero N_k
     (0 if there are none), z = w / q^c gives exp(sum N'_k w^k / k) with
-    N'_k = q^(e_k - ck), ints, so the recurrence runs on the c'_n of that
-    series and c_n = q^(cn) c'_n.  c is read off the table itself, never
-    off the spectral data, so the route stays independent of the closed
-    form.
+    N'_k = q^(e_k - ck), ints, so the recurrence runs on the ints
+    p_n = order! c'_n of that series and c_n = q^(cn) p_n / order!.  c is
+    read off the table itself, never off the spectral data, so the route
+    stays independent of the closed form.
     """
     nks = list(nk_source)
     if len(nks) < order:
@@ -225,51 +243,34 @@ def series_from_nk(q: int, nk_source, order: int) -> SeriesTrunc:
     nks = list(enumerate(nks[:order], start=1))
     c = min((v.exponent // k for k, v in nks if not v.is_zero), default=0)
     N = [0 if v.is_zero else q ** (v.exponent - c * k) for k, v in nks]
-    bs = [1]  # b_n = n! c'_n
-    cs = [Fraction(1)]
-    fact, scale, qc = 1, 1, q**c
+    F = factorial(order)
+    ps = [F]
     for n in range(1, order + 1):
-        acc = 0
-        falling = 1  # (n-1)!/(n-k)!
-        for k in range(1, n + 1):
-            if N[k - 1]:
-                acc += N[k - 1] * bs[n - k] * falling
-            falling *= n - k
-        bs.append(acc)
-        fact *= n
-        scale *= qc
-        cs.append(Fraction(acc * scale, fact))
-    return SeriesTrunc(order=order, coeffs=tuple(cs))
-
-
-def _binomial_series(gamma: Fraction, scale: int, L: int, order: int) -> list:
-    """(1 - x)^gamma with x = scale * z^L, as coefficients up to order."""
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    term = Fraction(1)
-    j = 1
-    while j * L <= order:
-        term *= (gamma - (j - 1)) / j
-        out[j * L] = term * (-scale) ** j
-        j += 1
-    return out
+        p, rem = divmod(sum(map(mul, N, reversed(ps))), n)
+        if rem:
+            raise errors.InternalInvariantError(f"order! c'_{n} is not an integer")
+        ps.append(p)
+    return SeriesTrunc(order, _exact(ps, q**c, F))
 
 
 def series_from_closed_form(cf: ZetaClosedForm, order: int) -> SeriesTrunc:
-    cs = [Fraction(1)] + [Fraction(0)] * order
+    """The binomial expansion of the closed-form product, to z^order."""
+    num, den = [1] + [0] * order, 1
     for L, gamma in cf.factors:
         if L > order:
             continue
-        fac = _binomial_series(gamma, cf.q ** (cf.E * L), L, order)
-        nxt = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(cs):
-            if a == 0:
-                continue
-            for j in range(0, order + 1 - i, L):
-                if fac[j] != 0:
-                    nxt[i + j] += a * fac[j]
-        cs = nxt
-    return SeriesTrunc(order=order, coeffs=tuple(cs))
+        a, b, J = gamma.numerator, gamma.denominator, order // L
+        t = [b**J * factorial(J)]  # t_j = t_{j-1} ((j-1) b - a) / (j b)
+        for j in range(1, J + 1):
+            t.append(t[-1] * ((j - 1) * b - a) // (j * b))
+        nxt = [0] * (order + 1)
+        for i, x in enumerate(num):
+            if x:
+                for j, tj in enumerate(t[: (order - i) // L + 1]):
+                    if tj:
+                        nxt[i + j * L] += x * tj
+        num, den = nxt, den * t[0]
+    return SeriesTrunc(order, _exact(num, cf.q**cf.E, den))
 
 
 def nk_from_series(st: SeriesTrunc) -> list:
@@ -284,10 +285,7 @@ def nk_from_series(st: SeriesTrunc) -> list:
     a = [c.numerator * (D // c.denominator) for c in cs]
     N = []
     for k in range(1, st.order + 1):
-        acc = k * a[k]
-        for j in range(1, k):
-            if N[j - 1]:
-                acc -= N[j - 1] * a[k - j]
+        acc = k * a[k] - sum(map(mul, N, a[k - 1 : 0 : -1]))
         nk, rem = divmod(acc, D)
         if rem:
             raise errors.MalformedInputError(f"N_{k} from series is {Fraction(acc, D)}")

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +18,7 @@ from ffzeta.dynamics import (
     nk_table,
     system_data,
 )
+from ffzeta import zeta
 from ffzeta.spectral import SpectralData
 from ffzeta.zeta import (
     SeriesTrunc,
@@ -25,6 +26,7 @@ from ffzeta.zeta import (
     classify,
     closed_form,
     nk_from_series,
+    num_str,
     series_from_closed_form,
     series_from_nk,
 )
@@ -72,6 +74,45 @@ def series_by_fractions(q, nks, order):
                 acc += N[k - 1] * cs[n - k]
         cs.append(acc / n)
     return tuple(cs)
+
+
+def closed_form_by_fractions(cf, order):
+    """The product of the binomial series (1 - (q^E z)^L)^gamma, one
+    Fraction per term: the reference for series_from_closed_form."""
+    cs = [Fraction(1)] + [Fraction(0)] * order
+    for L, gamma in cf.factors:
+        if L > order:
+            continue
+        scale = cf.q ** (cf.E * L)
+        fac = [Fraction(1)] + [Fraction(0)] * order
+        term = Fraction(1)
+        for j in range(1, order // L + 1):
+            term *= (gamma - (j - 1)) / j
+            fac[j * L] = term * (-scale) ** j
+        nxt = [Fraction(0)] * (order + 1)
+        for i, a in enumerate(cs):
+            if a == 0:
+                continue
+            for j in range(0, order + 1 - i, L):
+                if fac[j] != 0:
+                    nxt[i + j] += a * fac[j]
+        cs = nxt
+    return tuple(cs)
+
+
+@st.composite
+def closed_forms(draw):
+    """(ZetaClosedForm, order): factors with L in 1..12 and gamma = -v/L,
+    v in -3..3, plus one factor with L past the order."""
+    order = draw(st.integers(0, 40))
+    gammas = {}
+    for L, v in draw(st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)))):
+        gammas[L] = gammas.get(L, 0) + Fraction(-v, L)
+    L = order + draw(st.integers(1, 5))
+    gammas[L] = gammas.get(L, 0) + Fraction(-draw(st.integers(1, 3)), L)
+    factors = tuple(sorted((L, g) for L, g in gammas.items() if g))
+    q = draw(st.sampled_from((2, 4, 7, 2**61 - 1)))
+    return ZetaClosedForm(q=q, E=draw(st.integers(0, 2)), factors=factors), order
 
 
 @st.composite
@@ -256,6 +297,27 @@ class TestSeriesFromClosedForm:
             Fraction(0),
             Fraction(-1, 8),
         )
+        # exactly the non-integral coefficients are Fractions, in lowest terms
+        assert [type(c) for c in s.coeffs] == [int, int, Fraction, int, Fraction]
+        assert [gcd(c.numerator, c.denominator) for c in s.coeffs] == [1] * 5
+
+    @given(case=closed_forms())
+    def test_matches_fraction_product(self, case):
+        cf, order = case
+        got = series_from_closed_form(cf, order).coeffs
+        want = closed_form_by_fractions(cf, order)
+        assert got == want
+        assert [num_str(c) for c in got] == [num_str(c) for c in want]
+
+    def test_sixteen_factors(self):
+        """The orders 2, 3, 5, 7, 8 give 16 factors, L = 1 up to 210."""
+        rou = tuple((m, 1) for m in (2, 3, 5, 7, 8))
+        cf = closed_form(fake_sd(F7, 1, rou=rou, unit=()))
+        assert len(cf.factors) == 16
+        got = series_from_closed_form(cf, 60).coeffs
+        want = closed_form_by_fractions(cf, 60)
+        assert got == want
+        assert [num_str(c) for c in got] == [num_str(c) for c in want]
 
     def test_matches_exponential_route(self):
         cf = closed_form(system_data(F7, DIAG62))
@@ -309,6 +371,49 @@ class TestInverseRecurrence:
         s = SeriesTrunc(order=2, coeffs=(c0, Fraction(1), Fraction(1)))
         with pytest.raises(errors.MalformedInputError, match="constant term"):
             nk_from_series(s)
+
+
+class TestNumberType:
+    """Coefficients are ints where integral and Fractions in lowest terms
+    elsewhere, each built once: no Fraction per term on the way."""
+
+    @pytest.mark.parametrize(
+        "cf, nks, order, fractions",
+        [
+            (
+                ZetaClosedForm(q=7, E=1, factors=((1, Fraction(-1)),)),
+                [NkValue.of(k) for k in range(1, 41)],
+                40,
+                0,
+            ),
+            # N_2 - N_1 = -1 is odd, against the Dold congruences: c_2 = 1/2
+            (
+                closed_form(system_data(F7, DIAG62)),
+                nk_table(F7, DIAG62, 20),
+                20,
+                19,
+            ),
+        ],
+        ids=["1/(1-7z)", "DIAG62"],
+    )
+    def test_fractions_only_where_not_integral(
+        self, monkeypatch, cf, nks, order, fractions
+    ):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(zeta, "Fraction", counting)
+        by_cf = series_from_closed_form(cf, order)
+        by_nk = series_from_nk(7, nks, order)
+        assert nk_from_series(by_nk) == [v.as_int(7) for v in nks]
+        assert by_cf == by_nk
+        for c in by_cf.coeffs + by_nk.coeffs:
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+        assert len(made) == 2 * fractions
+        assert sum(c.denominator != 1 for c in by_nk.coeffs) == fractions
 
 
 def test_permuting_diagonal_leaves_closed_form():
