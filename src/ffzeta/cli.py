@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__, errors
 from .dynamics import (
@@ -59,8 +59,7 @@ MAX_ENTRY_DEG = 32
 MAX_K = 60
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     p: int
     e: int
     modulus: object  # as given, checked by make_field; None when omitted

@@ -31,8 +31,8 @@ F[t]: the reduced fraction with den monic and deg num < deg den.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import errors
 from .newton import polygon
@@ -43,8 +43,7 @@ from .spectral import SpectralData, spectral_data
 INT_RENDER_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class NkValue:
+class NkValue(NamedTuple):
     """A periodic-point count: zero, or q**exponent."""
 
     is_zero: bool
@@ -68,8 +67,7 @@ class NkValue:
         return q**self.exponent
 
 
-@dataclass(frozen=True)
-class Entropy:
+class Entropy(NamedTuple):
     """Topological entropy E * log q, kept exact as the pair (E, q)."""
 
     E: int

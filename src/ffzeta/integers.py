@@ -8,9 +8,9 @@ parameters, the Baillie-PSW test: no composite is known to pass it, but
 it is not proven exact there.
 
 ``factorint`` strips the primes below 2^16 by trial division, over a table
-sieved on first use, and splits what is left with Brent's variant of
-Pollard's rho under one step budget per call, past which it raises
-CapExceededError instead of running on.
+sieved on first use up to the least power of two past sqrt(n), and splits
+what is left with Brent's variant of Pollard's rho under one step budget
+per call, past which it raises CapExceededError instead of running on.
 
 ``factor_group_order`` factors q^delta - 1, the order of GF(q^delta)*.
 It is the product of the cyclotomic values Phi_j(q) over j | delta, each
@@ -191,14 +191,14 @@ def factor_group_order(q: int, delta: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _trial_primes() -> tuple:
-    """The primes from 7 up to the trial bound 2^16, sieved on first use."""
-    sieve = bytearray([1]) * TRIAL_BOUND
+def _trial_primes(bound: int) -> tuple:
+    """The primes from 7 up to bound, sieved on first use of that bound."""
+    sieve = bytearray([1]) * bound
     sieve[:2] = b"\0\0"
-    for d in range(2, math.isqrt(TRIAL_BOUND - 1) + 1):
+    for d in range(2, math.isqrt(bound - 1) + 1):
         if sieve[d]:
-            sieve[d * d :: d] = bytes(len(range(d * d, TRIAL_BOUND, d)))
-    return tuple(compress(range(7, TRIAL_BOUND), sieve[7:]))
+            sieve[d * d :: d] = bytes(len(range(d * d, bound, d)))
+    return tuple(compress(range(7, bound), sieve[7:]))
 
 
 def _factor_parts(n: int, parts: tuple) -> dict:
@@ -209,7 +209,10 @@ def _factor_parts(n: int, parts: tuple) -> dict:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    for d in _trial_primes():
+    # Primes past isqrt(n) end the loop at once, so a table up to the next
+    # power of two above it tries the same primes as the full one.
+    bound = min(TRIAL_BOUND, max(16, 1 << math.isqrt(n).bit_length()))
+    for d in _trial_primes(bound):
         if d * d > n:
             break
         while n % d == 0:

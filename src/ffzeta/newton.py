@@ -20,15 +20,14 @@ P with its power of X divided out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .polycore import Poly
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower hull vertices and the derived edge data."""
 
     vertices: tuple  # ((i, v), ...) with strictly increasing i

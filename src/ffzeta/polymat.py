@@ -15,22 +15,21 @@ reduction that needs a Euclidean entry ring (polynomials over a field).
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from . import errors
 from .polycore import Poly, power
 
 
-@dataclasses.dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple), ("rank", int)])):
     """Invariant factors b_1 | b_2 | ... | b_r (monic, nonzero) and rank."""
 
-    invariant_factors: tuple
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.invariant_factors) != self.rank:
+    def __new__(cls, invariant_factors: tuple, rank: int):
+        if len(invariant_factors) != rank:
             raise errors.InternalInvariantError("rank disagrees with factor count")
+        return super().__new__(cls, invariant_factors, rank)
 
 
 def identity(dom, d: int) -> list:

@@ -37,7 +37,7 @@ irreducibility check, since factor has just certified each factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import errors
 from .gf import _root_order
@@ -45,8 +45,7 @@ from .newton import NewtonPolygon, polygon, unit_residual
 from .polycore import Poly, factor, poly_gcd, polyring, resultant
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Arithmetic invariants of a monic P in F[t][X] with P(0) != 0.
 
     rou_orders and unit_orders hold (order, eigenvalue multiplicity) pairs

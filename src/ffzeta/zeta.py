@@ -48,10 +48,10 @@ L past the order and never forms their q^(E L).
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import errors
 from .dynamics import INT_RENDER_CAP
@@ -101,20 +101,21 @@ def power_str(q: int, n: int) -> str:
     return num_str(q**n) if n <= INT_RENDER_CAP else f"{q}^{n}"
 
 
-@dataclass(frozen=True)
-class SeriesTrunc:
-    """Truncated power series around 0 with exact rational coefficients."""
+class SeriesTrunc(NamedTuple("SeriesTrunc", [("order", int), ("coeffs", tuple)])):
+    """Truncated power series around 0 with exact rational coefficients.
 
-    order: int
-    coeffs: tuple  # ints; Fractions where not integral; length order + 1
+    coeffs holds order + 1 ints, with Fractions where not integral.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int, coeffs: tuple):
+        if len(coeffs) != order + 1:
             raise errors.InternalInvariantError("series length mismatch")
+        return super().__new__(cls, order, coeffs)
 
 
-@dataclass(frozen=True)
-class ZetaClosedForm:
+class ZetaClosedForm(NamedTuple):
     """Product of (1 - (q^E z)^L)^gamma over the factor list.
 
     factors is a tuple of (L, gamma) with integer L >= 1 and nonzero
@@ -151,16 +152,14 @@ class ZetaClosedForm:
         return f"{num or '1'}/{den}"
 
 
-@dataclass(frozen=True)
-class TranscendenceCertificate:
+class TranscendenceCertificate(NamedTuple):
     """Witness of transcendence: a unit order no root-of-unity order divides."""
 
     bad_unit_order: int
     rou_orders: tuple
 
 
-@dataclass(frozen=True)
-class ZetaResult:
+class ZetaResult(NamedTuple):
     algebraic: bool
     closed_form: object  # ZetaClosedForm or None
     certificate: object  # TranscendenceCertificate or None

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -718,4 +719,19 @@ def test_prime_field_command_never_imports_numpy(tmp_path, doc):
         "assert sys.modules['numpy'] is None, 'numpy was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # the records are NamedTuples, so starting a command pays for neither
+    # dataclasses nor the inspect, ast, dis and tokenize it imports
+    code = (
+        "import sys, ffzeta.cli\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PROBLEMS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr

@@ -70,6 +70,15 @@ class TestNkValue:
         with pytest.raises(errors.CapExceededError):
             NkValue.of(INT_RENDER_CAP + 1).as_int(2)
 
+    def test_record_contract(self):
+        # a record's repr names its fields
+        assert repr(NkValue.of(3)) == "NkValue(is_zero=False, exponent=3)"
+        v = NkValue.zero()
+        with pytest.raises(AttributeError):
+            v.exponent = 1
+        with pytest.raises(AttributeError):
+            Entropy(1, 2).E = 0
+
 
 class TestEntropy:
     def test_shift(self):

@@ -1,5 +1,7 @@
 """Integer primality and factorization."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -87,3 +89,62 @@ def test_group_order_shares_one_budget(monkeypatch):
     assert len(seen) >= 2 and seen[0][0] == integers.RHO_BUDGET
     for (budget, steps), (after, _) in zip(seen, seen[1:]):
         assert after == budget - steps
+
+
+FULL_TABLE = integers._trial_primes(integers.TRIAL_BOUND)
+
+
+def _prime_below(b):
+    p = b - 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+# 13 * 17 and the squares of the largest primes below each table size are
+# the numbers whose last trial prime sits at the top of a sized table
+SIEVE_EDGES = [13 * 17, 2**32 + 1, 65521**2 * 65537, 65537**2, 2**64 + 1] + [
+    _prime_below(1 << k) ** 2 for k in range(4, 17)
+]
+
+
+def factored(f, *args, full):
+    """(f(*args), the numbers left for is_prime after trial division); with
+    full, trial division runs over every prime below 2^16."""
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return is_prime(m)
+
+    table = (lambda bound: FULL_TABLE) if full else integers._trial_primes
+    with mock.patch.object(integers, "is_prime", recording), mock.patch.object(
+        integers, "_trial_primes", table
+    ):
+        return f(*args), seen
+
+
+def test_sized_tables_are_prefixes_of_the_full_one():
+    for k in range(4, 17):
+        table = integers._trial_primes(1 << k)
+        assert table == FULL_TABLE[: len(table)]
+        assert table[-1] == _prime_below(1 << k)
+
+
+@given(st.integers(1, 2**34))
+def test_sized_sieve_factors_as_the_full_table(n):
+    """The table sized to n leaves trial division the same cofactors; up to
+    2^34 every table size from 16 to 2^16 is drawn."""
+    assert factored(factorint, n, full=False) == factored(factorint, n, full=True)
+
+
+@pytest.mark.parametrize("n", SIEVE_EDGES)
+def test_sized_sieve_edges(n):
+    assert factored(factorint, n, full=False) == factored(factorint, n, full=True)
+
+
+@given(st.integers(2, 2**12), st.integers(1, 24))
+def test_sized_sieve_group_orders_as_the_full_table(q, delta):
+    assume(q**delta <= 2**64)
+    got = factored(factor_group_order, q, delta, full=False)
+    assert got == factored(factor_group_order, q, delta, full=True)

@@ -275,6 +275,18 @@ class TestSmith:
     def test_zero_matrix(self):
         assert smith(F7, [[Poly(F7)]]) == SmithForm((), 0)
 
+    def test_rank_guard(self):
+        x = tpoly(F7, 0, 1)
+        with pytest.raises(errors.InternalInvariantError, match="rank"):
+            SmithForm((x,), 2)
+
+    def test_record_is_frozen(self):
+        sf = SmithForm((tpoly(F7, 0, 1),), 1)
+        with pytest.raises(AttributeError):
+            sf.rank = 2
+        with pytest.raises(AttributeError):
+            sf.extra = 0
+
     def test_singular_rank_drop(self):
         A = tmat(F3, [[(0, 1), (0, 1)], [(0, 1), (0, 1)]])
         sf = smith(F3, A)

@@ -426,3 +426,12 @@ def test_permuting_diagonal_leaves_closed_form():
 def test_series_trunc_length_guard():
     with pytest.raises(errors.InternalInvariantError):
         SeriesTrunc(order=2, coeffs=(Fraction(1),))
+
+
+def test_series_trunc_record_contract():
+    s = SeriesTrunc(1, (1, Fraction(1, 3)))
+    assert repr(s) == "SeriesTrunc(order=1, coeffs=(1, Fraction(1, 3)))"
+    with pytest.raises(AttributeError):
+        s.order = 2
+    with pytest.raises(AttributeError):
+        s.extra = 0
