@@ -332,11 +332,8 @@ class Field(Domain):
             return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def exact_div(self, a, b):
-        return self.div(a, b)
+        return self.mul(a, self.inv(b))
 
     def pow(self, a, k: int):
         if k < 0:

@@ -1,21 +1,22 @@
 """Dense univariate polynomial engine over pluggable coefficient domains.
 
 A coefficient domain is a ``Domain`` subclass with ``zero``, ``one`` and
-the scalar interface ``add/sub/neg/mul/exact_div`` (plus ``inv/div``
-when ``is_field`` is true; a field's ``exact_div`` is ``div``).  An
-element is zero exactly when it is falsy: a field element is an int,
+the scalar interface ``add/sub/neg/mul/exact_div`` (plus ``inv`` when
+``is_field`` is true; a field's ``exact_div`` is a product by ``inv``).
+An element is zero exactly when it is falsy: a field element is an int,
 and a polynomial is a ``Poly``, falsy when it has no coefficients.
-``Domain`` supplies seven bulk kernels on plain coefficient lists, low
-degree first, as loops over the scalar operations: ``poly_add``,
-``poly_sub``, ``poly_neg``, ``poly_mul`` and ``poly_divmod``, which
-``Poly`` arithmetic runs on, ``poly_mulmod``, the product mod a monic
-polynomial, which ``modpow`` runs on, and ``poly_dot``, a sum of
-products, which ``PolyRing.dot`` runs on, so that each matrix entry of
-``polymat`` over F[t] (``Domain.dot``) is reduced once.  A domain may
-override one wholesale, as ``gf.Field`` does for ``poly_mul``,
-``poly_divmod``, ``poly_mulmod`` and ``poly_dot`` (one loop per field
-kind, and one Kronecker routine on Python ints for long operands); a
-tracer can time them per domain.
+``Domain`` supplies the five bulk kernels that ``Poly`` arithmetic runs
+on, on plain coefficient lists, low degree first, as loops over the
+scalar operations: ``poly_add``, ``poly_sub``, ``poly_neg``,
+``poly_mul`` and ``poly_divmod``.  A domain may override one wholesale,
+as ``gf.Field`` does for ``poly_mul`` and ``poly_divmod`` (one loop per
+field kind, and one Kronecker routine on Python ints for long
+operands); a tracer can time them per domain.  Over a field the scalar
+loops are the tests' references for the field's own.  Two products
+need a field: ``modpow`` runs on ``gf.Field.poly_mulmod``, the product
+mod a monic polynomial, and ``PolyRing.dot``, each matrix entry of
+``polymat`` over F[t], on ``gf.Field.poly_dot``, a sum of products
+reduced once.
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings
@@ -116,28 +117,6 @@ class Domain:
             for i in range(m):
                 rem[j + i] = self.sub(rem[j + i], self.mul(c, ys[i]))
         return quo, rem[:m]
-
-    def poly_mulmod(self, xs, ys, fs):
-        """xs * ys mod the monic fs, with no trailing zeros."""
-        rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
-        while rem and not rem[-1]:
-            rem.pop()
-        return rem
-
-    def poly_dot(self, pairs):
-        """The sum of xs * ys over a list of pairs of nonempty lists."""
-        out = []
-        for xs, ys in pairs:
-            out = self.poly_add(out, self.poly_mul(xs, ys))
-        return out
-
-    def dot(self, xs, ys):
-        """sum xs[i] * ys[i] over the shorter length, skipping zero xs[i]."""
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            if x:
-                acc = self.add(acc, self.mul(x, y))
-        return acc
 
 
 class Poly:
@@ -324,7 +303,7 @@ class PolyRing(Domain):
         return a.exact_div(b)
 
     def dot(self, xs, ys):
-        """sum xs[i] * ys[i] as one ``poly_dot`` of the base domain."""
+        """sum xs[i] * ys[i] as one ``poly_dot`` of the base, a field."""
         pairs = [(x.coeffs, y.coeffs) for x, y in zip(xs, ys) if x and y]
         return Poly(self.base, self.base.poly_dot(pairs)) if pairs else self.zero
 
@@ -371,18 +350,19 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
-    """base**n mod modulus by binary exponentiation.
+    """base**n mod modulus by binary exponentiation over a field.
 
     The powering runs on coefficient lists, each product one
-    ``poly_mulmod`` of the coefficient domain, and one Poly is built at
-    the end.  The modulus must be monic of degree at least 1; monicity
-    keeps the reduction valid over any coefficient domain, fields or not.
+    ``poly_mulmod`` of the field, and one Poly is built at the end.  The
+    modulus must be monic of degree at least 1.
     """
     if not modulus.is_monic() or modulus.degree < 1:
         raise errors.MalformedInputError("modulus must be monic of positive degree")
     if n < 0:
         raise ValueError("negative exponent")
     dom, fs = base.dom, list(modulus.coeffs)
+    if not dom.is_field:
+        raise TypeError("modpow needs field coefficients")
     xs = list((base % modulus).coeffs)
     out = power(xs, n, lambda a, b: dom.poly_mulmod(a, b, fs), [dom.one])
     return Poly(dom, out)

@@ -5,12 +5,14 @@ domain (finite field elements or polynomials over a finite field).
 Determinants and characteristic polynomials are division-free, using only
 ``mul``, ``add``, ``neg`` and ``dot``: ``det`` expands row by row over
 memoized column-subset minors, at most d * 2^(d-1) ring products for a
-d x d matrix; ``charpoly`` is Berkowitz's recursion over the entry ring
-itself, O(d^4) ring products and no determinant.  ``mat_mul`` and
-``charpoly`` build every sum of products as one ``dom.dot``, which over
-F[t] is one ``poly_dot`` of the field, reduced once.  Powers go through
-``polycore.power``, and diagonalization through a gcd-driven Smith
-reduction that needs a Euclidean entry ring (polynomials over a field).
+d x d matrix, over any domain; ``charpoly`` is Berkowitz's recursion over
+the entry ring itself, O(d^4) ring products and no determinant.
+``mat_mul`` and ``charpoly`` build every sum of products as one
+``dom.dot``, which is ``PolyRing.dot``, so their entry ring is F[t] over
+a field: one ``poly_dot`` of the field per entry, reduced once.  Powers
+go through ``polycore.power``, and diagonalization through a gcd-driven
+Smith reduction that needs a Euclidean entry ring (polynomials over a
+field).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def charpoly(ring, A: list) -> Poly:
     first.  With a = A[r][r] and R, S the rest of row r and column r, the
     next block's is c times the lower-triangular Toeplitz matrix with first
     column 1, -a, -R.S, -R.M.S, ..., -R.M^(r-1).S (Inf. Process. Lett. 18,
-    1984).  Division-free: only ring's dot and neg.
+    1984).  Division-free: only ring's dot and neg, so ring is F[t].
     """
     c = [ring.one]
     for r, row in enumerate(A):

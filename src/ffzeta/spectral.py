@@ -51,9 +51,10 @@ class SpectralData(NamedTuple):
     rou_orders and unit_orders hold (order, eigenvalue multiplicity) pairs
     sorted by order; weights holds (order, w) with w < 0, one entry per
     distinct unit order.  P is the polynomial the record was built from and
-    hull its Newton polygon, which gives E and the slope-zero span.  G is
-    the root-of-unity factor in F[X]; Pprime is the complementary factor
-    of P; residual is the slope-zero residual of Pprime in F[X].
+    hull its Newton polygon, which gives E and the slope-zero span.  The
+    factors the orders are read from are not kept: ``rou_split`` gives
+    the root-of-unity factor G and its cofactor P', and ``unit_residual``
+    the residual of P'.
     """
 
     field: object
@@ -63,9 +64,6 @@ class SpectralData(NamedTuple):
     rou_orders: tuple
     unit_orders: tuple
     weights: tuple
-    G: Poly
-    Pprime: Poly
-    residual: Poly
 
     def weight_sum(self, k: int) -> int:
         return sum(w for n, w in self.weights if k % n == 0)
@@ -201,7 +199,4 @@ def spectral_data(field, P: Poly) -> SpectralData:
         rou_orders=rou,
         unit_orders=unit,
         weights=weights,
-        G=G,
-        Pprime=Pprime,
-        residual=residual,
     )

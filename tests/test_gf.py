@@ -159,7 +159,7 @@ class TestArithmetic:
                     rhs = field.add(field.mul(a, b), field.mul(a, c))
                     assert lhs == rhs
                 if b:
-                    assert field.mul(field.div(a, b), b) == a
+                    assert field.mul(field.exact_div(a, b), b) == a
 
     @pytest.mark.parametrize("field", SMALL_FIELDS)
     def test_fermat(self, field):
@@ -435,6 +435,58 @@ def slot_crossings(field, limit=320):
     return sorted(out)
 
 
+def dot_reference(field, pairs):
+    """The sum of xs * ys over the pairs by the generic ``Domain`` loops,
+    one scalar add and mul per term: the reference for ``poly_dot``."""
+    out = []
+    for xs, ys in pairs:
+        out = Domain.poly_add(field, out, Domain.poly_mul(field, xs, ys))
+    return out
+
+
+def mulmod_reference(field, xs, ys, fs):
+    """xs * ys mod the monic fs, with no trailing zeros, by the generic
+    ``Domain`` loops: the reference for ``poly_mulmod``."""
+    rem = Domain.poly_divmod(field, Domain.poly_mul(field, xs, ys), fs)[1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+class TestReferencesAreScalarLoops:
+    """The references that ``TestBulkKernels`` checks the field's kernels
+    against reach none of them: ``Domain`` has only the five generic
+    loops, and over a field each runs on the scalar operations."""
+
+    GENERIC = ["poly_add", "poly_divmod", "poly_mul", "poly_neg", "poly_sub"]
+
+    @pytest.mark.parametrize("field", [F7, F9, make_field(2, 16)], ids=repr)
+    def test_no_field_kernel_reached(self, field, monkeypatch):
+        rng = random.Random(field.q)
+        edge = max(math.isqrt(field._kron_pairs - 1) + 1, field.e + 1)
+
+        def side(n):
+            low = [rng.randrange(field.q) for _ in range(n - 1)]
+            return low + [rng.randrange(1, field.q)]
+
+        # short pairs and pairs past the Kronecker rule, nonzero leads
+        pairs = [(side(n), side(n + 3)) for n in (1, 4, edge, 2 * edge)]
+        xs, ys = pairs[-1]
+        fs = side(5) + [1]
+        for name in ("_kron_dot", "_short_mul", "poly_divmod"):
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} reached by a reference")
+
+            monkeypatch.setattr(Field, name, refuse)
+        assert sorted(n for n in vars(Domain) if n.startswith("poly_")) == self.GENERIC
+        for name in self.GENERIC:
+            getattr(Domain, name)(field, *((xs,) if name == "poly_neg" else (xs, ys)))
+        want = dot_reference(field, pairs), mulmod_reference(field, xs, ys, fs)
+        monkeypatch.undo()
+        assert want == (field.poly_dot(pairs), field.poly_mulmod(xs, ys, fs))
+
+
 class TestBulkKernels:
     """The bulk polynomial kernels must match the generic ones."""
 
@@ -506,7 +558,7 @@ class TestBulkKernels:
                 return [0 if rng.random() < zeros else c for c in draw]
 
             pairs.append((side(), side()))
-        assert field.poly_dot(pairs) == Domain.poly_dot(field, pairs)
+        assert field.poly_dot(pairs) == dot_reference(field, pairs)
 
     @pytest.mark.parametrize("field", [F7, F9, make_field(2, 16), M61], ids=repr)
     def test_dot_full_slots(self, field):
@@ -524,7 +576,7 @@ class TestBulkKernels:
         top = field.q - 1
         pairs = [([top] * (n + i), [top] * (n + 7 - i)) for i in range(8)]
         assert all(field._long(*pair) for pair in pairs)
-        assert field.poly_dot(pairs) == Domain.poly_dot(field, pairs)
+        assert field.poly_dot(pairs) == dot_reference(field, pairs)
 
     @pytest.mark.parametrize(
         "field", [F2, F7, M61, F4, F9, make_field(2, 16), make_field(3, 10)]
@@ -538,7 +590,7 @@ class TestBulkKernels:
         elems = st.one_of(st.just(0), felems(field))
         a = data.draw(st.lists(elems, max_size=70))
         b = data.draw(st.lists(elems, max_size=70))
-        want = Domain.poly_mulmod(field, a, b, fs)
+        want = mulmod_reference(field, a, b, fs)
         assert field.poly_mulmod(a, b, fs) == want
         assert len(want) <= m and (not want or want[-1] != 0)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import monic_tpolys, tpoly, xpoly, xpolys
 from ffzeta import errors, make_field
+from ffzeta.newton import unit_residual
 from ffzeta.polycore import Poly, polyring, resultant
 from ffzeta.spectral import (
     SpectralData,
@@ -95,8 +96,9 @@ class TestUnitOrders:
 
     def test_constant_input(self):
         # every root is a root of unity, so the cofactor P' is constant
-        sd = spectral_data(F2, xpoly(F2, (1,), (1,)))
-        assert sd.Pprime.is_one() and sd.unit_orders == ()
+        P = xpoly(F2, (1,), (1,))
+        sd = spectral_data(F2, P)
+        assert rou_split(F2, P)[1].is_one() and sd.unit_orders == ()
 
 
 class TestWeights:
@@ -105,7 +107,8 @@ class TestWeights:
 
     def test_routes_agree_on_anchor(self):
         sd = spectral_data(F2, CUBIC)
-        slow = weights_by_divisibility(F2, sd.Pprime, sd.E, sd.unit_orders)
+        Pprime = rou_split(F2, CUBIC)[1]
+        slow = weights_by_divisibility(F2, Pprime, sd.E, sd.unit_orders)
         assert dict(sd.weights) == dict(slow)
 
     def test_divisibility_inversion(self):
@@ -113,11 +116,12 @@ class TestWeights:
         P = xpoly(F2, (0, 1), (0, 1), (0, 1), (1,))
         sd = spectral_data(F2, P)
         assert sd.unit_orders == ((3, 2),)
-        w = dict(weights_by_divisibility(F2, sd.Pprime, sd.E, sd.unit_orders))
+        Pprime = rou_split(F2, P)[1]
+        w = dict(weights_by_divisibility(F2, Pprime, sd.E, sd.unit_orders))
         assert dict(sd.weights) == w
         ring = polyring(F2)
         x3 = Poly(ring, [ring.neg(ring.one), ring.zero, ring.zero, ring.one])
-        assert resultant(sd.Pprime, x3).degree == 3 * sd.E + w[3]
+        assert resultant(Pprime, x3).degree == 3 * sd.E + w[3]
 
     @settings(max_examples=30)
     @given(P=xpolys(F5, max_xdeg=4, max_tdeg=2, nonzero_const=True))
@@ -127,10 +131,11 @@ class TestWeights:
         if not sd.unit_orders:
             return
         w = dict(sd.weights)
+        Pprime = rou_split(F5, P)[1]
         ring = polyring(F5)
         for n, _ in sd.unit_orders:
             xn = Poly(ring, [ring.neg(ring.one)] + [ring.zero] * (n - 1) + [ring.one])
-            r = resultant(sd.Pprime, xn)
+            r = resultant(Pprime, xn)
             assert r.degree == n * sd.E + sum(
                 w[m] for m, _ in sd.unit_orders if n % m == 0
             )
@@ -141,8 +146,10 @@ class TestWeights:
         sd = spectral_data(F3, P)
         if not sd.unit_orders:
             return
-        unit, fast = weights_from_residual(F3, sd.Pprime, sd.E, sd.residual)
-        slow = weights_by_divisibility(F3, sd.Pprime, sd.E, sd.unit_orders)
+        Pprime = rou_split(F3, P)[1]
+        residual = unit_residual(F3, Pprime)
+        unit, fast = weights_from_residual(F3, Pprime, sd.E, residual)
+        slow = weights_by_divisibility(F3, Pprime, sd.E, sd.unit_orders)
         assert unit == sd.unit_orders
         assert fast == slow == sd.weights
 
@@ -196,7 +203,8 @@ class TestOnePass:
         assert spectral.factor is counting_factor
         assert spectral._root_order is counting_order
         sd = spectral_data(F2, MIXED)
-        assert factored == [sd.G, sd.residual]
+        G, Pprime = rou_split(F2, MIXED)
+        assert factored == [G, unit_residual(F2, Pprime)]
         distinct = [h for f in factored for h, _ in real_factor(F2, f)]
         assert len(distinct) == 4
         assert ordered == distinct
@@ -237,8 +245,9 @@ class TestSpectralData:
             ((1, 1),),
             ((1, -1),),
         )
-        assert sd.G.is_one() and sd.Pprime == CUBIC
-        assert sd.residual == tpoly(F2, 1, 1)
+        G, Pprime = rou_split(F2, CUBIC)
+        assert G.is_one() and Pprime == CUBIC
+        assert unit_residual(F2, Pprime) == tpoly(F2, 1, 1)
 
     def test_pure_shift_anchor(self):
         sd = spectral_data(F2, xpoly(F2, (0, 1), (1,)))
@@ -261,13 +270,14 @@ class TestSpectralData:
         from ffzeta.newton import polygon
 
         sd = spectral_data(F5, P)
-        assert lift(F5, sd.G) * sd.Pprime == P
+        G, Pprime = rou_split(F5, P)
+        assert lift(F5, G) * Pprime == P
         span = polygon(P).slope_zero_span()
         zero_len = span[1] - span[0] if span else 0
         m = sum(mult for _, mult in sd.rou_orders)
         n = sum(mult for _, mult in sd.unit_orders)
         assert m + n == zero_len
-        assert m == sd.G.degree
+        assert m == G.degree
         for order, _ in sd.rou_orders + sd.unit_orders:
             assert order % F5.p != 0
         for _, w in sd.weights:

@@ -9,7 +9,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import tmat, tpoly, xpoly
+from conftest import tmat, xpoly
 from ffzeta import errors, make_field
 from ffzeta.dynamics import (
     INT_RENDER_CAP,
@@ -47,7 +47,6 @@ CUBIC_COMP = tmat(
 
 def fake_sd(field, E, rou, unit, weights=()):
     """SpectralData shell for order-set logic; polynomial slots are dummies."""
-    one = tpoly(field, 1)
     return SpectralData(
         field=field,
         P=xpoly(field, (1,)),
@@ -56,9 +55,6 @@ def fake_sd(field, E, rou, unit, weights=()):
         rou_orders=rou,
         unit_orders=unit,
         weights=weights,
-        G=one,
-        Pprime=xpoly(field, (1,)),
-        residual=one,
     )
 
 
