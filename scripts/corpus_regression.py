@@ -12,7 +12,7 @@ against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``,
 and N_2 and N_3 against the determinant of A^k - I.
 Prints one summary line per stage and exits 1 if any route disagrees:
 
-    PYTHONPATH=src python3 scripts/corpus_regression.py --kmax 20
+    PYTHONPATH=src python3 scripts/corpus_regression.py           # KMAX = 40
 """
 
 import argparse

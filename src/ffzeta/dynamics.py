@@ -14,9 +14,9 @@ Two independent routes compute N_k:
     takes no det: it gives the answers forced by N_1 and by divisors of
     k, as its docstring says, and reads every other one from A^k at
     s = 1/t by division-free elimination over F[s]/(s^N), on packed
-    ints over prime fields; A^k is taken only at those k, each the last
-    one times a gap power built once.  The two share only mat_mul.  No
-    charpoly, factoring or root order is used;
+    ints over prime fields from A on; A^k is taken only at those k, each
+    the last one times a gap power built once.  The two share no matrix
+    routine.  No charpoly, factoring or root order is used;
   * nk_spectral: evaluate the closed formula from the spectral data
     (zero when a root-of-unity order divides k, otherwise
     k*E + p^{v_p(k)} * sum of the weights at unit orders dividing k).
@@ -37,7 +37,7 @@ from typing import NamedTuple
 from . import errors
 from .newton import polygon
 from .polycore import Poly, poly_gcd, polyring
-from .polymat import charpoly, det, identity, mat_mul, mat_sub, matpow_minus_I, smith
+from .polymat import charpoly, det, identity, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
 
 INT_RENDER_CAP = 10**4
@@ -105,9 +105,9 @@ def _max_degree(A) -> int:
     return max(0, max((x.degree for row in A for x in row), default=0))
 
 
-def _valuation(field, rows, N):
+def _valuation(ops, rows, N):
     """The s-adic valuation v of det R if v < N, else None, for R given as
-    rows of coefficient lists in s, low degree first; R is left unchanged.
+    rows of elements of ops = ``Field.series_ops(M)``, M >= N, unchanged.
 
     Division-free elimination with the pivot an entry of least valuation,
     zero counting as N (Caruso, Roe and Vaccon, ISSAC 2015, with s for p).
@@ -116,13 +116,10 @@ def _valuation(field, rows, N):
     det R by a unit, so v is w plus the valuation of the rest, needed
     only mod s^(N - w).  u and r_j / s^w are known mod s^(N - w) and every
     entry they multiply has valuation at least w, so each step is exact.
-
-    The entries are the elements of ``Field.series_ops``, one packed int
-    each over a prime field.  The pivot row is negated once per pivot,
-    and every other row takes u r + (r_j / s^w) (-pivot row).
+    The pivot row is negated once per pivot, and every other row takes
+    u r + (r_j / s^w) (-pivot row).
     """
-    pack, val, cut, neg, update = field.series_ops(N)
-    rows = [[pack(x) for x in row] for row in rows]
+    val, cut, neg, update = ops.val, ops.cut, ops.neg, ops.update
     P = N
     while rows:
         w, i, j = min(
@@ -141,7 +138,7 @@ def _valuation(field, rows, N):
     return N - P
 
 
-def _nk_value(field, P, guess) -> NkValue:
+def _nk_value(ops, P, guess) -> NkValue:
     """N_k = q^(deg det M) for M = A^k - I, zero if det M = 0, from P = A^k.
 
     R = s^D M(1/s), for D the largest entry degree of P and M, is P's
@@ -152,18 +149,14 @@ def _nk_value(field, P, guess) -> NkValue:
     the least N that sees v if the guess is right, and doubles while
     v >= N up to Dd + 1, where nothing is cut and v >= N proves N_k = 0.
     """
-    D = _max_degree(P)
-    R = [
-        [[field.zero] * (D - x.degree) + list(x.coeffs[::-1]) if x else [] for x in row]
-        for row in P
-    ]
+    D = max(0, max(ops.degree(x) for row in P for x in row))
+    R = [[ops.rev(x, D) for x in row] for row in P]
     for i, row in enumerate(R):
-        row[i] = row[i] or [field.zero] * (D + 1)
-        row[i][D] = field.sub(row[i][D], field.one)
+        row[i] = ops.less_one(row[i], D)
     full = D * len(P) + 1
     N = min(max(full - guess, 1), full)
     while True:
-        v = _valuation(field, R, N)
+        v = _valuation(ops, R, N)
         if v is not None:
             return NkValue.of(full - 1 - v)
         if N == full:
@@ -199,27 +192,29 @@ def nk_table(field, A, kmax: int) -> list:
       * for p | k, A^k - I = (A^(k/p) - I)^p in characteristic p, so the
         exponent is p times that of N_(k/p).
 
-    Every other k takes A^k exactly over F[t], only then, as A^j A^(k - j)
-    from the last such j, with each gap power A^g built once, on first
-    use, as A^(g // 2) A^(g - g // 2): over GF(2), where every such k is
-    odd, that is one product per k past A^2.  Each takes one
-    ``_nk_value`` with the guess e_j * k / j from the last nonzero
-    N_j = q^(e_j), which is exact while the exponents grow linearly in k.
-    Before any nonzero N_j, j = 1 and e_j = ad stand in, so the guess is
-    akd, at least Dd, and N starts at 1.
+    Every other k takes A^k exactly, only then, as A^j A^(k - j) from the
+    last such j, each gap power A^g built once, on first use, as
+    A^(g // 2) A^(g - g // 2): over GF(2), where every such k is odd, that
+    is one product per k past A^2.  Products and eliminations run on the
+    elements of ``Field.series_ops`` at N = (a kmax + 1) d, which bounds
+    every precision and d times every entry length: one packed int per
+    entry over a prime field.  Each k takes one ``_nk_value`` with the
+    guess e_j * k / j from the last nonzero N_j = q^(e_j), exact while
+    the exponents grow linearly in k; before any, j = 1 and e_j = ad
+    stand in, so the guess is akd, at least Dd, and N starts at 1.
     """
     d = len(A)
     a = _max_degree(A)
-    ring = polyring(field)
-    gaps = {1: A}
+    ops = field.series_ops((a * kmax + 1) * d)
+    gaps = {1: [[ops.pack(x.coeffs) for x in row] for row in A]}
 
     def gap(g):
         """A^g, built once as A^(g // 2) A^(g - g // 2)."""
         if g not in gaps:
-            gaps[g] = mat_mul(ring, gap(g // 2), gap(g - g // 2))
+            gaps[g] = ops.mat_mul(gap(g // 2), gap(g - g // 2))
         return gaps[g]
 
-    power, j = A, 1
+    power, j = gaps[1], 1
     out = []
     last = (1, a * d)
     for k in range(1, kmax + 1):
@@ -229,8 +224,8 @@ def nk_table(field, A, kmax: int) -> list:
             val = NkValue.of(field.p * out[k // field.p - 1].exponent)
         else:
             if j < k:
-                power, j = mat_mul(ring, power, gap(k - j)), k
-            val = _nk_value(field, power, last[1] * k // last[0])
+                power, j = ops.mat_mul(power, gap(k - j)), k
+            val = _nk_value(ops, power, last[1] * k // last[0])
         if k == 1 and a >= 1 and val == NkValue.of(a * d):
             return [NkValue.of(a * i * d) for i in range(1, kmax + 1)]
         out.append(val)

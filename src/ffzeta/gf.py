@@ -17,14 +17,15 @@ product.  ``poly_dot``, a sum of products, takes both under one rule
 (``KRON_CUTOFF``) and reduces once, as ``poly_mul`` and ``poly_mulmod``
 do on one pair.
 
-The elimination over F[s]/(s^N) that reads the N_k table's valuations
-(``dynamics._valuation``) runs on the elements of ``Field.series_ops``.
-Over a prime field each is one int in the slot layout of ``_kron_dot``
-(Kronecker substitution, Harvey, J. Symb. Comp. 2009): a row update is
-two int products, a mask to s^P and one reduction of the slots by the
-e = 1 rule of ``_kron_dot``, and a valuation is read off the lowest set
-bit.  For e >= 2 the elements stay coefficient lists, as a spread-form
-packing measured slower there.
+The N_k table (``dynamics.nk_table``) runs on the elements of
+``Field.series_ops``, from its matrix products to the elimination over
+F[s]/(s^N) that reads its valuations.  Over a prime field each is one int
+in the slot layout of ``_kron_dot`` (Kronecker substitution, Harvey,
+J. Symb. Comp. 2009): a product entry is d int products and one slot
+reduction (``_mod_slots``, the low bit for p = 2), a row update is two
+int products, a mask to s^P and one, and a valuation is read off the
+lowest set bit.  For e >= 2 the elements stay coefficient lists, as a
+spread-form packing measured slower there.
 
 Division runs one loop per field kind too (``Field.poly_divmod``) and
 reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
@@ -85,7 +86,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from . import errors
 from .integers import factor_group_order, factorint, is_prime
@@ -101,6 +104,8 @@ EXT_CAP = 2**20
 # Field._long states the rule for poly_dot and poly_mulmod alike.
 KRON_CUTOFF = 64
 
+SeriesOps = namedtuple("SeriesOps", "pack val cut neg update mat_mul degree rev less_one")
+
 
 # ---------------------------------------------------------------------------
 # Kronecker packing
@@ -115,9 +120,15 @@ def _move(out, at: int, dst: int, buf, offset: int, src: int, width: int):
         out[at + t :: dst] = buf[offset + t :: src]
 
 
+# array typecodes by item size, 2 to 8 bytes: slots that an array packs in C
+_TYPECODES = {array(c).itemsize: c for c in "QLIH"}
+
+
 def _pack(vals, width: int, small: bool) -> int:
     """One int holding vals in slots of width bytes; small says that every
     value is below 256, else each is below 2^64."""
+    if small and width in _TYPECODES:
+        return int.from_bytes(array(_TYPECODES[width], vals).tobytes(), "little")
     raw, size = (bytes(vals), 1) if small else (array("Q", vals).tobytes(), 8)
     if width == size:
         return int.from_bytes(raw, "little")
@@ -463,36 +474,55 @@ class Field(Domain):
             acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
         return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
 
-    def series_ops(self, N: int):
-        """(pack, val, cut, neg, update): elements of F[s]/(s^N) and the
-        steps of an elimination on them, each at a precision P <= N.
+    def series_ops(self, N: int) -> SeriesOps:
+        """SeriesOps: elements of F[s]/(s^N), the steps of an elimination on
+        them, each at a precision P <= N, and the N_k table's products.
 
         pack(xs) takes a coefficient list in s, low first, mod s^N;
         val(x, P) is the s-adic valuation of x, or P if it is P or more;
         cut(x, w, P) is (x / s^w) mod s^P, dropping the low w coefficients;
         neg(y, P) is -y mod s^P, and update(u, x, c, ny, P) is
-        u x + c ny mod s^P for u, c, ny at precision P.
+        u x + c ny mod s^P for u, c, ny at precision P.  mat_mul(X, Y) is
+        the exact product of d x d matrices whose entries have at most N / d
+        coefficients; degree(x) is the degree of x, -1 for zero, and for x
+        of degree at most D < N, rev(x, D) is s^D x(1/s) and less_one(x, D)
+        is x - s^D, on D + 1 coefficients.
 
-        For e >= 2 the elements are coefficient lists, multiplied by
-        ``poly_mul``.  For e = 1 each is one int, coefficient i in slot i
-        of W bytes, with W such that 2 N p (p - 1) fits in a slot: an
-        update's slots, u x + c ny with digits below p and the negated
-        ones p - y in (0, p], then sum at most that, so the two products
-        and their sum never carry.  The mask to P slots is the truncation,
-        the lowest set bit the valuation, and ``_mod_slots`` the reduction.
+        For e >= 2 the elements are nonempty coefficient lists, multiplied
+        by ``poly_mul`` and ``poly_dot``.  For e = 1 each is one int,
+        coefficient i in slot i of W bytes, with W such that 2 N p (p - 1)
+        fits in a slot: an update's slots, u x + c ny with digits below p
+        and the negated ones p - y in (0, p], then sum at most that, and a
+        product entry's at most d (N / d) (p - 1)^2, so no sum of products
+        carries.  The mask to P slots is the truncation, the lowest set
+        bit the valuation, and ``_mod_slots`` the one reduction per entry
+        (Dumas, Giorgi and Pernet), for p = 2 the low bit of each slot.
         """
         if self.e >= 2:
             mul, add = self.poly_mul, self.poly_add
-            return (
-                lambda xs: list(xs[:N]),
-                lambda x, P: next((k for k, a in enumerate(x[:P]) if a), P),
+            return SeriesOps(
+                lambda xs: list(xs[:N]) or [0],
+                lambda x, P: next(compress(range(P), x), P),
                 lambda x, w, P: x[w : w + P],
                 lambda y, P: self.poly_neg(y[:P]),
                 lambda u, x, c, ny, P: add(mul(u, x[:P])[:P], mul(c, ny)[:P]),
+                lambda X, Y: [[self.poly_dot(list(zip(r, c))) for c in zip(*Y)] for r in X],
+                lambda x: len(x) - 1 if x[-1]
+                else max(compress(range(len(x)), x), default=-1),
+                lambda x, D: [0] * (D + 1 - len(x)) + x[D::-1],
+                lambda x, D: x[:D] + [self.sub(x[D], 1)],
             )
         p = self.p
         W = -(-(2 * N * p * (p - 1)).bit_length() // 8)
-        bits, ones = 8 * W, _ones(N, W, 1)
+        bits, ones, top = 8 * W, _ones(2 * N, W, 1), 1 << 8 * W
+
+        def reduce(x):
+            """x's slots mod p: the low bit of each for p = 2, one % for one slot."""
+            if p == 2:
+                return x & ones
+            if x < top:
+                return x % p
+            return _pack(_mod_slots(x, -(-x.bit_length() // bits), W, p), W, p <= 256)
 
         def val(x, P):
             return min(((x & -x).bit_length() - 1) // bits, P) if x else P
@@ -505,10 +535,23 @@ class Field(Domain):
             return p * (ones & low) - (y & low)
 
         def update(u, x, c, ny, P):
-            sums = (u * x + c * ny) & ((1 << bits * P) - 1)
-            return _pack(_mod_slots(sums, P, W, p), W, p <= 256)
+            low = (1 << bits * P) - 1
+            return reduce((u * (x & low) + c * ny) & low)
 
-        return lambda xs: _pack(xs[:N], W, p <= 256), val, cut, neg, update
+        def rev(x, D):
+            buf = x.to_bytes((D + 1) * W, "little")
+            if p <= 256:  # reversed, each coefficient is the top byte of its slot
+                return int.from_bytes(buf, "big") >> bits - 8
+            return _pack(_read(buf, D + 1, W, W)[::-1], W, False)
+
+        return SeriesOps(
+            lambda xs: _pack(xs[:N], W, p <= 256),
+            val, cut, neg, update,
+            lambda X, Y: [[reduce(sum(map(operator.mul, r, c))) for c in zip(*Y)] for r in X],
+            lambda x: (x.bit_length() - 1) // bits,
+            rev,
+            lambda x, D: x + ((-1 if x >> bits * D else p - 1) << bits * D),
+        )
 
     def poly_divmod(self, xs, ys):
         """xs // ys and xs % ys as ``Domain.poly_divmod`` lays them out, by

@@ -670,6 +670,25 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--max", "abc"], ["--frobnicate"]],
+    ids=["non-integer max", "unknown flag"],
+)
+def test_option_errors_exit_1_in_one_line(options):
+    # argparse reports through cli._Parser.error: exit 1 and one line on
+    # stderr, with no usage text and no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffzeta", "nk", SHIFT] + options,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 # over GF(7), entries of degree 3: its N_k table multiplies long polynomials
 GF7_DEG3 = {"p": 7, "d": 2, "matrix": [[[1, 2, 3], [0, 1]], [[5, 0, 1, 4], [2, 6]]]}
 # over GF(4) and GF(3^10): extension fields, which build log/exp/Zech tables

@@ -1,6 +1,7 @@
 """Entropy, periodic point counts by several routes, and the tiny-case oracle."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,11 +342,13 @@ class TestValuationRoute:
             rows[data.draw(st.integers(0, d - 1))] = [[] for _ in range(d)]
         elif shape == "zero block":
             rows = [[[0] * len(x) for x in row] for row in rows]
-        given_rows = [[list(x) for x in row] for row in rows]
         cs = det(polyring(field), [[Poly(field, x) for x in row] for row in rows]).coeffs
         want = next((i for i, c in enumerate(cs[:N]) if c), None)
-        assert _valuation(field, rows, N) == want
-        assert rows == given_rows
+        ops = field.series_ops(N + 3)  # elements hold all N + 3 coefficients
+        packed = [[ops.pack(x) for x in row] for row in rows]
+        given = [list(row) for row in packed]
+        assert _valuation(ops, packed, N) == want
+        assert packed == given
 
     @pytest.mark.parametrize(
         "field, rows",
@@ -369,27 +372,36 @@ class TestValuationRoute:
 
     @staticmethod
     def record_matrices(monkeypatch):
-        """The list of powers P = A^k that reach ``_nk_value``."""
+        """The list of (ops, P) that reach ``_nk_value``, for the powers
+        P = A^k as elements of ops."""
         from ffzeta import dynamics
 
         ms = []
         real_nk_value = dynamics._nk_value
 
-        def recording_nk_value(field, P, guess):
-            ms.append(P)
-            return real_nk_value(field, P, guess)
+        def recording_nk_value(ops, P, guess):
+            ms.append((ops, P))
+            return real_nk_value(ops, P, guess)
 
         monkeypatch.setattr(dynamics, "_nk_value", recording_nk_value)
         return ms
 
     @staticmethod
     def ks_of(field, A, ms, kmax=12):
-        """The k with A^k = P, for each P in ms."""
+        """The k with P = A^k, A^k taken over F[t] and packed by the same
+        ops, for each (ops, P) in ms."""
         from ffzeta.polymat import matpow
 
         ring = polyring(field)
         powers = [matpow(ring, A, k) for k in range(1, kmax + 1)]
-        return [powers.index(P) + 1 for P in ms]
+        return [
+            next(
+                k
+                for k, Ak in enumerate(powers, 1)
+                if [[ops.pack(x.coeffs) for x in row] for row in Ak] == P
+            )
+            for ops, P in ms
+        ]
 
     def test_edge_cases_reach_their_branch(self, monkeypatch):
         """N_j = 0 settles every multiple of j, and p | k settles k, with no det."""
@@ -450,9 +462,9 @@ class TestValuationRoute:
         precisions = []
         real_valuation = dynamics._valuation
 
-        def recording_valuation(field, rows, N):
+        def recording_valuation(ops, rows, N):
             precisions.append(N)
-            return real_valuation(field, rows, N)
+            return real_valuation(ops, rows, N)
 
         monkeypatch.setattr(dynamics, "_valuation", recording_valuation)
         return precisions
@@ -566,17 +578,23 @@ class TestPowerAdvance:
 
     @staticmethod
     def count_products(monkeypatch):
-        """The list of ``mat_mul`` calls nk_table makes, one entry each."""
-        from ffzeta import dynamics
+        """The list of matrix products nk_table makes, one entry each: the
+        ``mat_mul`` calls of every ``Field.series_ops`` it builds."""
+        from ffzeta.gf import Field
 
         calls = []
-        real_mat_mul = dynamics.mat_mul
+        real_series_ops = Field.series_ops
 
-        def counting_mat_mul(ring, X, Y):
-            calls.append(ring)
-            return real_mat_mul(ring, X, Y)
+        def counting_series_ops(field, N):
+            ops = real_series_ops(field, N)
 
-        monkeypatch.setattr(dynamics, "mat_mul", counting_mat_mul)
+            def counting_mat_mul(X, Y):
+                calls.append(field)
+                return ops.mat_mul(X, Y)
+
+            return ops._replace(mat_mul=counting_mat_mul)
+
+        monkeypatch.setattr(Field, "series_ops", counting_series_ops)
         return calls
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 14])
@@ -607,8 +625,8 @@ class TestPowerAdvance:
     )
     def test_matches_one_power_at_a_time(self, monkeypatch, field, rows):
         """The table is that of powers stepped one A at a time, and the
-        matrices that reach ``_nk_value`` are A^k - I at increasing k that
-        p does not divide."""
+        matrices that reach ``_nk_value`` are A^k at increasing k that p
+        does not divide."""
         A = tmat(field, [[tuple(c % field.p for c in x) for x in row] for row in rows])
         want = stepped_nk(field, A, 16)
         ms = TestValuationRoute.record_matrices(monkeypatch)
@@ -627,3 +645,81 @@ class TestPowerAdvance:
         A = data.draw(planted_zeros(field))
         kmax = data.draw(st.integers(1, 14))
         assert nk_table(field, A, kmax) == stepped_nk(field, A, kmax)
+
+
+F65521 = make_field(65521)
+M61 = make_field(2**61 - 1)
+
+
+class TestPackedTable:
+    """Over prime fields nk_table keeps A, its powers and R as one packed
+    int per entry, from the first product to the elimination; for e >= 2
+    they stay coefficient lists."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_direct(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F7, F65521, M61]))
+        if data.draw(st.booleans()):
+            A = data.draw(planted_zeros(field))
+        else:
+            # a first row of lower degree makes the leading matrix singular
+            # when the other rows reach degree 2, so the table takes powers
+            d = data.draw(st.integers(1, 3))
+            rows = [tpolys(field, max_deg=1)] + [tpolys(field, max_deg=2)] * (d - 1)
+            A = [data.draw(st.lists(entry, min_size=d, max_size=d)) for entry in rows]
+        kmax = data.draw(st.integers(1, 8))
+        assert nk_table(field, A, kmax) == [nk_direct(field, A, k) for k in range(1, kmax + 1)]
+
+    @staticmethod
+    def record_widths(monkeypatch):
+        """(N, slot width in bytes) of every ``Field.series_ops`` built."""
+        from ffzeta.gf import Field
+
+        widths = []
+        real_series_ops = Field.series_ops
+
+        def recording_series_ops(field, N):
+            ops = real_series_ops(field, N)
+            widths.append((N, ops.pack([1, 1]).bit_length() // 8))
+            return ops
+
+        monkeypatch.setattr(Field, "series_ops", recording_series_ops)
+        return widths
+
+    def test_gf2_width_transition(self, monkeypatch):
+        """GF(2), d = 4, entry degree 2 and an all-ones leading matrix, as
+        in the corpus: the slots hold 2 N p (p - 1) for N = (a kmax + 1) d,
+        which bounds every precision, Dd + 1, and d times every entry
+        length: one byte to kmax 7 and two at kmax 40, where d (ak + 1) =
+        324 at k = 40 passes 255.  Both tables match nk_direct."""
+        rng = random.Random(4)
+        A = [
+            [Poly(F2, [rng.randrange(2), rng.randrange(2), 1]) for _ in range(4)]
+            for _ in range(4)
+        ]
+        want = [nk_direct(F2, A, k) for k in range(1, 41)]
+        widths = self.record_widths(monkeypatch)
+        assert nk_table(F2, A, 7) == want[:7]
+        assert nk_table(F2, A, 40) == want
+        assert widths == [(15 * 4, 1), (81 * 4, 2)]
+
+    @pytest.mark.parametrize("field", [F2, F7, M61], ids=repr)
+    def test_prime_field_table_stays_packed(self, monkeypatch, field):
+        """With the coefficient-list product kernels and ``polymat.mat_mul``
+        patched to raise, a table that takes powers still matches
+        nk_direct over a prime field."""
+        from ffzeta import polymat
+        from ffzeta.gf import Field
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a prime-field table left its packed ints")
+
+        A = tmat(field, PERIODIC_ZERO)
+        want = [nk_direct(field, A, k) for k in range(1, 10)]
+        for name in ("poly_mul", "poly_dot", "_kron_dot", "_short_mul"):
+            monkeypatch.setattr(Field, name, forbidden)
+        monkeypatch.setattr(polymat, "mat_mul", forbidden)
+        products = TestPowerAdvance.count_products(monkeypatch)
+        assert nk_table(field, A, 9) == want
+        assert products

@@ -650,13 +650,18 @@ class TestSeriesOps:
         )
         return top, one
 
+    @staticmethod
+    def coeffs(cut, x, n):
+        """The first n coefficients of a packed element, by its ``cut``."""
+        return [cut(x, i, 1) for i in range(n)]
+
     @pytest.mark.parametrize("field", [F2, F7, make_field(1048573), M61], ids=repr)
     def test_update_full_slots(self, field):
         # every digit p - 1 in u, x and c, and -y of digits 1 or p (y = 0):
         # the largest slot sums an update can take
         p = field.p
         for N in self.full_slot_lengths(p):
-            pack, val, cut, neg, update = field.series_ops(N)
+            pack, val, cut, neg, update = field.series_ops(N)[:5]
             top = [p - 1] * N
             for y in (top, []):
                 want = field.poly_sub(
@@ -666,14 +671,36 @@ class TestSeriesOps:
                 assert got == pack(want)
                 assert val(got, N) == next((i for i, a in enumerate(want) if a), N)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("field", [F2, F7, make_field(65521), M61], ids=repr)
+    def test_mat_mul_full_slots(self, field, d):
+        # every coefficient p - 1 in d x d matrices of entries of N / d
+        # coefficients, N the largest precision of its slot width: the
+        # largest slot sums a product can take, d (N / d) (p - 1)^2
+        p = field.p
+        N = self.full_slot_lengths(p)[0]
+        ops = field.series_ops(N)
+        n = N // d
+        top = [p - 1] * n
+        X = [[ops.pack(top)] * d for _ in range(d)]
+        want = []
+        for _ in range(d):
+            want = field.poly_add(want, field.poly_mul(top, top))
+        want += [0] * (2 * n - len(want))
+        for row in ops.mat_mul(X, X):
+            for x in row:
+                assert self.coeffs(ops.cut, x, 2 * n) == want
+
     @pytest.mark.parametrize("field", [F2, F3, F7, make_field(1048573), M61], ids=repr)
     @given(data=st.data())
     def test_packed_steps_match_coefficient_lists(self, field, data):
-        """The packed pack, val, cut, neg and update against list arithmetic
-        mod s^P, with entries longer than N, as the rows of R are."""
+        """Every packed step against list arithmetic mod s^P, with entries
+        longer than N, as the rows of R are."""
         N = data.draw(st.integers(1, 40))
-        pack, val, cut, neg, update = field.series_ops(N)
-        elems = st.lists(st.one_of(st.just(0), felems(field)), max_size=N + 5)
+        ops = field.series_ops(N)
+        pack, val, cut, neg, update = ops[:5]
+        coeff = st.one_of(st.just(0), felems(field))
+        elems = st.lists(coeff, max_size=N + 5)
         u, x, c, y = (data.draw(elems) for _ in range(4))
         w = data.draw(st.integers(0, N - 1))
         P = N - w
@@ -690,6 +717,50 @@ class TestSeriesOps:
         )
         got = update(pack(low(u, P)), pack(x), pack(low(c, P)), neg(pack(y), P), P)
         assert got == pack(low(want, P))
+        D = data.draw(st.integers(0, N - 1))
+        xD = low(x, D + 1)
+        assert ops.degree(pack(xD)) == max((i for i, a in enumerate(xD) if a), default=-1)
+        assert ops.rev(pack(xD), D) == pack(xD[::-1])
+        assert ops.less_one(pack(xD), D) == pack(
+            low(field.poly_sub(xD, [0] * D + [1]), D + 1)
+        )
+        d = data.draw(st.integers(1, min(N, 3)))
+        entry = st.lists(coeff, max_size=N // d)
+        X, Y = (
+            data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+            for _ in range(2)
+        )
+        n = 2 * (N // d)
+        pX, pY = ([[pack(e) for e in row] for row in M] for M in (X, Y))
+        for i, row in enumerate(ops.mat_mul(pX, pY)):
+            for j, got in enumerate(row):
+                want = []
+                for k in range(d):
+                    want = field.poly_add(want, field.poly_mul(X[i][k], Y[k][j]))
+                assert self.coeffs(cut, got, n) == low(want, n)
+
+
+    @pytest.mark.parametrize("field", [F4, F9], ids=repr)
+    @given(data=st.data())
+    def test_list_steps_for_extension_fields(self, field, data):
+        """degree, rev, less_one and mat_mul on the coefficient lists of
+        e >= 2, trailing zeros included, as products leave them."""
+        ops = field.series_ops(12)
+        x = data.draw(st.lists(st.one_of(st.just(0), felems(field)), min_size=1, max_size=6))
+        deg = max((i for i, a in enumerate(x) if a), default=-1)
+        assert ops.degree(x) == deg
+        D = data.draw(st.integers(max(deg, 0), 8))
+        r = ops.rev(x, D)
+        assert r == [x[D - i] if D - i < len(x) else 0 for i in range(D + 1)]
+        assert ops.less_one(r, D) == r[:D] + [field.sub(r[D], 1)]
+        X = [[ops.pack(data.draw(st.lists(felems(field), max_size=4))) for _ in range(2)]
+             for _ in range(2)]
+        want = [[field.poly_add(field.poly_mul(X[i][0], X[0][j]), field.poly_mul(X[i][1], X[1][j]))
+                 for j in range(2)] for i in range(2)]
+        got = ops.mat_mul(X, X)
+        assert [[Poly(field, e) for e in row] for row in got] == [
+            [Poly(field, e) for e in row] for row in want
+        ]
 
 
 class TestFieldProductsStayInTheField:

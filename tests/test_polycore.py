@@ -71,6 +71,28 @@ class TestPolyBasics:
     def test_monic_over_field(self):
         assert tpoly(F7, 2, 4).monic() == tpoly(F7, 4, 1)
 
+    @pytest.mark.parametrize(
+        "field, coeffs, text",
+        [
+            (F7, [], "0"),
+            (F7, [3], "3"),
+            (F7, [0, 1], "x"),
+            (F7, [3, 1, 5], "3 + x + 5*x^2"),
+            (F7, [0, 6, 0, 1], "6*x + x^3"),
+            (F4, [], "0"),
+            (F4, [2], "2"),
+            (F4, [0, 1], "x"),
+            (F4, [1, 3, 0, 1], "1 + 3*x + x^3"),
+        ],
+    )
+    def test_format_and_repr(self, field, coeffs, text):
+        # coefficients print as their packed ints, a unit one is left out,
+        # zero ones are skipped, and x^1 prints as x
+        f = Poly(field, coeffs)
+        assert f.format() == text
+        assert f.format("t") == text.replace("x", "t")
+        assert repr(f) == f"Poly({text})"
+
     @given(f=tpolys(F5), g=tpolys(F5, min_deg=0))
     def test_divmod_property(self, f, g):
         quo, rem = divmod(f, g)
