@@ -7,9 +7,10 @@ determinant at every k, where the table often has a forced answer) for
 k <= 6.  Then the two series routes to order KMAX (closed form against
 the N_k recurrence on algebraic systems, and the inverse recurrence back
 to the N_k on every system), then the three fixed-point routes where each
-applies.  Last, when sympy is installed, the d = 8, degree-32 cap input
-against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``,
-and N_2 and N_3 against the determinant of A^k - I.
+applies.  Last, when sympy is installed, the d = 8, degree-32 cap inputs
+against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
+on the dense one and the permuted block-triangular one, and N_2 and N_3 of
+the dense one against the determinant of A^k - I.
 Prints one summary line per stage and exits 1 if any route disagrees:
 
     PYTHONPATH=src python3 scripts/corpus_regression.py           # KMAX = 40
@@ -31,7 +32,7 @@ from ffzeta import (
     polyring,
     system_data,
 )
-from ffzeta.corpus import cap_system, corpus, is_bruteforce_sized
+from ffzeta.corpus import block_cap_system, cap_system, corpus, is_bruteforce_sized
 from ffzeta.zeta import (
     classify,
     nk_from_series,
@@ -146,14 +147,16 @@ def main():
     except ImportError:
         print("cap oracle: sympy not installed, skipped")
     else:
-        field, A = cap_system()
-        M, lift = sympy_matrix(A, field.p)
-        P = charpoly(polyring(field), A)
-        cap_bad = M.charpoly() != [lift(c) for c in reversed(P.coeffs)]
+        for field, A in (block_cap_system(), cap_system()):
+            M, lift = sympy_matrix(A, field.p)
+            P = charpoly(polyring(field), A)
+            cap_bad += M.charpoly() != [lift(c) for c in reversed(P.coeffs)]
+        # field, A and M are the dense input's from here on
         table = nk_table(field, A, max(CAP_KS))
         cap_bad += sum(sympy_nk(M, k) != table[k - 1] for k in CAP_KS)
-        print(f"cap oracle (d = 8, degree 32, GF(2), charpoly and "
-              f"k in {CAP_KS}): {cap_bad} mismatches in {time.time() - t0:.2f}s")
+        print(f"cap oracle (d = 8, degree 32, GF(2), charpoly of the dense and "
+              f"the block-triangular input, k in {CAP_KS}): {cap_bad} mismatches "
+              f"in {time.time() - t0:.2f}s")
     failures = (mismatches, det_bad, series_bad, bad, brute_bad, cap_bad)
     return 1 if any(failures) else 0
 

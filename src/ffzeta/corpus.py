@@ -6,7 +6,8 @@ spread of sizes while staying cheap; singular draws are rejected and
 redrawn from the same stream, keeping the corpus a pure function of the
 seed.  The tiny instances (q <= 3, d <= 2, degree <= 1) double as
 bruteforce-checkable fixed-point cases.  ``cap_system`` is one seeded
-input at the entry caps for the outside determinant oracle.
+input at the entry caps for the outside determinant oracle, and
+``block_cap_system`` a block-triangular one for the charpoly oracle.
 """
 
 from __future__ import annotations
@@ -80,3 +81,13 @@ def cap_system():
         A = [[Poly(field, cs) for cs in row] for row in rows]
         if det(polyring(field), A):
             return field, A
+
+
+def block_cap_system():
+    """(GF(2), B): cap_system's matrix (no zero entry) with the entries below
+    diagonal blocks of sizes 3, 1, 4 zeroed, rows and columns then permuted
+    by random.Random(CAP_SEED); the blocks are its strong components."""
+    field, A = cap_system()
+    block, perm = (0, 0, 0, 1, 2, 2, 2, 2), random.Random(CAP_SEED).sample(range(8), 8)
+    zero = Poly(field)
+    return field, [[A[i][j] if block[i] <= block[j] else zero for j in perm] for i in perm]

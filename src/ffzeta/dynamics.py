@@ -227,7 +227,7 @@ def nk_table(field, A, kmax: int) -> list:
                 power, j = ops.mat_mul(power, gap(k - j)), k
             val = _nk_value(ops, power, last[1] * k // last[0])
         if k == 1 and a >= 1 and val == NkValue.of(a * d):
-            return [NkValue.of(a * i * d) for i in range(1, kmax + 1)]
+            return [NkValue(False, a * i * d) for i in range(1, kmax + 1)]
         out.append(val)
         if not val.is_zero:
             last = (k, val.exponent)

@@ -74,11 +74,11 @@ n = q^delta - 1.  ``integers.factor_group_order`` factors n along the
 cyclotomic values Phi_j(q), j | delta, under one Pollard rho step budget
 for the whole call; past it order_of_root raises CapExceededError naming
 itself.  The order is then found by a descent over a product tree of the
-primes of n (``_order_from``); elem_order(field, a) is the order of the
-root a of X - a.  order_of_root checks that f is irreducible, which costs
-a distinct-degree split; the spectral layer calls ``_root_order``, the
-same computation without the checks, on factors that ``factor`` has just
-certified.
+primes of n (``_order_from``), in GF(q) on the root's norm for those not
+dividing n / (q - 1); elem_order(field, a) is that of the root of X - a.
+order_of_root checks that f is irreducible (a distinct-degree split); the
+spectral layer calls ``_root_order``, the same computation without the
+checks, on factors that ``factor`` has just certified.
 """
 
 from __future__ import annotations
@@ -759,16 +759,25 @@ def order_of_root(field: Field, f: Poly) -> int:
 
 def _root_order(field: Field, f: Poly) -> int:
     """order_of_root without its checks: f must be monic and irreducible
-    with f(0) != 0, as the factors ``factor`` returns are."""
-    delta = f.degree
+    with f(0) != 0, as the factors ``factor`` returns are.  A root a has
+    norm a^M = (-1)^delta f(0) in GF(q), M = n / (q - 1) for n = q^delta - 1,
+    and for a prime ell not dividing M the ell-part of ord(a) is the norm's.
+    Only the primes of M descend mod f, from X^(n_s) with n_s the part of n
+    over the other primes."""
+    q, delta = field.q, f.degree
     try:
-        fac = factor_group_order(field.q, delta)
+        fac = factor_group_order(q, delta)
     except errors.CapExceededError as ex:
         raise errors.CapExceededError(
             f"order_of_root: cannot factor the group order q^{delta} - 1: {ex}"
         ) from None
-    if delta == 1:
-        # the root is -f(0), in GF(q) itself
-        return _order_from(fac, field.neg(f.coeff(0)), field.pow, field.one)
-    one = Poly.const(field, field.one)
-    return _order_from(fac, Poly.x(field), lambda y, k: modpow(y, k, f), one)
+    M = (q**delta - 1) // (q - 1)
+    scalar = {ell: k for ell, k in fac.items() if M % ell}
+    lifted = {ell: k for ell, k in fac.items() if ell not in scalar}
+    n_s = math.prod(ell**k for ell, k in scalar.items())
+    norm = f.coeff(0) if delta % 2 == 0 else field.neg(f.coeff(0))
+    order = _order_from(scalar, field.pow(norm, (q - 1) // n_s), field.pow, field.one)
+    if not lifted:
+        return order
+    x, one = modpow(Poly.x(field), n_s, f), Poly.const(field, field.one)
+    return order * _order_from(lifted, x, lambda y, k: modpow(y, k, f), one)

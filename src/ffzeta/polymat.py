@@ -6,7 +6,7 @@ Determinants and characteristic polynomials are division-free, using only
 ``mul``, ``add``, ``neg`` and ``dot``: ``det`` expands row by row over
 memoized column-subset minors, at most d * 2^(d-1) ring products for a
 d x d matrix, over any domain; ``charpoly`` is Berkowitz's recursion over
-the entry ring itself, O(d^4) ring products and no determinant.
+the entry ring on each strongly connected block, O(d^4) ring products.
 ``mat_mul`` and ``charpoly`` build every sum of products as one
 ``dom.dot``, which is ``PolyRing.dot``, so their entry ring is F[t] over
 a field: one ``poly_dot`` of the field per entry, reduced once.  Powers
@@ -17,6 +17,8 @@ field).
 
 from __future__ import annotations
 
+import math
+from itertools import compress
 from typing import NamedTuple
 
 from . import errors
@@ -88,7 +90,26 @@ def det(dom, A: list):
 
 
 def charpoly(ring, A: list) -> Poly:
-    """det(X*I - A) for A over ring, monic of degree d, by Berkowitz.
+    """det(X*I - A), monic of degree d: ``_berkowitz`` on each strongly
+    connected block of A's nonzero pattern (A is block triangular ordered by
+    them), multiplied.  reach[i], the bitmask of the j that i reaches, i
+    included, is closed by Warshall's rule; rows of equal reach are a block."""
+    bits = [1 << j for j in range(len(A))]
+    reach = [sum(compress(bits, row)) | bit for row, bit in zip(A, bits)]
+    for k, bit in enumerate(bits):
+        via = reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    blocks = [[i for i, r in enumerate(reach) if r == key] for key in dict.fromkeys(reach)]
+    subs = [A] if len(blocks) == 1 else [[[A[i][j] for j in b] for i in b] for b in blocks]
+    polys = [_berkowitz(ring, M) for M in subs]
+    f = math.prod(polys[1:], start=polys[0]) if polys else Poly(ring, [ring.one])
+    if f.degree != len(A) or not f.is_monic():
+        raise errors.InternalInvariantError("characteristic polynomial not monic")
+    return f
+
+
+def _berkowitz(ring, A: list) -> Poly:
+    """det(X*I - A) by Berkowitz's recursion.
 
     c is the charpoly of the leading r x r block M, highest coefficient
     first.  With a = A[r][r] and R, S the rest of row r and column r, the
@@ -106,10 +127,7 @@ def charpoly(ring, A: list) -> Poly:
             col.append(ring.neg(ring.dot(row, S)))
         c.append(ring.zero)
         c = [ring.dot(c[i::-1], col) for i in range(r + 2)]
-    f = Poly(ring, c[::-1])
-    if f.degree != len(A) or not f.is_monic():
-        raise errors.InternalInvariantError("characteristic polynomial not monic")
-    return f
+    return Poly(ring, c[::-1])
 
 
 def companion(ring, f: Poly) -> list:

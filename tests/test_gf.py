@@ -14,7 +14,7 @@ from ffzeta import gf, integers
 from ffzeta.dynamics import checked_charpoly, fixed_points_smith, nk_table, system_data
 from ffzeta.gf import EXT_CAP, PRIME_CAP, Field
 from ffzeta.integers import factorint
-from ffzeta.polycore import Domain, Poly, PolyRing, is_irreducible, power
+from ffzeta.polycore import Domain, Poly, PolyRing, is_irreducible, modpow, power
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -324,6 +324,43 @@ class TestOrders:
                 if n % ell == 0:
                     assert x_pow(n // ell) != one
 
+
+    @pytest.mark.parametrize(
+        "field, deltas, norm_read",
+        [
+            (F2, range(2, 7), False),
+            (F3, [2], False),
+            (F4, range(2, 7), True),
+            (make_field(2, 16), range(2, 7), True),
+            (make_field(1048573), range(2, 7), True),
+            (M61, range(2, 5), True),
+        ],
+        ids=["GF(2)", "GF(3)", "GF(4)", "GF(2^16)", "GF(1048573)", "GF(2^61-1)"],
+    )
+    def test_root_order_matches_full_descent(self, field, deltas, norm_read):
+        """_root_order reads the primes of q - 1 that do not divide
+        M = (q^delta - 1) / (q - 1) off the norm in GF(q); the full descent
+        from X over every prime of q^delta - 1 is the reference.  Over
+        GF(2) q - 1 = 1, and over GF(3) with delta = 2 the prime 2 of q - 1
+        divides M = 4, so nothing is read off the norm there; every other
+        field reads some prime off it.  q^5 - 1 and q^6 - 1 over 2^61 - 1
+        are past the rho budget."""
+        rng, q = random.Random(field.q), field.q
+        one = Poly.const(field, field.one)
+        read = False
+        for delta in deltas:
+            fac = integers.factor_group_order(q, delta)
+            M = (q**delta - 1) // (q - 1)
+            scalar = [ell for ell in fac if M % ell]
+            assert len(scalar) < len(fac)
+            read = read or bool(scalar)
+            for _ in range(3):
+                f = None
+                while f is None or not is_irreducible(field, f):
+                    f = Poly(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(delta - 1)] + [1])
+                descent = gf._order_from(fac, Poly.x(field), lambda y, k: modpow(y, k, f), one)
+                assert gf._root_order(field, f) == descent
+        assert read == norm_read
 
 def test_factorint_frozen():
     assert factorint(360) == {2: 3, 3: 2, 5: 1}

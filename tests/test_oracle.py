@@ -1,6 +1,7 @@
 """det, charpoly, resultant, poly_gcd, factor, is_irreducible, factorint,
-the split factorization of q^delta - 1, elem_order, is_prime, N_1 at the
-entry caps and GF(p^e) arithmetic against sympy, an oracle outside the
+the split factorization of q^delta - 1, elem_order, is_prime, N_1 and a
+block-triangular charpoly at the entry caps and GF(p^e) arithmetic
+against sympy, an oracle outside the
 package; order_of_root against a direct power search in plain integers.
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpolys, xpolys
 from ffzeta import NkValue, elem_order, errors, make_field, nk_table, order_of_root
-from ffzeta.corpus import cap_system
+from ffzeta.corpus import block_cap_system, cap_system
 from ffzeta.integers import factor_group_order, factorint, is_prime
 from ffzeta.polycore import (
     Poly,
@@ -313,6 +314,17 @@ def test_nk_at_entry_caps_matches_sympy():
     M = DomainMatrix([[dom.from_sympy(lift(a)) for a in row] for row in A], (d, d), dom)
     D = (M - DomainMatrix.eye(d, dom)).det()
     assert nk_table(field, A, 1) == [NkValue.of(D.degree())]
+
+
+def test_block_charpoly_at_entry_caps_matches_sympy():
+    """charpoly of the permuted block-triangular d = 8, degree-32 GF(2)
+    input, found in three strongly connected blocks, against sympy's."""
+    field, A = block_cap_system()
+    dom = sympy.GF(2)[t]
+    d = len(A)
+    M = DomainMatrix([[dom.from_sympy(lift(a)) for a in row] for row in A], (d, d), dom)
+    P = charpoly(polyring(field), A)
+    assert M.charpoly() == [dom.from_sympy(lift(c)) for c in reversed(P.coeffs)]
 
 
 def dense(field, a):

@@ -215,6 +215,85 @@ class TestCharpoly:
         assert charpoly(ring, B) == f
 
 
+def permuted_blocks(field, sizes, rng, diagonal=False):
+    """A random matrix over F[t], block upper triangular with diagonal blocks
+    of the given sizes (block diagonal if asked), its rows and columns then
+    permuted at random.  Entries inside the blocks have degree <= 2 and
+    are nonzero, so the blocks are the strongly connected components."""
+    d = sum(sizes)
+    block = [b for b, n in enumerate(sizes) for _ in range(n)]
+
+    def entry(i, j):
+        if block[i] > block[j] or (diagonal and block[i] != block[j]):
+            return Poly(field)
+        if block[i] < block[j] and rng.random() < 0.3:
+            return Poly(field)
+        return Poly(field, [rng.randrange(field.q) for _ in range(2)] + [rng.randrange(1, field.q)])
+
+    A = [[entry(i, j) for j in range(d)] for i in range(d)]
+    perm = rng.sample(range(d), d)
+    return [[A[i][j] for j in perm] for i in perm]
+
+
+class TestCharpolyBlocks:
+    """charpoly splits A along the strongly connected components of its
+    nonzero pattern and multiplies the blocks' Berkowitz charpolys."""
+
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 2, 1), (3, 1, 2), (1, 1, 1, 1, 1), (4, 2)])
+    def test_permuted_block_triangular(self, field, sizes):
+        rng = random.Random(f"{field.q}/{sizes}")
+        ring = polyring(field)
+        for _ in range(2):
+            A = permuted_blocks(field, sizes, rng)
+            assert charpoly(ring, A) == nested_charpoly(ring, A)
+
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    def test_zero_row_and_zero_column(self, field):
+        rng = random.Random(field.q)
+        ring = polyring(field)
+        A = permuted_blocks(field, (4,), rng)
+        B = [row[:] for row in A]
+        A[1] = [Poly(field)] * 4
+        for row in B:
+            row[2] = Poly(field)
+        for M in (A, B):
+            assert charpoly(ring, M) == nested_charpoly(ring, M)
+
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    def test_diagonal_single_and_empty(self, field):
+        rng = random.Random(field.q)
+        ring = polyring(field)
+        D = permuted_blocks(field, (1, 1, 1, 1), rng, diagonal=True)
+        D[2][2] = Poly(field)
+        for M in (D, permuted_blocks(field, (1,), rng), [[Poly(field)]]):
+            assert charpoly(ring, M) == nested_charpoly(ring, M)
+        assert charpoly(ring, []) == nested_charpoly(ring, []) == Poly(ring, [ring.one])
+
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    def test_division_free(self, field):
+        rng = random.Random(field.q)
+        A = permuted_blocks(field, (2, 1, 3), rng)
+        assert charpoly(NoDivRing(field), A).coeffs == nested_charpoly(polyring(field), A).coeffs
+
+    def test_one_berkowitz_run_per_block(self, monkeypatch):
+        ring = polyring(F7)
+        berkowitz, sizes = polymat._berkowitz, []
+
+        def counted(ring, M):
+            sizes.append(len(M))
+            return berkowitz(ring, M)
+
+        monkeypatch.setattr(polymat, "_berkowitz", counted)
+        A = permuted_blocks(F7, (3, 1, 2, 2), random.Random(1), diagonal=True)
+        assert charpoly(ring, A) == nested_charpoly(ring, A)
+        assert sorted(sizes) == [1, 2, 2, 3]
+        sizes.clear()
+        field, B = cap_system()
+        charpoly(polyring(field), B)
+        assert sizes == [8]
+
+
 class TestSumsStayInTheKernel:
     """``mat_mul`` and ``charpoly`` over F[t] build each entry as one
     ``poly_dot`` of the field: no product or sum of one pair reaches the
