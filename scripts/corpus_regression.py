@@ -7,7 +7,12 @@ determinant at every k, where the table often has a forced answer) for
 k <= 6.  Then the two series routes to order KMAX (closed form against
 the N_k recurrence on algebraic systems, and the inverse recurrence back
 to the N_k on every system), then the three fixed-point routes where each
-applies.  Last, when sympy is installed, the d = 8, degree-32 cap inputs
+applies.  Then ``gf._root_order`` on random irreducibles of degree 2 to 4
+over GF(1048573), GF(2^61 - 1) and GF(2^63 - 25) against the descent from
+X over every prime of q^delta - 1 by Poly products and remainders, which
+share no code with the residue kernel it runs on; where the group order
+is past the rho budget, ``_root_order`` must say so.  Last, when sympy is
+installed, the d = 8, degree-32 cap inputs
 against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
 on the dense one and the permuted block-triangular one, and N_2 and N_3 of
 the dense one against the determinant of A^k - I.
@@ -17,15 +22,18 @@ Prints one summary line per stage and exits 1 if any route disagrees:
 """
 
 import argparse
+import random
 import sys
 import time
 
 from ffzeta import (
     NkValue,
+    Poly,
     charpoly,
     errors,
     fixed_points_bruteforce,
     fixed_points_smith,
+    make_field,
     nk_direct,
     nk_spectral,
     nk_table,
@@ -33,6 +41,9 @@ from ffzeta import (
     system_data,
 )
 from ffzeta.corpus import block_cap_system, cap_system, corpus, is_bruteforce_sized
+from ffzeta.gf import _order_from, _root_order
+from ffzeta.integers import factor_group_order
+from ffzeta.polycore import is_irreducible, power
 from ffzeta.zeta import (
     classify,
     nk_from_series,
@@ -42,6 +53,9 @@ from ffzeta.zeta import (
 
 DIRECT_KMAX = 6
 CAP_KS = (2, 3)
+ROOT_PRIMES = (1048573, 2**61 - 1, 2**63 - 25)
+ROOT_DEGREES = (2, 3, 4)
+ROOT_POLYS = 3  # irreducibles per prime and degree
 
 
 def sympy_matrix(A, p):
@@ -65,6 +79,46 @@ def sympy_nk(M, k):
 
     D = (M**k - DomainMatrix.eye(M.shape[0], M.domain)).det()
     return NkValue.of(D.degree()) if D else NkValue.zero()
+
+
+def descent_order(field, f, fac):
+    """The order of X mod f by ``_order_from`` over every prime of fac,
+    the group order, each power by Poly products and remainders."""
+    one = Poly.const(field, field.one)
+
+    def pw(y, k):
+        return power(y, k, lambda a, b: (a * b) % f, one)
+
+    return _order_from(fac, Poly.x(field), pw, one)
+
+
+def root_order_stage():
+    """(polynomials checked, group orders past the rho budget, mismatches)."""
+    checked = capped = bad = 0
+    for p in ROOT_PRIMES:
+        field, rng = make_field(p), random.Random(p)
+        for delta in ROOT_DEGREES:
+            polys = []
+            while len(polys) < ROOT_POLYS:
+                f = Poly(field, [rng.randrange(1, p)]
+                         + [rng.randrange(p) for _ in range(delta - 1)] + [1])
+                if is_irreducible(field, f):
+                    polys.append(f)
+            try:
+                fac = factor_group_order(p, delta)
+            except errors.CapExceededError:
+                # past the rho budget: _root_order must stop there too
+                capped += 1
+                try:
+                    _root_order(field, polys[0])
+                    bad += 1
+                except errors.CapExceededError:
+                    pass
+                continue
+            for f in polys:
+                checked += 1
+                bad += _root_order(field, f) != descent_order(field, f, fac)
+    return checked, capped, bad
 
 
 def main():
@@ -141,6 +195,12 @@ def main():
           f"in {time.time() - t0:.2f}s")
 
     t0 = time.time()
+    checked, capped, root_bad = root_order_stage()
+    print(f"root orders (delta 2..4 over GF(1048573), GF(2^61 - 1), GF(2^63 - 25)): "
+          f"{checked} polynomials, {capped} group orders past the rho budget, "
+          f"{root_bad} mismatches in {time.time() - t0:.2f}s")
+
+    t0 = time.time()
     cap_bad = 0
     try:
         import sympy  # noqa: F401
@@ -157,7 +217,7 @@ def main():
         print(f"cap oracle (d = 8, degree 32, GF(2), charpoly of the dense and "
               f"the block-triangular input, k in {CAP_KS}): {cap_bad} mismatches "
               f"in {time.time() - t0:.2f}s")
-    failures = (mismatches, det_bad, series_bad, bad, brute_bad, cap_bad)
+    failures = (mismatches, det_bad, series_bad, bad, brute_bad, root_bad, cap_bad)
     return 1 if any(failures) else 0
 
 

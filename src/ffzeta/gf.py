@@ -30,8 +30,13 @@ spread-form packing measured slower there.
 Division runs one loop per field kind too (``Field.poly_divmod``) and
 reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
 coefficient at X^k, k >= deg f, is taken mod p once as it is read and the
-deg f low ones once at the end, so ``poly_mulmod``, the product mod a
-monic f that ``polycore.modpow`` runs on, leaves its e = 1 sums unreduced.
+deg f low ones once at the end, so ``poly_mulmod``, the list product mod
+a monic f, leaves its e = 1 sums unreduced.
+
+Powers mod a monic f (``polycore.modpow``, the root-order descent) run on
+``Field.residue_ops``: over a prime field one int per residue, a product
+one int multiply, its high slots folded down as multiples of X^deg f mod f
+and one reduction mod p; for e >= 2 coefficient lists and ``poly_mulmod``.
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -75,7 +80,8 @@ cyclotomic values Phi_j(q), j | delta, under one Pollard rho step budget
 for the whole call; past it order_of_root raises CapExceededError naming
 itself.  The order is then found by a descent over a product tree of the
 primes of n (``_order_from``), in GF(q) on the root's norm for those not
-dividing n / (q - 1); elem_order(field, a) is that of the root of X - a.
+dividing n / (q - 1) and on the residues mod f for the others;
+elem_order(field, a) is that of the root of X - a.
 order_of_root checks that f is irreducible (a distinct-degree split); the
 spectral layer calls ``_root_order``, the same computation without the
 checks, on factors that ``factor`` has just certified.
@@ -92,7 +98,7 @@ from itertools import compress
 
 from . import errors
 from .integers import factor_group_order, factorint, is_prime
-from .polycore import Domain, Poly, is_irreducible, modpow
+from .polycore import Domain, Poly, is_irreducible, modpow, power
 
 PRIME_CAP = 2**63
 EXT_CAP = 2**20
@@ -105,6 +111,7 @@ EXT_CAP = 2**20
 KRON_CUTOFF = 64
 
 SeriesOps = namedtuple("SeriesOps", "pack val cut neg update mat_mul degree rev less_one")
+ResidueOps = namedtuple("ResidueOps", "pack mul unpack")
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +611,53 @@ class Field(Domain):
             rem.pop()
         return rem
 
+    def residue_ops(self, fs) -> ResidueOps:
+        """ResidueOps: the residues mod the monic fs of degree m >= 1 and
+        their product, on which ``polycore.modpow`` and ``_root_order`` power.
+
+        pack(xs) takes a coefficient list of length at most m, low first,
+        unpack(x) gives it back with no trailing zeros, and mul(x, y) is
+        x y mod fs.  For e >= 2 the residues are the lists, multiplied by
+        ``poly_mulmod``, as a spread-form packing lost there.  For e = 1
+        each is one int, coefficient i in slot i of W bytes, with
+        (2m - 1)(p - 1)^2 below 2^(8W).  A product is one int multiply,
+        slot k at most min(k + 1, 2m - 1 - k)(p - 1)^2.  From k = 2m - 2
+        down, slot k is taken mod p and added in times X^(k - m) (X^m mod
+        fs), packed, adding at most (p - 1)^2 to each of slots k - m..k - 1,
+        so each low slot ends at most (2m - 1)(p - 1)^2 and is taken mod p
+        once (Dumas, Giorgi and Pernet).
+        """
+        if self.e >= 2:
+            return ResidueOps(list, lambda xs, ys: self.poly_mulmod(xs, ys, fs), list)
+        p, m = self.p, len(fs) - 1
+        bits = 8 * -(-((2 * m - 1) * (p - 1) ** 2).bit_length() // 8)
+        top, mask, shifts = bits * m, (1 << bits) - 1, range(0, bits * m, bits)
+
+        def pack(xs):
+            x = 0
+            for v in reversed(xs):
+                x = x << bits | v
+            return x
+
+        # (offset of slot k, X^(k - m) (X^m mod fs), the slots below k)
+        neg = pack([-c % p for c in fs[:m]])
+        folds = [
+            (bits * k, neg << bits * (k - m), (1 << bits * k) - 1)
+            for k in range(2 * m - 2, m - 1, -1)
+        ]
+
+        def mul(x, y):
+            x *= y
+            if x >> top:
+                for s, g, below in folds:
+                    x = (x & below) + (x >> s) % p * g
+            return sum([(x >> s & mask) % p << s for s in shifts])
+
+        def unpack(x):
+            return [x >> s & mask for s in range(0, x.bit_length(), bits)]
+
+        return ResidueOps(pack, mul, unpack)
+
     def __repr__(self):
         if self.e == 1:
             return f"GF({self.p})"
@@ -762,8 +816,8 @@ def _root_order(field: Field, f: Poly) -> int:
     with f(0) != 0, as the factors ``factor`` returns are.  A root a has
     norm a^M = (-1)^delta f(0) in GF(q), M = n / (q - 1) for n = q^delta - 1,
     and for a prime ell not dividing M the ell-part of ord(a) is the norm's.
-    Only the primes of M descend mod f, from X^(n_s) with n_s the part of n
-    over the other primes."""
+    Only the primes of M descend mod f, on the residues of ``residue_ops``,
+    from X^(n_s) with n_s the part of n over the other primes."""
     q, delta = field.q, f.degree
     try:
         fac = factor_group_order(q, delta)
@@ -779,5 +833,8 @@ def _root_order(field: Field, f: Poly) -> int:
     order = _order_from(scalar, field.pow(norm, (q - 1) // n_s), field.pow, field.one)
     if not lifted:
         return order
-    x, one = modpow(Poly.x(field), n_s, f), Poly.const(field, field.one)
-    return order * _order_from(lifted, x, lambda y, k: modpow(y, k, f), one)
+    # M > 1 here, so delta >= 2 and X is its own residue
+    pack, mul, _ = field.residue_ops(list(f.coeffs))
+    one = pack([field.one])
+    x = power(pack([0, 1]), n_s, mul, one)
+    return order * _order_from(lifted, x, lambda y, k: power(y, k, mul, one), one)

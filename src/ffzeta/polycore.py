@@ -13,8 +13,8 @@ as ``gf.Field`` does for ``poly_mul`` and ``poly_divmod`` (one loop per
 field kind, and one Kronecker routine on Python ints for long
 operands); a tracer can time them per domain.  Over a field the scalar
 loops are the tests' references for the field's own.  Two products
-need a field: ``modpow`` runs on ``gf.Field.poly_mulmod``, the product
-mod a monic polynomial, and ``PolyRing.dot``, each matrix entry of
+need a field: ``modpow`` runs on ``gf.Field.residue_ops``, one int per
+residue over a prime field, and ``PolyRing.dot``, each matrix entry of
 ``polymat`` over F[t], on ``gf.Field.poly_dot``, a sum of products
 reduced once.
 
@@ -352,20 +352,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
     """base**n mod modulus by binary exponentiation over a field.
 
-    The powering runs on coefficient lists, each product one
-    ``poly_mulmod`` of the field, and one Poly is built at the end.  The
+    The powering runs on the field's residues mod the modulus
+    (``gf.Field.residue_ops``: one int each over a prime field,
+    coefficient lists for e >= 2), and one Poly is built at the end.  The
     modulus must be monic of degree at least 1.
     """
     if not modulus.is_monic() or modulus.degree < 1:
         raise errors.MalformedInputError("modulus must be monic of positive degree")
     if n < 0:
         raise ValueError("negative exponent")
-    dom, fs = base.dom, list(modulus.coeffs)
+    dom = base.dom
     if not dom.is_field:
         raise TypeError("modpow needs field coefficients")
-    xs = list((base % modulus).coeffs)
-    out = power(xs, n, lambda a, b: dom.poly_mulmod(a, b, fs), [dom.one])
-    return Poly(dom, out)
+    pack, mul, unpack = dom.residue_ops(list(modulus.coeffs))
+    base._check(modulus)  # a base of lower degree skips the division's check
+    x = pack(list((base if base.degree < modulus.degree else base % modulus).coeffs))
+    return Poly(dom, unpack(power(x, n, mul, pack([dom.one]))))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,13 @@ class TestPolyAddition:
         assert field.poly_add(xs, field.poly_neg(xs)) == [0] * len(xs)
 
 
+def poly_pow_mod(f):
+    """(y, k) -> y^k mod f by Poly products and remainders: a reference
+    that shares no code with the residue kernel of ``modpow``."""
+    one = Poly.const(f.dom, f.dom.one)
+    return lambda y, k: power(y, k, lambda a, b: (a * b) % f, one)
+
+
 class TestOrders:
     def test_elem_order_frozen(self):
         assert elem_order(F7, 3) == 6
@@ -315,14 +322,11 @@ class TestOrders:
             fac = integers.factor_group_order(field.q, f.degree)
             assert math.prod(ell**k for ell, k in fac.items()) == group
             assert group % n == 0
-
-            def x_pow(k):
-                return power(Poly.x(field) % f, k, lambda a, b: (a * b) % f, one)
-
-            assert x_pow(n) == one
+            x, x_pow = Poly.x(field) % f, poly_pow_mod(f)
+            assert x_pow(x, n) == one
             for ell in fac:
                 if n % ell == 0:
-                    assert x_pow(n // ell) != one
+                    assert x_pow(x, n // ell) != one
 
 
     @pytest.mark.parametrize(
@@ -344,7 +348,8 @@ class TestOrders:
         GF(2) q - 1 = 1, and over GF(3) with delta = 2 the prime 2 of q - 1
         divides M = 4, so nothing is read off the norm there; every other
         field reads some prime off it.  q^5 - 1 and q^6 - 1 over 2^61 - 1
-        are past the rho budget."""
+        are past the rho budget.  The reference powers by Poly arithmetic
+        mod f, not by the residue kernel that _root_order runs on."""
         rng, q = random.Random(field.q), field.q
         one = Poly.const(field, field.one)
         read = False
@@ -358,7 +363,7 @@ class TestOrders:
                 f = None
                 while f is None or not is_irreducible(field, f):
                     f = Poly(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(delta - 1)] + [1])
-                descent = gf._order_from(fac, Poly.x(field), lambda y, k: modpow(y, k, f), one)
+                descent = gf._order_from(fac, Poly.x(field), poly_pow_mod(f), one)
                 assert gf._root_order(field, f) == descent
         assert read == norm_read
 
@@ -662,6 +667,109 @@ class TestBulkKernels:
             sums = data.draw(st.lists(st.integers(0, top), max_size=70))
             want = Domain.poly_divmod(field, [v % field.p for v in sums], ys)
             assert field.poly_divmod(sums, ys) == want
+
+
+# p = 2 and 3, a small and a 20-bit prime, 2^61 - 1, and the largest
+# prime below PRIME_CAP, whose slots are the widest
+EDGE_PRIMES = [2, 3, 7, 1048573, 2**61 - 1, PRIME_CAP - 25]
+
+
+def modpow_reference(field, xs, n, fs):
+    """xs^n mod the monic fs by square-and-multiply on ``mulmod_reference``,
+    the generic ``Domain`` loops: the reference for ``modpow``."""
+    out, x = [field.one], mulmod_reference(field, xs, [field.one], fs)
+    while n:
+        if n & 1:
+            out = mulmod_reference(field, out, x, fs)
+        n >>= 1
+        if n:
+            x = mulmod_reference(field, x, x, fs)
+    return out
+
+
+class TestResidueOps:
+    """``Field.residue_ops`` and ``modpow``, which powers on it, against
+    references built from ``Domain.poly_mul`` and ``Domain.poly_divmod``
+    called on the field."""
+
+    def test_edge_prime_is_the_largest_below_the_cap(self):
+        assert integers.is_prime(PRIME_CAP - 25)
+        assert not any(integers.is_prime(n) for n in range(PRIME_CAP - 24, PRIME_CAP))
+
+    @pytest.mark.parametrize("p", EDGE_PRIMES)
+    def test_mul(self, p):
+        # moduli of degree 1 to 8: random, and with every low coefficient
+        # p - 1 or 1; operands random, all p - 1 (full slots), zero, one
+        # and a monomial
+        field, rng = make_field(p), random.Random(f"residue-mul/{p}")
+        for m in range(1, 9):
+            sides = [
+                [rng.randrange(p) for _ in range(m)], [p - 1] * m, [], [1],
+                [0] * (m - 1) + [rng.randrange(1, p)],
+            ]
+            moduli = [[rng.randrange(p) for _ in range(m)] + [1], [p - 1] * m + [1], [1] * (m + 1)]
+            for fs in moduli:
+                pack, mul, unpack = field.residue_ops(fs)
+                for xs in sides:
+                    assert unpack(pack(xs)) == mulmod_reference(field, xs, [1], fs)
+                    for ys in sides:
+                        got = unpack(mul(pack(xs), pack(ys)))
+                        assert got == mulmod_reference(field, xs, ys, fs), (m, fs, xs, ys)
+
+    @pytest.mark.parametrize("p, top", [(2, 4), (3, 3)])
+    def test_mul_every_residue(self, p, top):
+        # every monic modulus of degree up to top and every pair of residues
+        field = make_field(p)
+        for m in range(1, top + 1):
+            residues = [[r // p**i % p for i in range(m)] for r in range(p**m)]
+            for fs in residues:
+                pack, mul, unpack = field.residue_ops(fs + [1])
+                for xs, ys in itertools.product(residues, repeat=2):
+                    want = mulmod_reference(field, xs, ys, fs + [1])
+                    assert unpack(mul(pack(xs), pack(ys))) == want
+
+    @pytest.mark.parametrize(
+        "field", [make_field(p) for p in EDGE_PRIMES] + [F4, F9], ids=repr
+    )
+    def test_modpow(self, field):
+        # exponents 0, 1, 2, q, q^m - 1 and a 256-bit one, on a base that
+        # needs reducing, full slots and zero, mod a random monic of each
+        # degree 1 to 8
+        q, rng = field.q, random.Random(f"residue-modpow/{field.q}")
+        for m in range(1, 9):
+            fs = [rng.randrange(q) for _ in range(m)] + [1]
+            for xs in ([rng.randrange(q) for _ in range(m + 2)], [q - 1] * m, []):
+                for n in (0, 1, 2, q, q**m - 1, rng.getrandbits(256) | 1 << 255):
+                    got = modpow(Poly(field, xs), n, Poly(field, fs))
+                    assert got == Poly(field, modpow_reference(field, xs, n, fs)), (m, xs, n)
+
+    @pytest.mark.parametrize("field", [F7, make_field(1048573), M61], ids=repr)
+    def test_prime_fields_power_on_ints_alone(self, field, monkeypatch):
+        """With ``poly_mulmod`` and ``_short_mul`` patched to raise,
+        ``modpow`` and ``_root_order`` over a prime field still give the
+        answers of Poly arithmetic, computed before the patch."""
+        rng, q = random.Random(f"residue-contract/{field.q}"), field.q
+        cases = []
+        for delta in (2, 3, 4):
+            f = None
+            while f is None or not is_irreducible(field, f):
+                low = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(delta - 1)]
+                f = Poly(field, low + [1])
+            fac = integers.factor_group_order(q, delta)
+            pw, one = poly_pow_mod(f), Poly.const(field, field.one)
+            base = Poly(field, [rng.randrange(q) for _ in range(delta + 2)])
+            n = rng.getrandbits(256)
+            order = gf._order_from(fac, Poly.x(field), pw, one)
+            cases.append((f, base, n, order, pw(base % f, n)))
+
+        def refuse(*args):
+            raise AssertionError("a list kernel reached by prime-field powering")
+
+        monkeypatch.setattr(Field, "poly_mulmod", refuse)
+        monkeypatch.setattr(Field, "_short_mul", refuse)
+        for f, base, n, order, want in cases:
+            assert gf._root_order(field, f) == order
+            assert modpow(base, n, f) == want
 
 
 class TestSeriesOps:

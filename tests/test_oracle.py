@@ -2,7 +2,9 @@
 the split factorization of q^delta - 1, elem_order, is_prime, N_1 and a
 block-triangular charpoly at the entry caps and GF(p^e) arithmetic
 against sympy, an oracle outside the
-package; order_of_root against a direct power search in plain integers.
+package; order_of_root against a direct power search in plain integers;
+prime-field modpow and the root orders of ``gf._root_order`` against
+galoistools' ``gf_pow_mod``.
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpolys, xpolys
-from ffzeta import NkValue, elem_order, errors, make_field, nk_table, order_of_root
+from ffzeta import NkValue, elem_order, errors, gf, make_field, nk_table, order_of_root
 from ffzeta.corpus import block_cap_system, cap_system
 from ffzeta.integers import factor_group_order, factorint, is_prime
 from ffzeta.polycore import (
     Poly,
     factor,
     is_irreducible,
+    modpow,
     poly_gcd,
     polyring,
     resultant,
@@ -356,3 +359,42 @@ def test_extension_arithmetic_matches_galoistools(p, e, modulus):
         assert field.add(a, b) == packed(field, gt.gf_add(A, B, p, ZZ))
         assert field.sub(a, b) == packed(field, gt.gf_sub(A, B, p, ZZ))
         assert field.inv(a) == packed(field, gt.gf_pow_mod(A, field.q - 2, f, p, ZZ))
+
+
+def dense_coeffs(cs):
+    """A low-first coefficient list as a galoistools polynomial."""
+    return gt.gf_strip([int(c) for c in reversed(cs)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1048573, 2**61 - 1, 2**63 - 25])
+def test_prime_field_modpow_matches_gf_pow_mod(p):
+    """Moduli of degree 1 to 8, random and with every low coefficient
+    p - 1; bases random and all p - 1 (full slots); up to 2^63 - 25, the
+    largest prime the package accepts."""
+    field, rng = make_field(p), random.Random(f"gf_pow_mod/{p}")
+    for m in range(1, 9):
+        for fs in ([rng.randrange(p) for _ in range(m)] + [1], [p - 1] * m + [1]):
+            for xs in ([rng.randrange(p) for _ in range(m)], [p - 1] * m):
+                for n in (2, p, p**m - 1, rng.getrandbits(256)):
+                    want = gt.gf_pow_mod(dense_coeffs(xs), n, dense_coeffs(fs), p, ZZ)
+                    got = modpow(Poly(field, xs), n, Poly(field, fs))
+                    assert dense_coeffs(got.coeffs) == want, (m, fs, xs, n)
+
+
+@pytest.mark.parametrize("p", [1048573, 2**61 - 1])
+def test_root_order_is_minimal_by_gf_pow_mod(p):
+    """Each order n of ``gf._root_order`` on random irreducibles (by
+    galoistools) of degree 2 to 4: X^n = 1 mod f, and X^(n / l) != 1 mod f
+    for every prime l | n, the primes by sympy.factorint."""
+    field, rng = make_field(p), random.Random(f"root order/{p}")
+    for delta in range(2, 5):
+        primes = sympy_group_order(p, delta)
+        for _ in range(3):
+            cs = None
+            while cs is None or not gt.gf_irreducible_p(dense_coeffs(cs), p, ZZ):
+                cs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(delta - 1)] + [1]
+            n, f = gf._root_order(field, Poly(field, cs)), dense_coeffs(cs)
+            assert gt.gf_pow_mod([1, 0], n, f, p, ZZ) == [1]
+            for ell in primes:
+                if n % ell == 0:
+                    assert gt.gf_pow_mod([1, 0], n // ell, f, p, ZZ) != [1], (cs, n, ell)

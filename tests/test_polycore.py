@@ -149,6 +149,12 @@ class TestModpow:
         with pytest.raises(TypeError, match="^modpow needs field coefficients$"):
             modpow(X, 8, P)
 
+    @pytest.mark.parametrize("base", [tpoly(F7, 3), tpoly(F7, 3, 1, 1, 1)])
+    def test_rejects_mixed_domains(self, base):
+        # a base below the modulus's degree is not divided, and still checked
+        with pytest.raises(TypeError, match="^mixed-domain polynomial arithmetic$"):
+            modpow(base, 5, tpoly(F5, 1, 0, 1))
+
 
 class TestResultant:
     def test_frozen_over_field(self):
