@@ -8,11 +8,15 @@ k <= 6.  Then the two series routes to order KMAX (closed form against
 the N_k recurrence on algebraic systems, and the inverse recurrence back
 to the N_k on every system), then the three fixed-point routes where each
 applies.  Then ``gf._root_order`` on random irreducibles of degree 2 to 4
-over GF(1048573), GF(2^61 - 1) and GF(2^63 - 25) against the descent from
-X over every prime of q^delta - 1 by Poly products and remainders, which
-share no code with the residue kernel it runs on; where the group order
-is past the rho budget, ``_root_order`` must say so.  Last, when sympy is
-installed, the d = 8, degree-32 cap inputs
+over GF(1048573), GF(2^61 - 1) and GF(2^63 - 25), and over GF(4), GF(9),
+GF(2^8), GF(2^16) and GF(3^10), against the descent from X over every
+prime of q^delta - 1 by Poly products and remainders.  Over the prime
+fields these share no code with the packed residue kernel; over the
+extension fields they run on the same ``poly_mul`` and ``poly_divmod``,
+so there the stage checks the residue product built on them, the norm
+read and the split of the primes.  Where the group order is past the rho
+budget, ``_root_order`` must say so.  Last, when sympy is installed, the
+d = 8, degree-32 cap inputs
 against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
 on the dense one and the permuted block-triangular one, and N_2 and N_3 of
 the dense one against the determinant of A^k - I.
@@ -53,9 +57,12 @@ from ffzeta.zeta import (
 
 DIRECT_KMAX = 6
 CAP_KS = (2, 3)
-ROOT_PRIMES = (1048573, 2**61 - 1, 2**63 - 25)
+ROOT_FIELDS = (  # (p, e)
+    (1048573, 1), (2**61 - 1, 1), (2**63 - 25, 1),
+    (2, 2), (3, 2), (2, 8), (2, 16), (3, 10),
+)
 ROOT_DEGREES = (2, 3, 4)
-ROOT_POLYS = 3  # irreducibles per prime and degree
+ROOT_POLYS = 3  # irreducibles per field and degree
 
 
 def sympy_matrix(A, p):
@@ -95,17 +102,18 @@ def descent_order(field, f, fac):
 def root_order_stage():
     """(polynomials checked, group orders past the rho budget, mismatches)."""
     checked = capped = bad = 0
-    for p in ROOT_PRIMES:
-        field, rng = make_field(p), random.Random(p)
+    for p, e in ROOT_FIELDS:
+        field = make_field(p, e)
+        q, rng = field.q, random.Random(field.q)
         for delta in ROOT_DEGREES:
             polys = []
             while len(polys) < ROOT_POLYS:
-                f = Poly(field, [rng.randrange(1, p)]
-                         + [rng.randrange(p) for _ in range(delta - 1)] + [1])
+                f = Poly(field, [rng.randrange(1, q)]
+                         + [rng.randrange(q) for _ in range(delta - 1)] + [1])
                 if is_irreducible(field, f):
                     polys.append(f)
             try:
-                fac = factor_group_order(p, delta)
+                fac = factor_group_order(q, delta)
             except errors.CapExceededError:
                 # past the rho budget: _root_order must stop there too
                 capped += 1
@@ -196,7 +204,8 @@ def main():
 
     t0 = time.time()
     checked, capped, root_bad = root_order_stage()
-    print(f"root orders (delta 2..4 over GF(1048573), GF(2^61 - 1), GF(2^63 - 25)): "
+    print(f"root orders (delta 2..4 over GF(1048573), GF(2^61 - 1), GF(2^63 - 25), "
+          f"GF(4), GF(9), GF(2^8), GF(2^16), GF(3^10)): "
           f"{checked} polynomials, {capped} group orders past the rho budget, "
           f"{root_bad} mismatches in {time.time() - t0:.2f}s")
 

@@ -50,12 +50,8 @@ from .zeta import (
 
 MAX_DIM = 8
 MAX_ENTRY_DEG = 32
-# Largest --max and --terms, a bound on time and output size.  On d = 8,
-# entry-degree-32 inputs (README, "Command line"): report --max 60
-# --terms 60 takes 1.2 s over GF(2), 3.3 s over GF(7), 17 s over GF(4),
-# 72 s over GF(2^61 - 1) and 11 min over GF(2^20), where
-# nk --max 12 takes 19 s; zeta on t^32 I_8 over GF(2^61 - 1) takes
-# about 4 s and prints 17 MB.
+# Largest --max and --terms, a bound on time and output size; the README
+# ("Command line") lists the times at the entry caps.
 MAX_K = 60
 
 

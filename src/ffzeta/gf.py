@@ -14,8 +14,7 @@ place: for e = 1 the products are summed as plain ints, and for e >= 2
 they are read off the log and exp tables inline and added by XOR for
 p = 2 and by the Zech ``add`` for odd p, with no ``mul`` call per
 product.  ``poly_dot``, a sum of products, takes both under one rule
-(``KRON_CUTOFF``) and reduces once, as ``poly_mul`` and ``poly_mulmod``
-do on one pair.
+(``KRON_CUTOFF``) and reduces once, as ``poly_mul`` does on one pair.
 
 The N_k table (``dynamics.nk_table``) runs on the elements of
 ``Field.series_ops``, from its matrix products to the elimination over
@@ -27,16 +26,16 @@ int products, a mask to s^P and one, and a valuation is read off the
 lowest set bit.  For e >= 2 the elements stay coefficient lists, as a
 spread-form packing measured slower there.
 
-Division runs one loop per field kind too (``Field.poly_divmod``) and
-reduces late (Dumas, Giorgi and Pernet, ACM TOMS 2008): for e = 1 each
-coefficient at X^k, k >= deg f, is taken mod p once as it is read and the
-deg f low ones once at the end, so ``poly_mulmod``, the list product mod
-a monic f, leaves its e = 1 sums unreduced.
+Division runs one loop per field kind too (``Field.poly_divmod``), on
+reduced elements, and reduces late (Dumas, Giorgi and Pernet, ACM TOMS
+2008): for e = 1 each coefficient at X^k, k >= deg f, is taken mod p
+once as it is read and the deg f low ones once at the end.
 
 Powers mod a monic f (``polycore.modpow``, the root-order descent) run on
 ``Field.residue_ops``: over a prime field one int per residue, a product
 one int multiply, its high slots folded down as multiples of X^deg f mod f
-and one reduction mod p; for e >= 2 coefficient lists and ``poly_mulmod``.
+and one reduction mod p; for e >= 2 coefficient lists, a product
+``poly_mul`` and then ``poly_divmod``.
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -107,7 +106,7 @@ EXT_CAP = 2**20
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
 # has digits.  Each field keeps that bound as an integer, _kron_pairs, and
-# Field._long states the rule for poly_dot and poly_mulmod alike.
+# Field._long states the rule for poly_mul and poly_dot alike.
 KRON_CUTOFF = 64
 
 SeriesOps = namedtuple("SeriesOps", "pack val cut neg update mat_mul degree rev less_one")
@@ -561,13 +560,13 @@ class Field(Domain):
         )
 
     def poly_divmod(self, xs, ys):
-        """xs // ys and xs % ys as ``Domain.poly_divmod`` lays them out, by
-        one loop per field kind as in ``_short_mul``, over the monic
-        ys / lc(ys), the quotient scaled after it.  For e = 1, xs may hold
-        the unreduced sums of ``poly_mulmod``."""
+        """xs // ys and xs % ys for reduced elements, as
+        ``Domain.poly_divmod`` lays them out, by one loop per field kind as
+        in ``_short_mul``, over the monic ys / lc(ys), the quotient scaled
+        after it."""
         m, p, lead = len(ys) - 1, self.p, ys[-1]
         if len(xs) <= m:
-            return [], [v % p for v in xs] if self.e == 1 else list(xs)
+            return [], list(xs)
         if lead != 1:
             inv = self.inv(lead)
             ys = [self.mul(f, inv) for f in ys]
@@ -597,38 +596,31 @@ class Field(Domain):
             quo = [self.mul(c, inv) for c in quo]
         return quo, rem
 
-    def poly_mulmod(self, xs, ys, fs):
-        """xs * ys mod the monic fs: the product of ``poly_mul``, with its
-        e = 1 sums left unreduced for ``poly_divmod`` to take mod p."""
-        if not xs or not ys:
-            return []
-        if self._long(xs, ys):
-            out = self._kron_dot([(xs, ys)])
-        else:
-            out = self._short_mul(xs, ys, [0] * (len(xs) + len(ys) - 1))
-        rem = self.poly_divmod(out, fs)[1]
-        while rem and not rem[-1]:
-            rem.pop()
-        return rem
-
     def residue_ops(self, fs) -> ResidueOps:
         """ResidueOps: the residues mod the monic fs of degree m >= 1 and
         their product, on which ``polycore.modpow`` and ``_root_order`` power.
 
         pack(xs) takes a coefficient list of length at most m, low first,
-        unpack(x) gives it back with no trailing zeros, and mul(x, y) is
-        x y mod fs.  For e >= 2 the residues are the lists, multiplied by
-        ``poly_mulmod``, as a spread-form packing lost there.  For e = 1
-        each is one int, coefficient i in slot i of W bytes, with
-        (2m - 1)(p - 1)^2 below 2^(8W).  A product is one int multiply,
-        slot k at most min(k + 1, 2m - 1 - k)(p - 1)^2.  From k = 2m - 2
-        down, slot k is taken mod p and added in times X^(k - m) (X^m mod
-        fs), packed, adding at most (p - 1)^2 to each of slots k - m..k - 1,
-        so each low slot ends at most (2m - 1)(p - 1)^2 and is taken mod p
-        once (Dumas, Giorgi and Pernet).
+        with no trailing zeros, unpack(x) gives one back, and mul(x, y) is
+        x y mod fs.  For e >= 2 the residues are the lists, and a product
+        is ``poly_mul`` and then ``poly_divmod``, as a spread-form packing
+        lost there.  For e = 1 each is one int, coefficient i in slot i of
+        W bytes, with (2m - 1)(p - 1)^2 below 2^(8W).  A product is one int
+        multiply, slot k at most min(k + 1, 2m - 1 - k)(p - 1)^2.  From
+        k = 2m - 2 down, slot k is taken mod p and added in times
+        X^(k - m) (X^m mod fs), packed, adding at most (p - 1)^2 to each of
+        slots k - m..k - 1, so each low slot ends at most (2m - 1)(p - 1)^2
+        and is taken mod p once (Dumas, Giorgi and Pernet).
         """
         if self.e >= 2:
-            return ResidueOps(list, lambda xs, ys: self.poly_mulmod(xs, ys, fs), list)
+
+            def mul(xs, ys):
+                rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
+                while rem and not rem[-1]:
+                    rem.pop()
+                return rem
+
+            return ResidueOps(list, mul, list)
         p, m = self.p, len(fs) - 1
         bits = 8 * -(-((2 * m - 1) * (p - 1) ** 2).bit_length() // 8)
         top, mask, shifts = bits * m, (1 << bits) - 1, range(0, bits * m, bits)

@@ -488,7 +488,7 @@ def dot_reference(field, pairs):
 
 def mulmod_reference(field, xs, ys, fs):
     """xs * ys mod the monic fs, with no trailing zeros, by the generic
-    ``Domain`` loops: the reference for ``poly_mulmod``."""
+    ``Domain`` loops: the reference for the product of ``residue_ops``."""
     rem = Domain.poly_divmod(field, Domain.poly_mul(field, xs, ys), fs)[1]
     while rem and not rem[-1]:
         rem.pop()
@@ -511,10 +511,11 @@ class TestReferencesAreScalarLoops:
             low = [rng.randrange(field.q) for _ in range(n - 1)]
             return low + [rng.randrange(1, field.q)]
 
-        # short pairs and pairs past the Kronecker rule, nonzero leads
+        # short pairs and pairs past the Kronecker rule, nonzero leads;
+        # the last pair are residues mod fs
         pairs = [(side(n), side(n + 3)) for n in (1, 4, edge, 2 * edge)]
         xs, ys = pairs[-1]
-        fs = side(5) + [1]
+        fs = side(len(ys)) + [1]
         for name in ("_kron_dot", "_short_mul", "poly_divmod"):
 
             def refuse(*args, name=name):
@@ -526,7 +527,8 @@ class TestReferencesAreScalarLoops:
             getattr(Domain, name)(field, *((xs,) if name == "poly_neg" else (xs, ys)))
         want = dot_reference(field, pairs), mulmod_reference(field, xs, ys, fs)
         monkeypatch.undo()
-        assert want == (field.poly_dot(pairs), field.poly_mulmod(xs, ys, fs))
+        pack, mul, unpack = field.residue_ops(fs)
+        assert want == (field.poly_dot(pairs), unpack(mul(pack(xs), pack(ys))))
 
 
 class TestBulkKernels:
@@ -620,20 +622,20 @@ class TestBulkKernels:
         assert all(field._long(*pair) for pair in pairs)
         assert field.poly_dot(pairs) == dot_reference(field, pairs)
 
-    @pytest.mark.parametrize(
-        "field", [F2, F7, M61, F4, F9, make_field(2, 16), make_field(3, 10)]
-    )
+    @pytest.mark.parametrize("field", KRON_FIELDS)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_mulmod(self, field, data):
-        # operands of any length up to 70, long ones by the Kronecker
-        # product where poly_mul would take it, zeros and empty ones too
-        m = data.draw(st.sampled_from([1, 2, 5, 8]))
+        # the residue product mod a monic of degree 1 to 16, on residues
+        # of any length up to it, zero-heavy and zero ones too
+        m = data.draw(st.sampled_from([1, 2, 5, 8, 14, 16]))
         fs = data.draw(st.lists(felems(field), min_size=m, max_size=m)) + [1]
         elems = st.one_of(st.just(0), felems(field))
-        a = data.draw(st.lists(elems, max_size=70))
-        b = data.draw(st.lists(elems, max_size=70))
+        residues = st.lists(elems, max_size=m).map(lambda xs: list(Poly(field, xs).coeffs))
+        a, b = data.draw(residues), data.draw(residues)
+        pack, mul, unpack = field.residue_ops(fs)
         want = mulmod_reference(field, a, b, fs)
-        assert field.poly_mulmod(a, b, fs) == want
+        assert unpack(mul(pack(a), pack(b))) == want
         assert len(want) <= m and (not want or want[-1] != 0)
 
     @pytest.mark.parametrize("field", [F5, F9])
@@ -654,19 +656,12 @@ class TestBulkKernels:
     @given(data=st.data())
     def test_divmod(self, field, data):
         # divisors of degree 0 to 8 with any nonzero lead, dividends of
-        # length 0 to 70, zero-heavy ones and ones shorter than the divisor;
-        # for e = 1 also the unreduced sums poly_mulmod passes, up to
-        # 70 (p - 1)^2, against the reference on their residues
+        # length 0 to 70, zero-heavy ones and ones shorter than the divisor
         m = data.draw(st.integers(0, 8))
         ys = data.draw(st.lists(felems(field), min_size=m, max_size=m))
         ys.append(data.draw(st.integers(1, field.q - 1)))
         xs = data.draw(st.lists(st.one_of(st.just(0), felems(field)), max_size=70))
         assert field.poly_divmod(xs, ys) == Domain.poly_divmod(field, xs, ys)
-        if field.e == 1:
-            top = 70 * (field.p - 1) ** 2
-            sums = data.draw(st.lists(st.integers(0, top), max_size=70))
-            want = Domain.poly_divmod(field, [v % field.p for v in sums], ys)
-            assert field.poly_divmod(sums, ys) == want
 
 
 # p = 2 and 3, a small and a 20-bit prime, 2^61 - 1, and the largest
@@ -696,18 +691,27 @@ class TestResidueOps:
         assert integers.is_prime(PRIME_CAP - 25)
         assert not any(integers.is_prime(n) for n in range(PRIME_CAP - 24, PRIME_CAP))
 
-    @pytest.mark.parametrize("p", EDGE_PRIMES)
-    def test_mul(self, p):
-        # moduli of degree 1 to 8: random, and with every low coefficient
-        # p - 1 or 1; operands random, all p - 1 (full slots), zero, one
-        # and a monomial
-        field, rng = make_field(p), random.Random(f"residue-mul/{p}")
-        for m in range(1, 9):
+    @pytest.mark.parametrize(
+        "field",
+        [make_field(p) for p in EDGE_PRIMES] + [F4, F9, make_field(2, 16)],
+        ids=lambda field: repr(field) if field.e > 1 else str(field.p),
+    )
+    def test_mul(self, field):
+        # moduli of degree 1 to 8 and 16: random, and with every low
+        # coefficient q - 1 or 1; residues random, all q - 1 (full slots
+        # over a prime field), zero, one and a monomial.  At degree 16 the
+        # random and full residues over GF(4) and GF(9) pass the Kronecker
+        # rule, which no CLI residue reaches.
+        q = field.q
+        rng = random.Random(f"residue-mul/{q}")
+        assert field.e != 2 or field._long([q - 1] * 16, [q - 1] * 16)
+        for m in [*range(1, 9), 16]:
             sides = [
-                [rng.randrange(p) for _ in range(m)], [p - 1] * m, [], [1],
-                [0] * (m - 1) + [rng.randrange(1, p)],
+                [rng.randrange(q) for _ in range(m - 1)] + [rng.randrange(1, q)],
+                [q - 1] * m, [], [1],
+                [0] * (m - 1) + [rng.randrange(1, q)],
             ]
-            moduli = [[rng.randrange(p) for _ in range(m)] + [1], [p - 1] * m + [1], [1] * (m + 1)]
+            moduli = [[rng.randrange(q) for _ in range(m)] + [1], [q - 1] * m + [1], [1] * (m + 1)]
             for fs in moduli:
                 pack, mul, unpack = field.residue_ops(fs)
                 for xs in sides:
@@ -745,9 +749,10 @@ class TestResidueOps:
 
     @pytest.mark.parametrize("field", [F7, make_field(1048573), M61], ids=repr)
     def test_prime_fields_power_on_ints_alone(self, field, monkeypatch):
-        """With ``poly_mulmod`` and ``_short_mul`` patched to raise,
-        ``modpow`` and ``_root_order`` over a prime field still give the
-        answers of Poly arithmetic, computed before the patch."""
+        """With ``poly_mul``, ``_short_mul`` and ``_kron_dot``, the
+        kernels of the e >= 2 residue product, patched to raise, ``modpow``
+        and ``_root_order`` over a prime field still give the answers of
+        Poly arithmetic, computed before the patch."""
         rng, q = random.Random(f"residue-contract/{field.q}"), field.q
         cases = []
         for delta in (2, 3, 4):
@@ -757,16 +762,16 @@ class TestResidueOps:
                 f = Poly(field, low + [1])
             fac = integers.factor_group_order(q, delta)
             pw, one = poly_pow_mod(f), Poly.const(field, field.one)
-            base = Poly(field, [rng.randrange(q) for _ in range(delta + 2)])
+            base = Poly(field, [rng.randrange(q) for _ in range(delta)])
             n = rng.getrandbits(256)
             order = gf._order_from(fac, Poly.x(field), pw, one)
-            cases.append((f, base, n, order, pw(base % f, n)))
+            cases.append((f, base, n, order, pw(base, n)))
 
         def refuse(*args):
             raise AssertionError("a list kernel reached by prime-field powering")
 
-        monkeypatch.setattr(Field, "poly_mulmod", refuse)
-        monkeypatch.setattr(Field, "_short_mul", refuse)
+        for name in ("poly_mul", "_short_mul", "_kron_dot"):
+            monkeypatch.setattr(Field, name, refuse)
         for f, base, n, order, want in cases:
             assert gf._root_order(field, f) == order
             assert modpow(base, n, f) == want
