@@ -2,7 +2,7 @@
 """Run a fixed set of CLI cases in-process and compare their output digests.
 
 The cases are every command line below on every problem below, run through
-``ffzeta.cli.main`` with the problem JSON on stdin (539 cases):
+``ffzeta.cli.main`` with the problem JSON on stdin (546 cases):
 
   * the three sample problems in ``problems/``;
   * 60 seeded random problems over GF(2), GF(3), GF(5), GF(7), GF(4) and
@@ -101,6 +101,10 @@ LONG = (
     ("long_gf3^10", 3, 10, 2, 10),
 )
 LONG_SEED = 20224
+# the long-product problem over an odd extension field, drawn last from a
+# stream of its own so that the problems above keep their draws
+ODD_EXT = ("long_gf1021^2", 1021, 2, 3, 12)
+ODD_EXT_SEED = 10212
 # (name, p, a): diag(a, t) with a of multiplicative order L = 1000002 and
 # about 2.6e17
 LARGE_ORDER = (("order_p1000003", 1000003, 2), ("order_m61", M61, 3))
@@ -196,6 +200,9 @@ def problems():
         matrix = [[[[0, 1]], [[1, 0]]], [[[0, 0]], [[1, 0], [1, 0]]]]
         doc = {"p": p, "e": 2, "modulus": modulus, "d": 2, "matrix": matrix}
         out.append((name, json.dumps(doc)))
+    name, p, e, d, deg = ODD_EXT
+    doc = _long_problem(random.Random(ODD_EXT_SEED), p, e, d, deg)
+    out.append((name, json.dumps(doc)))
     return out
 
 

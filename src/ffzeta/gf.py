@@ -8,7 +8,11 @@ Kronecker products on Python ints (``Field._kron_dot``): the digits of
 the coefficients are laid out in byte slots wide enough for every sum of
 digit products, each pair of integers is multiplied once, and the sum of
 the products is folded and reduced mod p once, by whole-integer and
-bytes operations, with no loop over coefficients in Python for e >= 2.
+bytes operations, with no loop over coefficients in Python.  One routine
+reduces byte slots mod p (``_mod_slots``), for every field kind: by
+``bytes.translate`` on tables of b * 256^k mod p while the byte sums of
+a slot cannot carry, width (p - 1) < 256, and otherwise by one Barrett
+pass over cells wide enough for it (``_divmod_slots``).
 Short products run one loop per field kind (``Field._short_mul``), in
 place: for e = 1 the products are summed as plain ints, and for e >= 2
 they are read off the log and exp tables inline and added by XOR for
@@ -143,44 +147,35 @@ def _pack(vals, width: int, small: bool) -> int:
     return int.from_bytes(out, "little")
 
 
-def _read(buf, count: int, stride: int, width: int) -> list:
-    """count ints of width bytes from buf, one every stride bytes."""
-    if width == 1:
-        return list(buf[::stride])
-    if width > 8:
-        return [
-            int.from_bytes(buf[i : i + width], "little")
-            for i in range(0, count * stride, stride)
-        ]
-    out = bytearray(count * 8)
-    _move(out, 0, 8, buf, 0, stride, width)
-    return array("Q", out).tolist()
-
-
 @lru_cache(maxsize=None)
 def _byte_residues(p: int, k: int) -> bytes:
     """b * 256^k mod p for every byte value b."""
     return bytes(b * pow(256, k, p) % p for b in range(256))
 
 
-def _mod_bytes(buf, width: int, p: int) -> bytes:
-    """The slots of width bytes that make up buf, mod p, one byte each, for
-    width * (p - 1) < 256: byte k of a slot adds its b * 256^k mod p, by
-    ``bytes.translate``, and the byte sums never carry."""
-    total = 0
-    for k in range(width):
-        if pow(256, k, p):
-            sums = buf[k::width].translate(_byte_residues(p, k))
-            total += int.from_bytes(sums, "little")
-    return total.to_bytes(len(buf) // width, "little").translate(_byte_residues(p, 0))
-
-
-def _mod_slots(x: int, count: int, width: int, p: int) -> list:
-    """x's count slots of width bytes mod p, by ``_mod_bytes`` if it applies."""
-    buf = x.to_bytes(count * width, "little")
+def _mod_slots(buf, count: int, at: int, stride: int, width: int, p: int, cell: int) -> int:
+    """The count slots of width bytes at at + i * stride in buf, which holds
+    count * stride bytes, mod p, as one int with slot i in cell i of cell
+    bytes, which hold p - 1.  For width * (p - 1) < 256, byte k of a slot
+    adds its b * 256^k mod p, by ``bytes.translate``, and the byte sums
+    never carry; otherwise the slots are moved to cells wide enough for
+    ``_divmod_slots``."""
     if width * (p - 1) < 256:
-        return list(_mod_bytes(buf, width, p))
-    return [v % p for v in _read(buf, count, width, width)]
+        total = 0
+        for k in range(width):
+            if pow(256, k, p):
+                sums = buf[at + k :: stride].translate(_byte_residues(p, k))
+                total += int.from_bytes(sums, "little")
+        raw, size = total.to_bytes(count, "little").translate(_byte_residues(p, 0)), 1
+    else:
+        size = -(-(16 * width + p.bit_length()) // 8)
+        cells = bytearray(count * size)
+        _move(cells, 0, size, buf, at, stride, width)
+        rem = _divmod_slots(int.from_bytes(cells, "little"), count, size, 8 * width, p)[1]
+        raw = rem.to_bytes(count * size, "little")
+    out = bytearray(count * cell)
+    _move(out, 0, cell, raw, 0, size, min(cell, size))
+    return int.from_bytes(out, "little")
 
 
 def _ones(count: int, width: int, value: int) -> int:
@@ -222,6 +217,8 @@ class Field(Domain):
         self.modulus = modulus  # monic, length e+1, entries in range(p)
         # the least pair count not below KRON_CUTOFF * e^1.5, in integers
         self._kron_pairs = math.isqrt(KRON_CUTOFF**2 * e**3 - 1) + 1
+        # the least array item size that holds q - 1: _kron_dot's out cells
+        self._cell = min(s for s in (1, 2, 4, 8) if (self.q - 1) >> 8 * s == 0)
         # digits of z^k mod the modulus for k = e..2e-2
         self._fold = []
         if e >= 2:
@@ -451,10 +448,11 @@ class Field(Domain):
         the pairs' products every such sum; w fits the largest.  A digit
         at z^k, k >= e, is then folded into the low sub-slots as its
         digits of z^k mod the modulus, still on the integer.  Last, digit
-        j of every coefficient is moved to a cell of its own, reduced mod
-        p (``_divmod_slots``) and taken into the packed coefficients by
-        Horner's rule, from j = e - 1 down.  For e = 1 a slot is a
-        coefficient, reduced by ``_mod_slots``.
+        j of every coefficient is reduced mod p (``_mod_slots``) into a
+        cell of its own, of the least array item size that holds q - 1,
+        and taken into the packed coefficients by Horner's rule, from
+        j = e - 1 down, and read off the cells as a list.  For e = 1 a
+        coefficient is one digit, with nothing to fold.
         """
         p, e = self.p, self.e
         n = max(len(xs) + len(ys) for xs, ys in pairs) - 1
@@ -462,23 +460,17 @@ class Field(Domain):
         w = -(-(top * self._slot_terms * (p - 1) ** 2).bit_length() // 8)
         stride = (2 * e - 1) * w
         prod = sum(self._spread(xs, w) * self._spread(ys, w) for xs, ys in pairs)
-        if e == 1:
-            return _mod_slots(prod, n, w, p)
         low = _ones(n, stride, (1 << 8 * w) - 1)
         for k, digits in enumerate(self._fold, e):
             high = (prod >> (8 * w * k)) & low
             if high:
                 prod += high * _pack(digits, w, p <= 256)
         buf = prod.to_bytes(n * stride, "little")
-        out_bytes = -(-(self.q - 1).bit_length() // 8)
-        wide = max(-(-(16 * w + p.bit_length()) // 8), out_bytes)
-        acc = 0
+        cell, acc = self._cell, 0
         for j in reversed(range(e)):
-            cells = bytearray(n * wide)
-            _move(cells, 0, wide, buf, j * w, stride, w)
-            slots = int.from_bytes(cells, "little")
-            acc = acc * p + _divmod_slots(slots, n, wide, 8 * w, p)[1]
-        return _read(acc.to_bytes(n * wide, "little"), n, wide, out_bytes)
+            acc = acc * p + _mod_slots(buf, n, j * w, stride, w, p, cell)
+        out = acc.to_bytes(n * cell, "little")
+        return list(out) if cell == 1 else array(_TYPECODES[cell], out).tolist()
 
     def series_ops(self, N: int) -> SeriesOps:
         """SeriesOps: elements of F[s]/(s^N), the steps of an elimination on
@@ -502,7 +494,10 @@ class Field(Domain):
         product entry's at most d (N / d) (p - 1)^2, so no sum of products
         carries.  The mask to P slots is the truncation, the lowest set
         bit the valuation, and ``_mod_slots`` the one reduction per entry
-        (Dumas, Giorgi and Pernet), for p = 2 the low bit of each slot.
+        (Dumas, Giorgi and Pernet), into slots of W bytes again, for p = 2
+        the low bit of each slot.  rev is one big-endian ``to_bytes``, which
+        reverses the slots and the bytes in each, and W strided copies that
+        put the bytes of each slot back in order.
         """
         if self.e >= 2:
             mul, add = self.poly_mul, self.poly_add
@@ -528,7 +523,8 @@ class Field(Domain):
                 return x & ones
             if x < top:
                 return x % p
-            return _pack(_mod_slots(x, -(-x.bit_length() // bits), W, p), W, p <= 256)
+            count = -(-x.bit_length() // bits)
+            return _mod_slots(x.to_bytes(count * W, "little"), count, 0, W, W, p, W)
 
         def val(x, P):
             return min(((x & -x).bit_length() - 1) // bits, P) if x else P
@@ -545,10 +541,10 @@ class Field(Domain):
             return reduce((u * (x & low) + c * ny) & low)
 
         def rev(x, D):
-            buf = x.to_bytes((D + 1) * W, "little")
-            if p <= 256:  # reversed, each coefficient is the top byte of its slot
-                return int.from_bytes(buf, "big") >> bits - 8
-            return _pack(_read(buf, D + 1, W, W)[::-1], W, False)
+            buf, out = x.to_bytes((D + 1) * W, "big"), bytearray((D + 1) * W)
+            for t in range(W):
+                out[t::W] = buf[W - 1 - t :: W]
+            return int.from_bytes(out, "little")
 
         return SeriesOps(
             lambda xs: _pack(xs[:N], W, p <= 256),

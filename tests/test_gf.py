@@ -457,12 +457,45 @@ class TestEdgeFields:
 # 20-bit and word-sized primes, and extension fields of 2 to 16 digits; 61
 # and 4093 put the 2^16 and 2^32 steps of the slot sums at short lengths,
 # and with 2-byte slots 127 is reduced by bytes.translate (2 * 126 < 256)
-# and 131 slot by slot
+# and 131 by the Barrett pass; the digits of GF(2^k) and GF(3^k) take
+# bytes.translate, those of GF(257^2) the Barrett pass
 KRON_FIELDS = [
     F2, F3, F7, make_field(61), make_field(127), make_field(131),
     make_field(4093), make_field(1048573), make_field(2**31 - 1), M61,
-    F4, F9, make_field(2, 16), make_field(3, 10),
+    F4, F9, make_field(2, 16), make_field(3, 10), make_field(257, 2),
 ]
+
+
+class TestModSlots:
+    """``gf._mod_slots`` on both sides of its rule: bytes.translate for
+    width * (p - 1) < 256, the Barrett pass of ``_divmod_slots`` else."""
+
+    @pytest.mark.parametrize(
+        "p, width",
+        [
+            (3, 127), (3, 128), (127, 2), (127, 3), (257, 1),
+            (2**61 - 1, 16), (2**61 - 1, 17), (2**63 - 25, 16), (2**63 - 25, 17),
+        ],
+    )
+    def test_matches_slotwise_mod(self, p, width):
+        # all-0xff slots, slots whose byte k has the largest b 256^k mod p
+        # (the byte-table sums at their bound) and random ones, at an offset
+        # in strides with 0xff between them; every cell from the least that
+        # holds p - 1 up to the width
+        rng = random.Random(p * width)
+        top = bytes(
+            max(range(256), key=lambda b: b * pow(256, k, p) % p) for k in range(width)
+        )
+        slots = [b"\xff" * width, top] * 3 + [rng.randbytes(width) for _ in range(10)]
+        at, stride = 3, width + 5
+        buf = bytearray(b"\xff" * (len(slots) * stride))
+        for i, slot in enumerate(slots):
+            buf[at + i * stride : at + i * stride + width] = slot
+        want = [int.from_bytes(slot, "little") % p for slot in slots]
+        least = -(-(p - 1).bit_length() // 8)
+        for cell in range(least, max(least, width) + 1):
+            got = gf._mod_slots(bytes(buf), len(slots), at, stride, width, p, cell)
+            assert got == sum(v << 8 * cell * i for i, v in enumerate(want)), cell
 
 
 def slot_crossings(field, limit=320):

@@ -4,7 +4,8 @@ block-triangular charpoly at the entry caps and GF(p^e) arithmetic
 against sympy, an oracle outside the
 package; order_of_root against a direct power search in plain integers;
 prime-field modpow and the root orders of ``gf._root_order`` against
-galoistools' ``gf_pow_mod``.
+galoistools' ``gf_pow_mod``; the N_k table over GF(4), GF(8) and GF(9)
+against sympy's det of the matrix restricted to GF(p).
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
@@ -398,3 +399,61 @@ def test_root_order_is_minimal_by_gf_pow_mod(p):
             for ell in primes:
                 if n % ell == 0:
                     assert gt.gf_pow_mod([1, 0], n // ell, f, p, ZZ) != [1], (cs, n, ell)
+
+
+def restrict_scalars(field, A):
+    """Res(A) over GF(p)[t], as a sympy DomainMatrix: with F = GF(p)[z]/(g),
+    each coefficient c of an entry becomes the e x e block of x -> c x on
+    the basis 1, z, ..., z^(e - 1), whose column j holds the digits of
+    c z^j mod g, by galoistools over GF(p), not by the field's tables."""
+    p, e = field.p, field.e
+    g = gt.gf_strip(list(reversed(field.modulus)))
+    dom = sympy.GF(p)[t]
+
+    def digits(c, j):  # of c z^j, low first
+        r = gt.gf_rem(gt.gf_mul(dense(field, c), [1] + [0] * j, p, ZZ), g, p, ZZ)
+        return [int(v) for v in reversed(r)] + [0] * (e - len(r))
+
+    rows = []
+    for row in A:
+        blocks = [[digits(c, j) for c in a.coeffs] for a in row for j in range(e)]
+        for i in range(e):
+            rows.append([
+                dom.from_sympy(sum(ds[i] * t**k for k, ds in enumerate(col)))
+                for col in blocks
+            ])
+    n = len(A) * e
+    return DomainMatrix(rows, (n, n), dom)
+
+
+@pytest.mark.parametrize(
+    "p, e, d, deg", [(2, 2, 3, 8), (2, 3, 2, 10), (3, 2, 2, 12)],
+    ids=["GF(4)", "GF(8)", "GF(9)"],
+)
+def test_extension_nk_matches_restricted_det(p, e, d, deg, monkeypatch):
+    """deg det(Res(A)^k - I) = e deg det(A^k - I) for k <= 4, as F[t] is a
+    free GF(p)[t]-module of rank e, with sympy's det over GF(p)[t] on the
+    left; the entries have random degrees up to deg and one has deg, so
+    the leading matrix is singular and the table takes products and
+    eliminations long enough for ``Field._kron_dot``."""
+    field, rng = make_field(p, e), random.Random(f"restrict/{p}^{e}")
+
+    def entry(n):
+        low = [rng.randrange(field.q) for _ in range(n)]
+        return Poly(field, low + [rng.randrange(1, field.q)])
+
+    A = [[entry(rng.randint(0, deg)) for _ in range(d)] for _ in range(d)]
+    A[0][0] = entry(deg)
+    kron, calls = gf.Field._kron_dot, []
+    monkeypatch.setattr(
+        gf.Field, "_kron_dot", lambda self, pairs: calls.append(1) or kron(self, pairs)
+    )
+    got = [None if v.is_zero else e * v.exponent for v in nk_table(field, A, 4)]
+    assert calls
+    M = restrict_scalars(field, A)
+    one = DomainMatrix.eye(d * e, M.domain)
+    want = []
+    for k in range(1, 5):
+        D = (M**k - one).det()
+        want.append(D.degree() if D else None)
+    assert got == want
