@@ -9,13 +9,15 @@ the N_k recurrence on algebraic systems, and the inverse recurrence back
 to the N_k on every system), then the three fixed-point routes where each
 applies.  Then ``gf._root_order`` on random irreducibles of degree 2 to 4
 over GF(1048573), GF(2^61 - 1) and GF(2^63 - 25), and over GF(4), GF(9),
-GF(2^8), GF(2^16) and GF(3^10), against the descent from X over every
-prime of q^delta - 1 by Poly products and remainders.  Over the prime
-fields these share no code with the packed residue kernel; over the
-extension fields they run on the same ``poly_mul`` and ``poly_divmod``,
-so there the stage checks the residue product built on them, the norm
-read and the split of the primes.  Where the group order is past the rho
-budget, ``_root_order`` must say so.  Last, when sympy is installed, the
+GF(2^8), GF(2^16), GF(3^10), GF(5^3), GF(7^2) and GF(1021^2), against
+the descent from X over every prime of q^delta - 1 by Poly products and
+remainders (``descent_order``).  Over odd p these share no code with the
+residue kernel: the packed ints of a prime field and the Zech-log lists
+of an extension field.  Over p = 2 they run on the same ``poly_mul`` and
+``poly_divmod`` as the residue product, so there the stage checks the
+product built on them, the norm read and the split of the primes.  Where
+the group order is past the rho budget, ``_root_order`` must say so.
+Last, when sympy is installed, the
 d = 8, degree-32 cap inputs
 against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
 on the dense one and the permuted block-triangular one, and N_2 and N_3 of
@@ -59,7 +61,7 @@ DIRECT_KMAX = 6
 CAP_KS = (2, 3)
 ROOT_FIELDS = (  # (p, e)
     (1048573, 1), (2**61 - 1, 1), (2**63 - 25, 1),
-    (2, 2), (3, 2), (2, 8), (2, 16), (3, 10),
+    (2, 2), (3, 2), (2, 8), (2, 16), (3, 10), (5, 3), (7, 2), (1021, 2),
 )
 ROOT_DEGREES = (2, 3, 4)
 ROOT_POLYS = 3  # irreducibles per field and degree
@@ -205,7 +207,7 @@ def main():
     t0 = time.time()
     checked, capped, root_bad = root_order_stage()
     print(f"root orders (delta 2..4 over GF(1048573), GF(2^61 - 1), GF(2^63 - 25), "
-          f"GF(4), GF(9), GF(2^8), GF(2^16), GF(3^10)): "
+          f"GF(4), GF(9), GF(2^8), GF(2^16), GF(3^10), GF(5^3), GF(7^2), GF(1021^2)): "
           f"{checked} polynomials, {capped} group orders past the rho budget, "
           f"{root_bad} mismatches in {time.time() - t0:.2f}s")
 

@@ -38,8 +38,12 @@ once as it is read and the deg f low ones once at the end.
 Powers mod a monic f (``polycore.modpow``, the root-order descent) run on
 ``Field.residue_ops``: over a prime field one int per residue, a product
 one int multiply, its high slots folded down as multiples of X^deg f mod f
-and one reduction mod p; for e >= 2 coefficient lists, a product
-``poly_mul`` and then ``poly_divmod``.
+and one reduction mod p.  For odd p and e >= 2 a residue is the list of
+its coefficients' logs, and a product one loop of Zech steps on the
+tables below (Huber, IEEE Trans. Inf. Theory 1990): the schoolbook sums,
+then the high coefficients folded down from the top by
+X^deg f = -(f - X^deg f).  For p = 2 and e >= 2 the residues are
+coefficient lists, a product ``poly_mul`` and then ``poly_divmod``.
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -168,7 +172,7 @@ def _mod_slots(buf, count: int, at: int, stride: int, width: int, p: int, cell: 
                 total += int.from_bytes(sums, "little")
         raw, size = total.to_bytes(count, "little").translate(_byte_residues(p, 0)), 1
     else:
-        size = -(-(16 * width + p.bit_length()) // 8)
+        size = _barrett_cell(8 * width)
         cells = bytearray(count * size)
         _move(cells, 0, size, buf, at, stride, width)
         rem = _divmod_slots(int.from_bytes(cells, "little"), count, size, 8 * width, p)[1]
@@ -183,13 +187,31 @@ def _ones(count: int, width: int, value: int) -> int:
     return int.from_bytes(value.to_bytes(width, "little") * count, "little")
 
 
+def _barrett_cell(bits: int) -> int:
+    """Bytes of a slot that ``_divmod_slots`` reduces for values below
+    2^bits: 2 bits + 2 bits."""
+    return -(-(2 * bits + 2) // 8)
+
+
 def _divmod_slots(x: int, count: int, width: int, bits: int, p: int):
     """(x // p, x % p) slot by slot, for count slots of width bytes with
-    values below 2^bits and 8 * width >= 2 * bits + bitlen(p): with
-    s = bits + bitlen(p), v // p = (v * (2^s // p + 1)) >> s for v < 2^bits,
-    and v * (2^s // p + 1) < 2^(8 * width) stays inside its slot."""
+    values below 2^bits and width >= ``_barrett_cell(bits)``.
+
+    With L = bitlen(p), s = bits + L and mu = 2^s // p + 1,
+    v // p = (v mu) >> s for v < 2^bits: for 2^s = a p + r, 0 <= r < p,
+    v mu / 2^s is v / p plus v (p - r) / (p 2^s), which lies in
+    (0, v / 2^s], below 2^-L < 1 / p, so it moves no floor.  As
+    p >= 2^(L - 1), mu <= 2^(bits + 1) + 1 and v mu < 2^(2 bits + 2)
+    <= 2^(8 width): one int product x mu takes every slot's product with no
+    carry between slots.  The shift by s then puts the low s bits of slot
+    i + 1's product into slot i from its bit 8 width - s >= bits + 2 - L
+    on.  The quotient is at most (2^bits - 1) // p < 2^(bits + 1 - L), so a
+    mask of that bound's bits reads it and nothing above.
+    """
     s = bits + p.bit_length()
-    quo = (x * ((1 << s) // p + 1) >> s) & _ones(count, width, (1 << bits) - 1)
+    top = ((1 << bits) - 1) // p  # the largest quotient
+    mask = _ones(count, width, (1 << top.bit_length()) - 1)
+    quo = (x * ((1 << s) // p + 1) >> s) & mask
     return quo, x - p * quo
 
 
@@ -253,7 +275,7 @@ class Field(Domain):
         # Row j holds digit j of g^0..g^(m-1), one per cell: a cell fits a
         # sum of e digit products for _divmod_slots, and a value below q.
         bits = (e * (p - 1) ** 2).bit_length()
-        cell = max(-(-(2 * bits + p.bit_length()) // 8), -(-n.bit_length() // 8))
+        cell = max(_barrett_cell(bits), -(-n.bit_length() // 8))
         rows, m, g_m = [1] + [0] * (e - 1), 1, gen
         while m < n:
             # g^(m+i) = g^m g^i for i < k; digit i of g^m z^j is entry (i, j)
@@ -371,7 +393,7 @@ class Field(Domain):
         if e == 1:
             return _pack(cs, w, p <= 256)
         stride, bits = (2 * e - 1) * w, self.q.bit_length()
-        cell = -(-(2 * bits + p.bit_length()) // 8)
+        cell = _barrett_cell(bits)
         rest, out = _pack(cs, cell, self.q <= 256), bytearray(len(cs) * stride)
         for j in range(e):
             rest, digit = _divmod_slots(rest, len(cs), cell, bits, p)
@@ -598,17 +620,24 @@ class Field(Domain):
 
         pack(xs) takes a coefficient list of length at most m, low first,
         with no trailing zeros, unpack(x) gives one back, and mul(x, y) is
-        x y mod fs.  For e >= 2 the residues are the lists, and a product
-        is ``poly_mul`` and then ``poly_divmod``, as a spread-form packing
-        lost there.  For e = 1 each is one int, coefficient i in slot i of
-        W bytes, with (2m - 1)(p - 1)^2 below 2^(8W).  A product is one int
-        multiply, slot k at most min(k + 1, 2m - 1 - k)(p - 1)^2.  From
+        x y mod fs.  For p = 2 and e >= 2 the residues are the lists, and a
+        product is ``poly_mul`` and then ``poly_divmod``, as a spread-form
+        packing lost there.  For odd p and e >= 2 a residue is the list of
+        the logs of its coefficients, None for 0, and pack and unpack are
+        the log and exp maps.  A product is one loop: each sum of the
+        schoolbook product and then, from X^(2m - 2) down to X^m, each
+        coefficient c at X^(i + m) times -f_j into X^(i + j), is one Zech
+        step on the logs, g^c + g^s = g^(c + Z(s - c)), with no method call
+        and no table beyond the field's.  For e = 1 each is one int,
+        coefficient i in slot i of W bytes, with (2m - 1)(p - 1)^2 below
+        2^(8W).  A product is one int multiply, slot k at most
+        min(k + 1, 2m - 1 - k)(p - 1)^2.  From
         k = 2m - 2 down, slot k is taken mod p and added in times
         X^(k - m) (X^m mod fs), packed, adding at most (p - 1)^2 to each of
         slots k - m..k - 1, so each low slot ends at most (2m - 1)(p - 1)^2
         and is taken mod p once (Dumas, Giorgi and Pernet).
         """
-        if self.e >= 2:
+        if self.e >= 2 and self.p == 2:
 
             def mul(xs, ys):
                 rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
@@ -617,6 +646,45 @@ class Field(Domain):
                 return rem
 
             return ResidueOps(list, mul, list)
+        if self.e >= 2:
+            log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
+            m = len(fs) - 1
+            # X^m = -sum f_i X^i: the logs of the nonzero -f_i
+            neg = [(i, log[self.neg(f)]) for i, f in enumerate(fs[:m]) if f]
+
+            def mul(x, y):
+                acc = [None] * (len(x) + len(y) - 1)
+                terms = [(j, b) for j, b in enumerate(y) if b is not None]
+                # the rows of the schoolbook product, then from the top down
+                # each coefficient at X^(i + m), read once every row above
+                # it is in, as the row of X^i (X^m mod fs)
+                for src, at, row, span in (
+                    (x, 0, terms, range(len(x))),
+                    (acc, m, neg, range(len(acc) - 1 - m, -1, -1)),
+                ):
+                    for i in span:
+                        a = src[i + at]
+                        if a is not None:
+                            for j, b in row:
+                                s, k = (a + b) % n, i + j
+                                c = acc[k]
+                                if c is None:
+                                    acc[k] = s
+                                else:
+                                    # g^c + g^s = g^(c + Z(s - c)): s - c lies in
+                                    # (-n, n), and a negative index reads Z(s - c + n)
+                                    z = zech[s - c]
+                                    acc[k] = None if z is None else (c + z) % n
+                del acc[m:]
+                while acc and acc[-1] is None:
+                    acc.pop()
+                return acc
+
+            return ResidueOps(
+                lambda xs: [log[c] if c else None for c in xs],
+                mul,
+                lambda x: [0 if a is None else exp[a] for a in x],
+            )
         p, m = self.p, len(fs) - 1
         bits = 8 * -(-((2 * m - 1) * (p - 1) ** 2).bit_length() // 8)
         top, mask, shifts = bits * m, (1 << bits) - 1, range(0, bits * m, bits)

@@ -353,8 +353,9 @@ def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
     """base**n mod modulus by binary exponentiation over a field.
 
     The powering runs on the field's residues mod the modulus
-    (``gf.Field.residue_ops``: one int each over a prime field,
-    coefficient lists for e >= 2), and one Poly is built at the end.  The
+    (``gf.Field.residue_ops``: one int each over a prime field, lists of
+    coefficient logs for odd p and e >= 2, coefficient lists for p = 2 and
+    e >= 2), and one Poly is built at the end.  The
     modulus must be monic of degree at least 1.
     """
     if not modulus.is_monic() or modulus.degree < 1:

@@ -498,6 +498,25 @@ class TestModSlots:
             assert got == sum(v << 8 * cell * i for i, v in enumerate(want)), cell
 
 
+    @pytest.mark.parametrize(
+        "p, bits",
+        [(2, 8), (3, 8), (131, 16), (257, 8), (1048573, 48), (2**61 - 1, 136), (2**63 - 25, 128)],
+    )
+    def test_divmod_slots_at_the_cell_edge(self, p, bits):
+        # cells of exactly _barrett_cell(bits) bytes, the fewest its proof
+        # allows: values 2^bits - 1 (the largest product with mu), the
+        # multiples of p and their neighbours at the top, and random ones
+        width, rng = gf._barrett_cell(bits), random.Random(p * bits)
+        top = (1 << bits) - 1
+        k = top // p
+        vals = [v for v in (top, k * p, k * p - 1, k * p - p, p - 1, 0, top - 1) if 0 <= v <= top]
+        vals += [rng.getrandbits(bits) for _ in range(20)]
+        x = sum(v << 8 * width * i for i, v in enumerate(vals))
+        quo, rem = gf._divmod_slots(x, len(vals), width, bits, p)
+        assert quo == sum(v // p << 8 * width * i for i, v in enumerate(vals))
+        assert rem == sum(v % p << 8 * width * i for i, v in enumerate(vals))
+
+
 def slot_crossings(field, limit=320):
     """Shorter lengths n <= limit at which the widest sub-slot sum of a
     product of all-(q - 1) operands, n * terms * (p - 1)^2, first needs
@@ -715,6 +734,11 @@ def modpow_reference(field, xs, n, fs):
     return out
 
 
+# odd p, e >= 2: the residues of ``residue_ops`` are lists of logs; F9
+# first, so that ODD_EXT[1:] extends lists that hold it already
+ODD_EXT = [F9, make_field(5, 3), make_field(3, 10), make_field(257, 2)]
+
+
 class TestResidueOps:
     """``Field.residue_ops`` and ``modpow``, which powers on it, against
     references built from ``Domain.poly_mul`` and ``Domain.poly_divmod``
@@ -726,7 +750,7 @@ class TestResidueOps:
 
     @pytest.mark.parametrize(
         "field",
-        [make_field(p) for p in EDGE_PRIMES] + [F4, F9, make_field(2, 16)],
+        [make_field(p) for p in EDGE_PRIMES] + [F4, F9, make_field(2, 16)] + ODD_EXT[1:],
         ids=lambda field: repr(field) if field.e > 1 else str(field.p),
     )
     def test_mul(self, field):
@@ -766,7 +790,7 @@ class TestResidueOps:
                     assert unpack(mul(pack(xs), pack(ys))) == want
 
     @pytest.mark.parametrize(
-        "field", [make_field(p) for p in EDGE_PRIMES] + [F4, F9], ids=repr
+        "field", [make_field(p) for p in EDGE_PRIMES] + [F4, F9, make_field(5, 3)], ids=repr
     )
     def test_modpow(self, field):
         # exponents 0, 1, 2, q, q^m - 1 and a 256-bit one, on a base that
@@ -808,6 +832,93 @@ class TestResidueOps:
         for f, base, n, order, want in cases:
             assert gf._root_order(field, f) == order
             assert modpow(base, n, f) == want
+
+    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    def test_odd_extension_fields_multiply_in_logs(self, field, monkeypatch):
+        """With ``Field.add``, ``poly_mul`` and ``poly_divmod`` patched to
+        raise, the residue product over odd p, e >= 2 still gives
+        ``mulmod_reference``'s answers, and ``modpow`` and ``_root_order``
+        those of Poly arithmetic, all computed before the patch."""
+        rng, q = random.Random(f"log-contract/{field.q}"), field.q
+        products, powers = [], []
+        for delta in (2, 3, 4):
+            f = None
+            while f is None or not is_irreducible(field, f):
+                low = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(delta - 1)]
+                f = Poly(field, low + [1])
+            fs = list(f.coeffs)
+            for _ in range(20):
+                xs, ys = (list(Poly(field, [rng.randrange(q) for _ in range(delta)]).coeffs)
+                          for _ in range(2))
+                products.append((fs, xs, ys, mulmod_reference(field, xs, ys, fs)))
+            fac = integers.factor_group_order(q, delta)
+            pw, one = poly_pow_mod(f), Poly.const(field, field.one)
+            base = Poly(field, [rng.randrange(q) for _ in range(delta)])
+            n = rng.getrandbits(128)
+            order = gf._order_from(fac, Poly.x(field), pw, one)
+            powers.append((f, base, n, order, pw(base, n)))
+
+        def refuse(*args):
+            raise AssertionError("a list kernel reached by the log-domain product")
+
+        for name in ("add", "poly_mul", "poly_divmod"):
+            monkeypatch.setattr(Field, name, refuse)
+        for fs, xs, ys, want in products:
+            pack, mul, unpack = field.residue_ops(fs)
+            assert unpack(mul(pack(xs), pack(ys))) == want
+        for f, base, n, order, want in powers:
+            assert gf._root_order(field, f) == order
+            assert modpow(base, n, f) == want
+
+    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    def test_sums_reaching_the_zech_zero(self, field):
+        """Coefficient sums a + (-a), 1 + g^(n/2) = 0, where Z is None: in
+        the schoolbook rows, then added to again, in the fold, and in
+        products that reduce to the zero residue and to one.  The moduli
+        need not be irreducible."""
+        n = field.q - 1
+        minus_one = field._exp[n // 2]
+        assert field._zech[n // 2] is None and field.add(1, minus_one) == 0
+        rng = random.Random(f"zech-zero/{field.q}")
+        for _ in range(10):
+            a, c = rng.randrange(1, field.q), rng.randrange(1, field.q)
+            ma, ci = field.neg(a), field.inv(c)
+            cases = [
+                # (X - a)(X + a) = X^2 - a^2 = 0 mod X^2 - a^2
+                ([field.neg(field.mul(a, a)), 0, 1], [ma, 1], [a, 1], []),
+                # X (X / c) = X^2 / c = 1 mod X^2 - c
+                ([field.neg(c), 0, 1], [0, 1], [0, ci], [1]),
+                # (1 + X + X^2)(1 - X + X^2) = 1 + X^2 + X^4: X^1 and X^3
+                # cancel, X^2 cancels and is added to again
+                ([1, 0, 0, 0, 0, 1], [1, 1, 1], [1, minus_one, 1], [1, 0, 1, 0, 1]),
+                # X^2 (X^2 - a) = X^4 - a X^2 = -a^2 mod X^4 - a X^2 + a^2:
+                # the fold of X^4 cancels the -a at X^2
+                ([field.mul(a, a), 0, ma, 0, 1], [0, 0, 1], [ma, 0, 1],
+                 [field.neg(field.mul(a, a))]),
+            ]
+            for fs, xs, ys, want in cases:
+                pack, mul, unpack = field.residue_ops(fs)
+                assert mulmod_reference(field, xs, ys, fs) == want
+                assert unpack(mul(pack(xs), pack(ys))) == want, (fs, xs, ys)
+
+    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    def test_pack_is_the_log(self, field):
+        """A residue over odd p, e >= 2 is the list of its coefficients'
+        logs, None for 0; unpack inverts pack on every element and on
+        random lists."""
+        pack, _, unpack = field.residue_ops([1, 0, 0, 0, 1])
+        assert pack([field.one]) == [0]
+        assert pack([0, 1]) == [None, 0]
+        assert unpack([None, 0]) == [0, 1] and pack([]) == unpack([]) == []
+        g = field._exp[1]
+        assert pack([g, 0, field.mul(g, g)]) == [1, None, 2]
+        elems = range(1, field.q, max(1, field.q // 4096))
+        assert unpack(pack(list(elems))) == list(elems)
+        rng = random.Random(f"log-pack/{field.q}")
+        for _ in range(50):
+            xs = [rng.choice([0, rng.randrange(field.q)]) for _ in range(rng.randrange(4))]
+            xs.append(rng.randrange(1, field.q))
+            assert unpack(pack(xs)) == xs
 
 
 class TestSeriesOps:

@@ -1,9 +1,10 @@
 """Integer primality and factorization."""
 
+import math
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ffzeta import errors, integers
 from ffzeta.integers import _pollard_rho, factor_group_order, factorint, is_prime
@@ -92,6 +93,7 @@ def test_group_order_shares_one_budget(monkeypatch):
 
 
 FULL_TABLE = integers._trial_primes(integers.TRIAL_BOUND)
+FULL_BLOCKS = integers._trial_table(integers.TRIAL_BOUND)
 
 
 def _prime_below(b):
@@ -117,9 +119,9 @@ def factored(f, *args, full):
         seen.append(m)
         return is_prime(m)
 
-    table = (lambda bound: FULL_TABLE) if full else integers._trial_primes
+    table = (lambda bound: FULL_BLOCKS) if full else integers._trial_table
     with mock.patch.object(integers, "is_prime", recording), mock.patch.object(
-        integers, "_trial_primes", table
+        integers, "_trial_table", table
     ):
         return f(*args), seen
 
@@ -148,3 +150,122 @@ def test_sized_sieve_group_orders_as_the_full_table(q, delta):
     assume(q**delta <= 2**64)
     got = factored(factor_group_order, q, delta, full=False)
     assert got == factored(factor_group_order, q, delta, full=True)
+
+
+def loop_parts(n: int, parts: tuple) -> dict:
+    """``integers._factor_parts`` with trial division by every table prime
+    in turn, the loop that the block gcds replace: the reference for it.  It calls ``is_prime`` and ``_pollard_rho`` through
+    the module, so a spy sees both."""
+    out: dict = {}
+    for d in (2, 3, 5):
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    bound = min(integers.TRIAL_BOUND, max(16, 1 << math.isqrt(n).bit_length()))
+    for d in integers._trial_primes(bound):
+        if d * d > n:
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    stack = []
+    for m in parts:
+        for ell in out:
+            while m % ell == 0:
+                m //= ell
+        stack.append(m)
+    budget = integers.RHO_BUDGET
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if integers.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f, steps = integers._pollard_rho(m, budget)
+        if f is None:
+            raise errors.CapExceededError(
+                f"the budget of {integers.RHO_BUDGET} Pollard rho steps ran out "
+                f"on a {m.bit_length()}-bit composite factor"
+            )
+        budget -= steps
+        stack.append(f)
+        stack.append(m // f)
+    return out
+
+
+def spied(f, *args, parts=None):
+    """(f(*args) or the CapExceededError message, the arguments of every
+    ``_pollard_rho`` call, in order); parts, if given, stands in for
+    ``integers._factor_parts``."""
+    seen, real = [], integers._pollard_rho
+
+    def rho(n, budget):
+        seen.append((n, budget))
+        return real(n, budget)
+
+    with mock.patch.object(integers, "_pollard_rho", rho), mock.patch.object(
+        integers, "_factor_parts", parts or integers._factor_parts
+    ):
+        try:
+            out = f(*args)
+        except errors.CapExceededError as ex:
+            out = str(ex)
+    return out, seen
+
+
+# the first and last prime of every block of the full table, and the two
+# largest primes below 2^16
+BLOCK_EDGES = sorted(
+    {block[0] for _, block in FULL_BLOCKS[1]} | {block[-1] for _, block in FULL_BLOCKS[1]}
+    | {65519, 65521}
+)
+# primes past the trial bound, up to 2^20
+PAST_BOUND = [65537, 65539, 65543, 65551, 1000003, 1000033, 1048573]
+PRIME_POWERS = st.sampled_from(FULL_TABLE[:40]).flatmap(
+    lambda d: st.integers(1, math.floor(math.log(65535, d))).map(lambda k: d**k)
+)
+
+
+def products(*lists):
+    return st.tuples(*lists).map(lambda xs: math.prod(v for x in xs for v in x))
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        products(
+            st.lists(st.sampled_from(BLOCK_EDGES), max_size=4),
+            st.lists(PRIME_POWERS, max_size=3),
+            st.lists(st.sampled_from(PAST_BOUND), max_size=3),
+            st.lists(st.sampled_from([2, 3, 5]), max_size=6),
+        ),
+        # past 2^32 with no factor below 2^16
+        products(st.lists(st.sampled_from(PAST_BOUND), min_size=2, max_size=4)).filter(
+            lambda n: n > 2**32
+        ),
+    )
+)
+def test_block_gcds_divide_as_the_loop(n):
+    """The same factorization and the same ``_pollard_rho`` calls as trial
+    division by every table prime in turn, on n built from the primes at
+    the block edges, prime powers below 2^16 and primes past 2^16."""
+    assert BLOCK_EDGES[0] == 7 and BLOCK_EDGES[-1] == 65521
+    assert spied(factorint, n) == spied(factorint, n, parts=loop_parts)
+
+
+@given(st.integers(2, 2**20), st.integers(1, 8))
+def test_block_gcds_split_group_orders_as_the_loop(q, delta):
+    assert spied(factor_group_order, q, delta) == spied(
+        factor_group_order, q, delta, parts=loop_parts
+    )
+
+
+def test_unfactorable_parts_end_as_the_loop():
+    """Phi_3(q) of the CLI's 61-bit CUBIC_Q has a part that rho does not
+    split within its budget: the same rho calls, and the same
+    CapExceededError."""
+    q = 2244298144489180309
+    got = spied(factor_group_order, q, 3)
+    assert got[0].startswith(f"the budget of {integers.RHO_BUDGET} Pollard rho steps ran out")
+    assert got == spied(factor_group_order, q, 3, parts=loop_parts)

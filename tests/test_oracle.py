@@ -4,8 +4,10 @@ block-triangular charpoly at the entry caps and GF(p^e) arithmetic
 against sympy, an oracle outside the
 package; order_of_root against a direct power search in plain integers;
 prime-field modpow and the root orders of ``gf._root_order`` against
-galoistools' ``gf_pow_mod``; the N_k table over GF(4), GF(8) and GF(9)
-against sympy's det of the matrix restricted to GF(p).
+galoistools' ``gf_pow_mod``; extension-field modpow and order_of_root
+against powers of X by ``sympy.reduced`` over GF(p)[z, X]; the N_k table
+over GF(4), GF(8) and GF(9) against sympy's det of the matrix restricted
+to GF(p).
 
 Matrix entries and polynomials over F[t] are lifted to Z[t], sympy
 computes over Z, and the result is reduced mod p: determinants and
@@ -42,7 +44,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-t, x = sympy.symbols("t x")
+t, x, z = sympy.symbols("t x z")
 PRIMES = (2, 3, 5, 7)
 
 
@@ -399,6 +401,63 @@ def test_root_order_is_minimal_by_gf_pow_mod(p):
             for ell in primes:
                 if n % ell == 0:
                     assert gt.gf_pow_mod([1, 0], n // ell, f, p, ZZ) != [1], (cs, n, ell)
+
+
+def lift_ext(field, xs, var):
+    """The coefficient list xs over GF(p^e) as a polynomial in var over
+    GF(p)[z]: each coefficient is the polynomial of its base-p digits in z."""
+    p = field.p
+    return sum(
+        sum(c // p**k % p * z**k for k in range(field.e)) * var**i for i, c in enumerate(xs)
+    )
+
+
+def ext_x_power(field, fs, n):
+    """X^n mod f over GF(p^e) = GF(p)[z]/(g), by square-and-multiply on
+    ``sympy.reduced`` modulo [g(z), f(z, X)] over GF(p), lex X > z.  Their
+    leading terms z^e and X^m are coprime, so the pair is a Groebner basis
+    and each remainder is the normal form: degree below e in z and below m
+    in X."""
+    G = [sum(c * z**k for k, c in enumerate(field.modulus)), lift_ext(field, fs, x)]
+
+    def mul(a, b):
+        return sympy.reduced(sympy.expand(a * b), G, x, z, modulus=field.p)[1]
+
+    out, y = sympy.Integer(1), x
+    while n:
+        if n & 1:
+            out = mul(out, y)
+        n >>= 1
+        if n:
+            y = mul(y, y)
+    return out
+
+
+def same_mod_p(a, b, p):
+    return sympy.Poly(sympy.expand(a - b), x, z, modulus=p).is_zero
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (5, 3), (3, 5)], ids=["GF(9)", "GF(5^3)", "GF(3^5)"])
+def test_extension_powers_match_reduced(p, e):
+    """modpow(X, n, f) over GF(p^e) against ``ext_x_power``, for random
+    irreducibles f of degree 2 and 3 and exponents q, q^delta - 1 and a
+    random 40-bit one; then order_of_root(f) = n checked the same way:
+    X^n = 1 mod f, and X^(n / l) != 1 for every prime l | n, the primes by
+    sympy.factorint."""
+    field, rng = make_field(p, e), random.Random(f"reduced/{p}^{e}")
+    q = field.q
+    for delta in (2, 3):
+        f = None
+        while f is None or not is_irreducible(field, f):
+            f = Poly(field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(delta - 1)] + [1])
+        fs = list(f.coeffs)
+        for n in (q, q**delta - 1, rng.getrandbits(40)):
+            got = modpow(Poly.x(field), n, f)
+            assert same_mod_p(lift_ext(field, got.coeffs, x), ext_x_power(field, fs, n), p), n
+        n = order_of_root(field, f)
+        assert same_mod_p(ext_x_power(field, fs, n), 1, p)
+        for ell in sympy.factorint(n):
+            assert not same_mod_p(ext_x_power(field, fs, n // ell), 1, p), (fs, n, ell)
 
 
 def restrict_scalars(field, A):
