@@ -11,12 +11,17 @@ applies.  Then ``gf._root_order`` on random irreducibles of degree 2 to 4
 over GF(1048573), GF(2^61 - 1) and GF(2^63 - 25), and over GF(4), GF(9),
 GF(2^8), GF(2^16), GF(3^10), GF(5^3), GF(7^2) and GF(1021^2), against
 the descent from X over every prime of q^delta - 1 by Poly products and
-remainders (``descent_order``).  Over odd p these share no code with the
-residue kernel: the packed ints of a prime field and the Zech-log lists
-of an extension field.  Over p = 2 they run on the same ``poly_mul`` and
-``poly_divmod`` as the residue product, so there the stage checks the
-product built on them, the norm read and the split of the primes.  Where
-the group order is past the rho budget, ``_root_order`` must say so.
+remainders (``descent_order``).  These share no code with the residue
+kernel, for p = 2 as for odd p: the packed ints of a prime field and the
+Zech-log lists of an extension field.  Where the group order is past the
+rho budget, ``_root_order`` must say so.  Then the change of scalars,
+with no sympy (``change_of_scalars_stage``): Res(A) over GF(p) of every
+GF(4) and GF(9) system (``corpus.restrict_scalars``), and every
+prime-field system read over GF(p^2) and GF(p^3), against the system
+itself, to k = 24: the N_k table, the spectral N_k, E, the
+classification and the series.  The extension side runs the e >= 2
+code, root orders over GF(4) and GF(8) included, on inputs whose answers
+the prime-field code gives.
 Last, when sympy is installed, the
 d = 8, degree-32 cap inputs
 against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
@@ -46,7 +51,13 @@ from ffzeta import (
     polyring,
     system_data,
 )
-from ffzeta.corpus import block_cap_system, cap_system, corpus, is_bruteforce_sized
+from ffzeta.corpus import (
+    block_cap_system,
+    cap_system,
+    corpus,
+    is_bruteforce_sized,
+    restrict_scalars,
+)
 from ffzeta.gf import _order_from, _root_order
 from ffzeta.integers import factor_group_order
 from ffzeta.polycore import is_irreducible, power
@@ -58,6 +69,7 @@ from ffzeta.zeta import (
 )
 
 DIRECT_KMAX = 6
+SCALARS_KMAX = 24
 CAP_KS = (2, 3)
 ROOT_FIELDS = (  # (p, e)
     (1048573, 1), (2**61 - 1, 1), (2**63 - 25, 1),
@@ -129,6 +141,47 @@ def root_order_stage():
                 checked += 1
                 bad += _root_order(field, f) != descent_order(field, f, fac)
     return checked, capped, bad
+
+
+def change_of_scalars_stage(cases, kmax):
+    """(pairs checked, mismatches) of the change of scalars: A over
+    GF(p^e), e >= 2, against Res(A) over GF(p) (r = e), and A over GF(p)
+    against A read over GF(p^m), m = 2, 3 (r = 1).  Both are the same
+    torus with q^x points read in units r times smaller, or the same
+    polynomials over a larger field, so the second system's exponents
+    are r times the first's: the N_k table, the spectral N_k and E.  The
+    classification (closed-form factors or certificate) is the same, and
+    the second system's series, from its table and its closed form, is
+    that of the first one's exponents times r at the second q."""
+
+    def answers(field, A):
+        sd = system_data(field, A)
+        table = nk_table(field, A, kmax)
+        zres = classify(sd)
+        series = {series_from_nk(field.q, table, kmax)}
+        if zres.algebraic:
+            series.add(series_from_closed_form(zres.closed_form, kmax))
+        form = zres.closed_form and zres.closed_form.factors
+        return (table, [nk_spectral(field, sd, k) for k in range(1, kmax + 1)],
+                sd.E, (zres.algebraic, form, zres.certificate), series)
+
+    pairs = []  # (field, A, field2, A2, r): exponents of A2 are r times A's
+    for field, A in cases:
+        if field.e >= 2:
+            pairs.append((field, A, *restrict_scalars(field, A), field.e))
+        else:
+            for m in (2, 3):
+                ext = make_field(field.p, m)
+                pairs.append((field, A, ext, [[Poly(ext, a.coeffs) for a in row] for row in A], 1))
+    bad = 0
+    for field, A, field2, A2, r in pairs:
+        table, spectral, E, kind, _ = answers(field, A)
+        table2, spectral2, E2, kind2, series2 = answers(field2, A2)
+        times_r = [NkValue(v.is_zero, r * v.exponent) for v in table]
+        bad += (table2 != times_r) + (E2 != r * E) + (kind2 != kind)
+        bad += spectral2 != [NkValue(v.is_zero, r * v.exponent) for v in spectral]
+        bad += series2 != {series_from_nk(field2.q, times_r, kmax)}
+    return len(pairs), bad
 
 
 def main():
@@ -212,6 +265,13 @@ def main():
           f"{root_bad} mismatches in {time.time() - t0:.2f}s")
 
     t0 = time.time()
+    ks = min(SCALARS_KMAX, args.kmax)
+    systems, scalars_bad = change_of_scalars_stage(cases, ks)
+    print(f"change of scalars (k <= {ks}, Res(A) of GF(4) and GF(9) systems, prime-field "
+          f"systems over GF(p^2) and GF(p^3)): {systems} pairs, {scalars_bad} mismatches "
+          f"in {time.time() - t0:.2f}s")
+
+    t0 = time.time()
     cap_bad = 0
     try:
         import sympy  # noqa: F401
@@ -228,7 +288,9 @@ def main():
         print(f"cap oracle (d = 8, degree 32, GF(2), charpoly of the dense and "
               f"the block-triangular input, k in {CAP_KS}): {cap_bad} mismatches "
               f"in {time.time() - t0:.2f}s")
-    failures = (mismatches, det_bad, series_bad, bad, brute_bad, root_bad, cap_bad)
+    failures = (
+        mismatches, det_bad, series_bad, bad, brute_bad, root_bad, scalars_bad, cap_bad
+    )
     return 1 if any(failures) else 0
 
 

@@ -8,6 +8,8 @@ seed.  The tiny instances (q <= 3, d <= 2, degree <= 1) double as
 bruteforce-checkable fixed-point cases.  ``cap_system`` is one seeded
 input at the entry caps for the outside determinant oracle, and
 ``block_cap_system`` a block-triangular one for the charpoly oracle.
+``restrict_scalars`` rewrites a system over GF(p^e) as one over GF(p)
+with the same torus, for the change-of-scalars checks.
 """
 
 from __future__ import annotations
@@ -91,3 +93,37 @@ def block_cap_system():
     block, perm = (0, 0, 0, 1, 2, 2, 2, 2), random.Random(CAP_SEED).sample(range(8), 8)
     zero = Poly(field)
     return field, [[A[i][j] if block[i] <= block[j] else zero for j in perm] for i in perm]
+
+
+def restrict_scalars(field, A):
+    """(GF(p), Res(A)) for A over F = GF(p^e) = GF(p)[z]/(g).
+
+    F[t] is a free GF(p)[t]-module on 1, z, ..., z^(e - 1), so A acts on
+    the same torus as the ed x ed matrix Res(A) over GF(p)[t] that puts in
+    place of each entry a = sum c_k t^k the e x e block of x -> a x: its
+    entry (i, j) is sum_k (digit i of c_k z^j) t^k.  The digits come from
+    Poly arithmetic over GF(p) mod g, not from the field's tables.  Over a
+    prime field Res(A) is A.
+    """
+    p, e = field.p, field.e
+    base = make_field(p)
+    g = Poly(base, field.modulus)
+
+    def block(a):
+        # rows[j][k]: the digits of c_k z^j mod g, low first
+        rows = [
+            [(Poly(base, [0] * j + [c // p**i % p for i in range(e)]) % g).coeffs
+             for c in a.coeffs]
+            for j in range(e)
+        ]
+        return [
+            [Poly(base, [ds[i] if i < len(ds) else 0 for ds in rows[j]]) for j in range(e)]
+            for i in range(e)
+        ]
+
+    blocks = [[block(a) for a in row] for row in A]
+    return base, [
+        [blocks[r][s][i][j] for s in range(len(A)) for j in range(e)]
+        for r in range(len(A))
+        for i in range(e)
+    ]

@@ -38,12 +38,11 @@ once as it is read and the deg f low ones once at the end.
 Powers mod a monic f (``polycore.modpow``, the root-order descent) run on
 ``Field.residue_ops``: over a prime field one int per residue, a product
 one int multiply, its high slots folded down as multiples of X^deg f mod f
-and one reduction mod p.  For odd p and e >= 2 a residue is the list of
-its coefficients' logs, and a product one loop of Zech steps on the
-tables below (Huber, IEEE Trans. Inf. Theory 1990): the schoolbook sums,
-then the high coefficients folded down from the top by
-X^deg f = -(f - X^deg f).  For p = 2 and e >= 2 the residues are
-coefficient lists, a product ``poly_mul`` and then ``poly_divmod``.
+and one reduction mod p.  For e >= 2, p = 2 included, a residue is the
+list of its coefficients' logs, and a product one loop of Zech steps on
+the tables below (Huber, IEEE Trans. Inf. Theory 1990): the schoolbook
+sums, then the high coefficients folded down from the top by
+X^deg f = -(f - X^deg f).
 
 Each field kind has one scalar path.  For e = 1, add, sub and neg work
 mod p; for p = 2 they are XOR (neg is the identity).  For e >= 2, scalar
@@ -51,8 +50,10 @@ multiplication goes through discrete log/exp tables over a fixed
 multiplicative generator g, built once at construction, and for odd p so
 does addition, by Zech logarithms: with n = q - 1 and Z(k) the log of
 1 + g^k, g^i + g^j = g^(i + Z(j - i)), and since -1 = g^(n/2),
-g^i - g^j = g^(i + Z(j + n/2 - i)) and -g^i = g^(i + n/2).  Z(n/2) is
-None, for 1 + g^(n/2) = 0.
+g^i - g^j = g^(i + Z(j + n/2 - i)) and -g^i = g^(i + n/2).  The Zech
+table is built for p = 2 as well, where the residue product adds by it;
+its one None sits at the log of -1 (n/2 for odd p, 0 for p = 2), for
+1 + (-1) = 0.
 
 The tables are seeded by ``polycore`` arithmetic over GF(p) mod the
 modulus f, a field that needs no tables: g is the first packed value
@@ -68,11 +69,11 @@ every cell at once (``_divmod_slots``), and m doubles up to q - 1.
 Horner's rule over the rows packs each power into its cell.  The log and
 Zech tables are read off exp: log is one loop over it, and Z(i) is the
 log of exp[i] with one more in the low digit, mod p.  The hard cap
-q <= 2**20 for extension fields bounds the table memory: Python lists of
-q ints that share one int object per value, two lists for p = 2, 48 MB at
-q = 2**20 (16 MB of list slots, 32 MB of ints), and a third for odd p.
-A fresh process, import included, builds GF(2^20) in about 1 s with a
-peak of 105 MB RSS, GF(1021^2) in 0.9 s with 120 MB (2-vCPU Xeon).
+q <= 2**20 for extension fields bounds the table memory: three Python
+lists of q ints that share one int object per value, 56 MB at q = 2**20
+(24 MB of list slots, 32 MB of ints).  A fresh process, import included,
+builds GF(2^20) in about 1.1-1.2 s with a peak of 108 MB RSS (the digit
+rows set the peak), GF(1021^2) in 0.8 s with 96 MB (2-vCPU Xeon).
 Prime fields need no tables and only p < 2**63.
 
 The public constructors and queries:
@@ -308,14 +309,14 @@ class Field(Domain):
         log = [0] * q
         for i, v in zip(ints, cells):
             log[v] = i
-        del cells
-        if p != 2:
-            # Z(i) = log(1 + g^i), one more in the low digit of g^i mod p:
-            # succ is log rotated by one, wrapped at each low digit p - 1
-            succ = log[1:] + log[:1]
-            succ[p - 1 :: p] = log[::p]
-            self._zech = list(map(succ.__getitem__, exp))
-            self._zech[n // 2] = None  # 1 + g^(n/2) = 1 - 1 = 0
+        del cells, ints
+        # Z(i) = log(1 + g^i), one more in the low digit of g^i mod p:
+        # succ is log rotated by one, wrapped at each low digit p - 1
+        # (for p = 2, succ[v] = log[v ^ 1])
+        succ = log[1:] + log[:1]
+        succ[p - 1 :: p] = log[::p]
+        self._zech = list(map(succ.__getitem__, exp))
+        self._zech[log[p - 1]] = None  # 1 + (-1) = 0
         self._exp, self._log = exp, log
 
     # -- scalar arithmetic ---------------------------------------------------
@@ -620,9 +621,7 @@ class Field(Domain):
 
         pack(xs) takes a coefficient list of length at most m, low first,
         with no trailing zeros, unpack(x) gives one back, and mul(x, y) is
-        x y mod fs.  For p = 2 and e >= 2 the residues are the lists, and a
-        product is ``poly_mul`` and then ``poly_divmod``, as a spread-form
-        packing lost there.  For odd p and e >= 2 a residue is the list of
+        x y mod fs.  For e >= 2, p = 2 included, a residue is the list of
         the logs of its coefficients, None for 0, and pack and unpack are
         the log and exp maps.  A product is one loop: each sum of the
         schoolbook product and then, from X^(2m - 2) down to X^m, each
@@ -637,15 +636,6 @@ class Field(Domain):
         slots k - m..k - 1, so each low slot ends at most (2m - 1)(p - 1)^2
         and is taken mod p once (Dumas, Giorgi and Pernet).
         """
-        if self.e >= 2 and self.p == 2:
-
-            def mul(xs, ys):
-                rem = self.poly_divmod(self.poly_mul(xs, ys), fs)[1]
-                while rem and not rem[-1]:
-                    rem.pop()
-                return rem
-
-            return ResidueOps(list, mul, list)
         if self.e >= 2:
             log, exp, zech, n = self._log, self._exp, self._zech, self.q - 1
             m = len(fs) - 1

@@ -14,7 +14,8 @@ field kind, and one Kronecker routine on Python ints for long
 operands); a tracer can time them per domain.  Over a field the scalar
 loops are the tests' references for the field's own.  Two products
 need a field: ``modpow`` runs on ``gf.Field.residue_ops``, one int per
-residue over a prime field, and ``PolyRing.dot``, each matrix entry of
+residue over a prime field and a list of coefficient logs over an
+extension field, and ``PolyRing.dot``, each matrix entry of
 ``polymat`` over F[t], on ``gf.Field.poly_dot``, a sum of products
 reduced once.
 
@@ -354,8 +355,7 @@ def modpow(base: Poly, n: int, modulus: Poly) -> Poly:
 
     The powering runs on the field's residues mod the modulus
     (``gf.Field.residue_ops``: one int each over a prime field, lists of
-    coefficient logs for odd p and e >= 2, coefficient lists for p = 2 and
-    e >= 2), and one Poly is built at the end.  The
+    coefficient logs for e >= 2), and one Poly is built at the end.  The
     modulus must be monic of degree at least 1.
     """
     if not modulus.is_monic() or modulus.degree < 1:

@@ -398,13 +398,12 @@ def test_tables_are_sequential_powers(p, e):
     assert field._exp == powers
     assert len(field._log) == field.q
     assert all(field._log[v] == i for i, v in enumerate(powers))
-    if p != 2:
-        # Zech logs: 1 + g^i = g^Z(i), and no Z(i) where 1 + g^i = 0
-        assert len(field._zech) == field.q - 1
-        for z, g_i in zip(field._zech, powers):
-            one_plus = digit_add(field, 1, g_i)
-            assert one_plus if z is not None else not one_plus
-            assert z is None or powers[z] == one_plus
+    # Zech logs: 1 + g^i = g^Z(i), and no Z(i) where 1 + g^i = 0
+    assert len(field._zech) == field.q - 1
+    for z, g_i in zip(field._zech, powers):
+        one_plus = digit_add(field, 1, g_i)
+        assert one_plus if z is not None else not one_plus
+        assert z is None or powers[z] == one_plus
 
 
 class TestEdgeFields:
@@ -434,14 +433,13 @@ class TestEdgeFields:
             assert poly_mul(field, field._exp[i], g) == nxt
 
     def test_zech_adds_one(self, field):
-        if field.p == 2:
-            assert not hasattr(field, "_zech")
-            return
-        n = field.q - 1
+        # the one None sits at the log of -1: n/2 for odd p, 0 for p = 2
+        n, minus = field.q - 1, field._log[field.p - 1]
         rng = random.Random(f"edge-zech/{field.q}")
-        assert field._zech[n // 2] is None
+        assert len(field._zech) == n and minus == (0 if field.p == 2 else n // 2)
+        assert [i for i, z in enumerate(field._zech) if z is None] == [minus]
         for i in [0, n - 1] + rng.sample(range(n), 300):
-            if i != n // 2:
+            if i != minus:
                 want = digit_add(field, 1, field._exp[i])
                 assert field._exp[field._zech[i]] == want
 
@@ -734,9 +732,10 @@ def modpow_reference(field, xs, n, fs):
     return out
 
 
-# odd p, e >= 2: the residues of ``residue_ops`` are lists of logs; F9
-# first, so that ODD_EXT[1:] extends lists that hold it already
+# odd p, e >= 2; F9 first, so that ODD_EXT[1:] extends lists that hold it
 ODD_EXT = [F9, make_field(5, 3), make_field(3, 10), make_field(257, 2)]
+# e >= 2, p = 2 included: the residues of ``residue_ops`` are lists of logs
+LOG_EXT = ODD_EXT + [F4, make_field(2, 8), make_field(2, 16)]
 
 
 class TestResidueOps:
@@ -833,10 +832,10 @@ class TestResidueOps:
             assert gf._root_order(field, f) == order
             assert modpow(base, n, f) == want
 
-    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    @pytest.mark.parametrize("field", LOG_EXT, ids=repr)
     def test_odd_extension_fields_multiply_in_logs(self, field, monkeypatch):
         """With ``Field.add``, ``poly_mul`` and ``poly_divmod`` patched to
-        raise, the residue product over odd p, e >= 2 still gives
+        raise, the residue product over every e >= 2 field still gives
         ``mulmod_reference``'s answers, and ``modpow`` and ``_root_order``
         those of Poly arithmetic, all computed before the patch."""
         rng, q = random.Random(f"log-contract/{field.q}"), field.q
@@ -870,15 +869,15 @@ class TestResidueOps:
             assert gf._root_order(field, f) == order
             assert modpow(base, n, f) == want
 
-    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    @pytest.mark.parametrize("field", LOG_EXT, ids=repr)
     def test_sums_reaching_the_zech_zero(self, field):
-        """Coefficient sums a + (-a), 1 + g^(n/2) = 0, where Z is None: in
-        the schoolbook rows, then added to again, in the fold, and in
-        products that reduce to the zero residue and to one.  The moduli
-        need not be irreducible."""
-        n = field.q - 1
-        minus_one = field._exp[n // 2]
-        assert field._zech[n // 2] is None and field.add(1, minus_one) == 0
+        """Coefficient sums a + (-a), 1 + g^L = 0 with L the log of -1,
+        where Z is None: in the schoolbook rows, then added to again, in
+        the fold, and in products that reduce to the zero residue and to
+        one.  The moduli need not be irreducible."""
+        minus = field._log[field.p - 1]
+        minus_one = field._exp[minus]
+        assert field._zech[minus] is None and field.add(1, minus_one) == 0
         rng = random.Random(f"zech-zero/{field.q}")
         for _ in range(10):
             a, c = rng.randrange(1, field.q), rng.randrange(1, field.q)
@@ -901,9 +900,9 @@ class TestResidueOps:
                 assert mulmod_reference(field, xs, ys, fs) == want
                 assert unpack(mul(pack(xs), pack(ys))) == want, (fs, xs, ys)
 
-    @pytest.mark.parametrize("field", ODD_EXT, ids=repr)
+    @pytest.mark.parametrize("field", LOG_EXT, ids=repr)
     def test_pack_is_the_log(self, field):
-        """A residue over odd p, e >= 2 is the list of its coefficients'
+        """A residue over any e >= 2 field is the list of its coefficients'
         logs, None for 0; unpack inverts pack on every element and on
         random lists."""
         pack, _, unpack = field.residue_ops([1, 0, 0, 0, 1])

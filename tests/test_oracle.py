@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import monic_tpolys, tpolys, xpolys
 from ffzeta import NkValue, elem_order, errors, gf, make_field, nk_table, order_of_root
+from ffzeta import corpus
 from ffzeta.corpus import block_cap_system, cap_system
 from ffzeta.integers import factor_group_order, factorint, is_prime
 from ffzeta.polycore import (
@@ -36,7 +37,7 @@ from ffzeta.polycore import (
     polyring,
     resultant,
 )
-from ffzeta.polymat import charpoly, det
+from ffzeta.polymat import charpoly, det, matpow_minus_I
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys import galoistools as gt  # noqa: E402
@@ -437,7 +438,10 @@ def same_mod_p(a, b, p):
     return sympy.Poly(sympy.expand(a - b), x, z, modulus=p).is_zero
 
 
-@pytest.mark.parametrize("p, e", [(3, 2), (5, 3), (3, 5)], ids=["GF(9)", "GF(5^3)", "GF(3^5)"])
+@pytest.mark.parametrize(
+    "p, e", [(3, 2), (5, 3), (3, 5), (2, 2), (2, 5)],
+    ids=["GF(9)", "GF(5^3)", "GF(3^5)", "GF(4)", "GF(2^5)"],
+)
 def test_extension_powers_match_reduced(p, e):
     """modpow(X, n, f) over GF(p^e) against ``ext_x_power``, for random
     irreducibles f of degree 2 and 3 and exponents q, q^delta - 1 and a
@@ -485,6 +489,21 @@ def restrict_scalars(field, A):
     return DomainMatrix(rows, (n, n), dom)
 
 
+def test_corpus_restrict_scalars_matches_galoistools():
+    """``corpus.restrict_scalars``, by Poly arithmetic over GF(p), against
+    ``restrict_scalars`` above on the GF(4) and GF(9) corpus systems."""
+    checked = 0
+    for field, A in corpus.corpus():
+        if field.e >= 2:
+            base, B = corpus.restrict_scalars(field, A)
+            M = restrict_scalars(field, A)
+            rows = [[M.domain.from_sympy(lift(b)) for b in row] for row in B]
+            assert base is make_field(field.p)
+            assert DomainMatrix(rows, M.shape, M.domain) == M
+            checked += 1
+    assert checked == 72
+
+
 @pytest.mark.parametrize(
     "p, e, d, deg", [(2, 2, 3, 8), (2, 3, 2, 10), (3, 2, 2, 12)],
     ids=["GF(4)", "GF(8)", "GF(9)"],
@@ -494,7 +513,10 @@ def test_extension_nk_matches_restricted_det(p, e, d, deg, monkeypatch):
     free GF(p)[t]-module of rank e, with sympy's det over GF(p)[t] on the
     left; the entries have random degrees up to deg and one has deg, so
     the leading matrix is singular and the table takes products and
-    eliminations long enough for ``Field._kron_dot``."""
+    eliminations long enough for ``Field._kron_dot``.  Then the whole
+    polynomials: det(Res(A)^k - I) is the norm to GF(p)[t] of
+    D = det(A^k - I), the package's ``det`` over F[t], and sympy takes
+    that norm as the det of Res([[D]])."""
     field, rng = make_field(p, e), random.Random(f"restrict/{p}^{e}")
 
     def entry(n):
@@ -511,8 +533,10 @@ def test_extension_nk_matches_restricted_det(p, e, d, deg, monkeypatch):
     assert calls
     M = restrict_scalars(field, A)
     one = DomainMatrix.eye(d * e, M.domain)
-    want = []
+    want, ring = [], polyring(field)
     for k in range(1, 5):
         D = (M**k - one).det()
         want.append(D.degree() if D else None)
+        norm = restrict_scalars(field, [[det(ring, matpow_minus_I(ring, A, k))]]).det()
+        assert norm == D, k
     assert got == want
