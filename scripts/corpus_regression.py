@@ -16,12 +16,13 @@ kernel, for p = 2 as for odd p: the packed ints of a prime field and the
 Zech-log lists of an extension field.  Where the group order is past the
 rho budget, ``_root_order`` must say so.  Then the change of scalars,
 with no sympy (``change_of_scalars_stage``): Res(A) over GF(p) of every
-GF(4) and GF(9) system (``corpus.restrict_scalars``), and every
-prime-field system read over GF(p^2) and GF(p^3), against the system
-itself, to k = 24: the N_k table, the spectral N_k, E, the
-classification and the series.  The extension side runs the e >= 2
-code, root orders over GF(4) and GF(8) included, on inputs whose answers
-the prime-field code gives.
+GF(4) and GF(9) system (``corpus.restrict_scalars``) and of the GF(4)
+cap input (``corpus.cap_system(2, 2)``, d = 8, degree 32, to k = 12),
+and every prime-field system read over GF(p^2) and GF(p^3), the GF(2)
+ones over GF(2^8) too, against the system itself, to k = 24: the N_k
+table, the spectral N_k, E, the classification and the series.  The
+extension side runs the e >= 2 code, root orders over GF(4), GF(8) and
+GF(2^8) included, on inputs whose answers the prime-field code gives.
 Last, when sympy is installed, the
 d = 8, degree-32 cap inputs
 against sympy over GF(2)[t]: ``charpoly`` against ``DomainMatrix.charpoly``
@@ -70,6 +71,7 @@ from ffzeta.zeta import (
 
 DIRECT_KMAX = 6
 SCALARS_KMAX = 24
+CAP_SCALARS_KMAX = 12  # the GF(4) cap input's Res(A) is 16 x 16 over GF(2)
 CAP_KS = (2, 3)
 ROOT_FIELDS = (  # (p, e)
     (1048573, 1), (2**61 - 1, 1), (2**63 - 25, 1),
@@ -145,16 +147,18 @@ def root_order_stage():
 
 def change_of_scalars_stage(cases, kmax):
     """(pairs checked, mismatches) of the change of scalars: A over
-    GF(p^e), e >= 2, against Res(A) over GF(p) (r = e), and A over GF(p)
-    against A read over GF(p^m), m = 2, 3 (r = 1).  Both are the same
-    torus with q^x points read in units r times smaller, or the same
-    polynomials over a larger field, so the second system's exponents
-    are r times the first's: the N_k table, the spectral N_k and E.  The
-    classification (closed-form factors or certificate) is the same, and
-    the second system's series, from its table and its closed form, is
-    that of the first one's exponents times r at the second q."""
+    GF(p^e), e >= 2, against Res(A) over GF(p) (r = e), the GF(4) cap
+    input among them at k <= CAP_SCALARS_KMAX, and A over GF(p) against
+    A read over GF(p^m), m = 2, 3, and m = 8 for p = 2 (r = 1).  Both
+    are the same torus with q^x points read in units r times smaller, or
+    the same polynomials over a larger field, so the second system's
+    exponents are r times the first's: the N_k table, the spectral N_k
+    and E.  The classification (closed-form factors or certificate) is
+    the same, and the second system's series, from its table and its
+    closed form, is that of the first one's exponents times r at the
+    second q."""
 
-    def answers(field, A):
+    def answers(field, A, kmax):
         sd = system_data(field, A)
         table = nk_table(field, A, kmax)
         zres = classify(sd)
@@ -165,22 +169,25 @@ def change_of_scalars_stage(cases, kmax):
         return (table, [nk_spectral(field, sd, k) for k in range(1, kmax + 1)],
                 sd.E, (zres.algebraic, form, zres.certificate), series)
 
-    pairs = []  # (field, A, field2, A2, r): exponents of A2 are r times A's
+    # (field, A, field2, A2, r, k): exponents of A2 are r times A's, to k
+    field, A = cap_system(2, 2)
+    pairs = [(field, A, *restrict_scalars(field, A), field.e, min(kmax, CAP_SCALARS_KMAX))]
     for field, A in cases:
         if field.e >= 2:
-            pairs.append((field, A, *restrict_scalars(field, A), field.e))
+            pairs.append((field, A, *restrict_scalars(field, A), field.e, kmax))
         else:
-            for m in (2, 3):
+            for m in (2, 3, 8) if field.p == 2 else (2, 3):
                 ext = make_field(field.p, m)
-                pairs.append((field, A, ext, [[Poly(ext, a.coeffs) for a in row] for row in A], 1))
+                A2 = [[Poly(ext, a.coeffs) for a in row] for row in A]
+                pairs.append((field, A, ext, A2, 1, kmax))
     bad = 0
-    for field, A, field2, A2, r in pairs:
-        table, spectral, E, kind, _ = answers(field, A)
-        table2, spectral2, E2, kind2, series2 = answers(field2, A2)
+    for field, A, field2, A2, r, k in pairs:
+        table, spectral, E, kind, _ = answers(field, A, k)
+        table2, spectral2, E2, kind2, series2 = answers(field2, A2, k)
         times_r = [NkValue(v.is_zero, r * v.exponent) for v in table]
         bad += (table2 != times_r) + (E2 != r * E) + (kind2 != kind)
         bad += spectral2 != [NkValue(v.is_zero, r * v.exponent) for v in spectral]
-        bad += series2 != {series_from_nk(field2.q, times_r, kmax)}
+        bad += series2 != {series_from_nk(field2.q, times_r, k)}
     return len(pairs), bad
 
 
@@ -267,9 +274,10 @@ def main():
     t0 = time.time()
     ks = min(SCALARS_KMAX, args.kmax)
     systems, scalars_bad = change_of_scalars_stage(cases, ks)
-    print(f"change of scalars (k <= {ks}, Res(A) of GF(4) and GF(9) systems, prime-field "
-          f"systems over GF(p^2) and GF(p^3)): {systems} pairs, {scalars_bad} mismatches "
-          f"in {time.time() - t0:.2f}s")
+    print(f"change of scalars (k <= {ks}, Res(A) of GF(4) and GF(9) systems and of the "
+          f"GF(4) cap input to k <= {min(ks, CAP_SCALARS_KMAX)}, prime-field systems over "
+          f"GF(p^2) and GF(p^3), GF(2) ones over GF(2^8) too): {systems} pairs, "
+          f"{scalars_bad} mismatches in {time.time() - t0:.2f}s")
 
     t0 = time.time()
     cap_bad = 0

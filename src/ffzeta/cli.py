@@ -152,7 +152,7 @@ def build_system(spec: ProblemSpec):
     """Field and matrix from a parsed problem.
 
     Singular matrices are rejected by the first analysis step every command
-    takes (checked_charpoly, also inside system_data), not here.
+    takes (checked_charpoly inside system_data, or entropy), not here.
     """
     field = make_field(spec.p, spec.e, spec.modulus)
     A = [[Poly(field, entry) for entry in row] for row in spec.matrix]

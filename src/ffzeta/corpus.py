@@ -6,8 +6,9 @@ spread of sizes while staying cheap; singular draws are rejected and
 redrawn from the same stream, keeping the corpus a pure function of the
 seed.  The tiny instances (q <= 3, d <= 2, degree <= 1) double as
 bruteforce-checkable fixed-point cases.  ``cap_system`` is one seeded
-input at the entry caps for the outside determinant oracle, and
-``block_cap_system`` a block-triangular one for the charpoly oracle.
+input at the entry caps for the outside determinant oracle (over GF(4)
+for the change-of-scalars check), and ``block_cap_system`` a
+block-triangular one for the charpoly oracle.
 ``restrict_scalars`` rewrites a system over GF(p^e) as one over GF(p)
 with the same torus, for the change-of-scalars checks.
 """
@@ -58,28 +59,33 @@ def is_bruteforce_sized(field, A) -> bool:
     )
 
 
-def cap_system():
-    """(GF(2), A): d = 8, entries of degree <= 32, one of degree 32 exactly.
+def cap_system(p: int = 2, e: int = 1):
+    """(GF(p^e), A): d = 8, entries of degree <= 32, one of degree 32
+    exactly; GF(2) by default, and GF(4) for the change-of-scalars check.
 
     The first nonsingular draw from random.Random(CAP_SEED), in the order
-    of the bench's ``_cli_doc(rng, 2, 1, 8, 32)``: each entry a random
-    degree, its lower coefficients and a nonzero leading one, then one
-    entry of full degree.
+    of the bench's ``_cli_doc(rng, p, e, 8, 32)``: each entry a random
+    degree, its lower coefficients (e digits each, low first) and a
+    nonzero leading one in GF(p), then one entry of full degree.
     """
-    p, d, maxdeg = 2, 8, 32
-    field = make_field(p)
+    d, maxdeg = 8, 32
+    field = make_field(p, e)
     rng = random.Random(CAP_SEED)
+
+    def coeff():
+        return sum(rng.randrange(p) * p**i for i in range(e))
+
     while True:
         rows = []
         for _ in range(d):
             row = []
             for _ in range(d):
-                cs = [rng.randrange(p) for _ in range(rng.randint(0, maxdeg))]
+                cs = [coeff() for _ in range(rng.randint(0, maxdeg))]
                 lead = rng.randrange(1, p)
                 row.append(cs + [lead])
             rows.append(row)
         i, j = rng.randrange(d), rng.randrange(d)
-        rows[i][j] = [rng.randrange(p) for _ in range(maxdeg)] + [lead]
+        rows[i][j] = [coeff() for _ in range(maxdeg)] + [lead]
         A = [[Poly(field, cs) for cs in row] for row in rows]
         if det(polyring(field), A):
             return field, A

@@ -35,9 +35,8 @@ from itertools import product
 from typing import NamedTuple
 
 from . import errors
-from .newton import polygon
 from .polycore import Poly, poly_gcd, polyring
-from .polymat import charpoly, det, identity, mat_sub, matpow_minus_I, smith
+from .polymat import block_charpolys, charpoly, det, identity, mat_sub, matpow_minus_I, smith
 from .spectral import SpectralData, spectral_data
 
 INT_RENDER_CAP = 10**4
@@ -96,8 +95,17 @@ def system_data(field, A) -> SpectralData:
 
 
 def entropy(field, A) -> Entropy:
-    """E from the Newton polygon of charpoly(A) alone: no factoring."""
-    return Entropy(polygon(checked_charpoly(field, A)).entropy_exponent, field.q)
+    """E, the Gauss norm max_i deg c_i of charpoly(A) = sum c_i X^i (the
+    rise of its Newton polygon), from the charpolys of A's strongly
+    connected blocks alone: by Gauss's lemma the norm of a product is the
+    sum of the norms, so E is the sum of the blocks' norms, with no block
+    product, no hull and no factoring.  det A = +-(product of the blocks'
+    constant terms), so A is rejected as singular when one is zero.
+    """
+    blocks = block_charpolys(field, A)
+    if not all(P[0] for P in blocks):
+        raise errors.SingularMatrixError("matrix determinant is zero")
+    return Entropy(sum(max(map(len, P)) - 1 for P in blocks), field.q)
 
 
 def _max_degree(A) -> int:

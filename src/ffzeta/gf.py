@@ -14,11 +14,12 @@ reduces byte slots mod p (``_mod_slots``), for every field kind: by
 a slot cannot carry, width (p - 1) < 256, and otherwise by one Barrett
 pass over cells wide enough for it (``_divmod_slots``).
 Short products run one loop per field kind (``Field._short_mul``), in
-place: for e = 1 the products are summed as plain ints, and for e >= 2
-they are read off the log and exp tables inline and added by XOR for
-p = 2 and by the Zech ``add`` for odd p, with no ``mul`` call per
-product.  ``poly_dot``, a sum of products, takes both under one rule
-(``KRON_CUTOFF``) and reduces once, as ``poly_mul`` does on one pair.
+place, over a list of pairs: for e = 1 the products are summed as plain
+ints, and for e >= 2 they are read off the log and exp tables inline and
+added by XOR for p = 2 and by the Zech ``add`` for odd p, with no ``mul``
+call per product.  ``poly_dot``, a sum of products, sends each pair to
+one or the other under one rule (``KRON_CUTOFF``), its short pairs to
+one ``_short_mul``, and reduces once, as ``poly_mul`` does on one pair.
 
 The N_k table (``dynamics.nk_table``) runs on the elements of
 ``Field.series_ops``, from its matrix products to the elimination over
@@ -114,8 +115,8 @@ EXT_CAP = 2**20
 # The short-product loop beats one Kronecker product below KRON_CUTOFF *
 # e^1.5 coefficient pairs (the Kronecker side's cost grows faster than e),
 # and when the shorter operand has no more coefficients than an element
-# has digits.  Each field keeps that bound as an integer, _kron_pairs, and
-# Field._long states the rule for poly_mul and poly_dot alike.
+# has digits.  Each field keeps that bound as an integer, _kron_pairs;
+# Field._long states the rule for poly_mul, and poly_dot applies it inline.
 KRON_CUTOFF = 64
 
 SeriesOps = namedtuple("SeriesOps", "pack val cut neg update mat_mul degree rev less_one")
@@ -403,31 +404,34 @@ class Field(Domain):
         return int.from_bytes(out, "little")
 
     def _long(self, xs, ys) -> bool:
-        """True when xs * ys, both nonempty, goes through ``_kron_dot``."""
+        """True when xs * ys, both nonempty, goes through ``_kron_dot``
+        (``poly_dot`` applies the same rule inline, pair by pair)."""
         return min(len(xs), len(ys)) > self.e and len(xs) * len(ys) >= self._kron_pairs
 
-    def _short_mul(self, xs, ys, out):
-        """Add xs * ys, both nonempty, into out in place and return out,
-        by the schoolbook loop of the field kind, with no scalar method
-        call per product: for e = 1 the products are summed as plain ints
-        and left unreduced, and for e >= 2 each is read off the log and
-        exp tables and added by XOR (p = 2) or ``add``."""
+    def _short_mul(self, pairs, out):
+        """Add xs * ys into out in place for every pair of nonempty lists
+        and return out, by the schoolbook loop of the field kind, with no
+        scalar method call per product: for e = 1 the products are summed
+        as plain ints and left unreduced, and for e >= 2 each is read off
+        the log and exp tables and added by XOR (p = 2) or ``add``."""
         if self.e == 1:
-            for i, a in enumerate(xs):
-                if a:
-                    for k, b in enumerate(ys, i):
-                        out[k] += a * b
+            for xs, ys in pairs:
+                for i, a in enumerate(xs):
+                    if a:
+                        for k, b in enumerate(ys, i):
+                            out[k] += a * b
             return out
         # exp has n = q - 1 entries, so exp[s - n] = g^s for 0 <= s < 2n:
         # one side of each log sum carries the - n, and no % n is taken
         log, exp, n = self._log, self._exp, self.q - 1
         add = operator.xor if self.p == 2 else self.add
-        logs = [(j, log[b] - n) for j, b in enumerate(ys) if b]
-        for i, a in enumerate(xs):
-            if a:
-                la = log[a]
-                for j, lb in logs:
-                    out[i + j] = add(out[i + j], exp[la + lb])
+        for xs, ys in pairs:
+            logs = [(j, log[b] - n) for j, b in enumerate(ys) if b]
+            for i, a in enumerate(xs):
+                if a:
+                    la = log[a]
+                    for j, lb in logs:
+                        out[i + j] = add(out[i + j], exp[la + lb])
         return out
 
     def poly_mul(self, xs, ys):
@@ -437,7 +441,7 @@ class Field(Domain):
             return []
         if self._long(xs, ys):
             return self._kron_dot([(xs, ys)])
-        out = self._short_mul(xs, ys, [0] * (len(xs) + len(ys) - 1))
+        out = self._short_mul(((xs, ys),), [0] * (len(xs) + len(ys) - 1))
         if self.e == 1:
             p = self.p
             return [v % p for v in out]
@@ -446,16 +450,22 @@ class Field(Domain):
     def poly_dot(self, pairs):
         """The sum of xs * ys over a nonempty list of pairs of nonempty
         lists, as long as the longest product: the long pairs share one
-        ``_kron_dot``, the short ones are added into it by ``_short_mul``,
-        and for e = 1 each coefficient is then taken mod p once."""
-        long, short = [], []
+        ``_kron_dot``, the short ones are added into it by one
+        ``_short_mul``, and for e = 1 each coefficient is then taken mod
+        p once."""
+        e, kron_pairs = self.e, self._kron_pairs
+        long, short, n = [], [], 0
         for pair in pairs:
-            (long if self._long(*pair) else short).append(pair)
+            a, b = len(pair[0]), len(pair[1])
+            (long if a > e and b > e and a * b >= kron_pairs else short).append(pair)
+            if a + b > n:
+                n = a + b
         out = self._kron_dot(long) if long else []
-        out += [0] * (max(len(xs) + len(ys) for xs, ys in pairs) - 1 - len(out))
-        for xs, ys in short:
-            self._short_mul(xs, ys, out)
-        if short and self.e == 1:
+        if not short:
+            return out
+        out += [0] * (n - 1 - len(out))
+        self._short_mul(short, out)
+        if e == 1:
             p = self.p
             return [v % p for v in out]
         return out
@@ -717,11 +727,15 @@ class Field(Domain):
 
 @lru_cache(maxsize=None)
 def _default_modulus(p: int, e: int) -> tuple:
-    """First monic irreducible of degree e over GF(p), by packed-int order."""
+    """First monic irreducible of degree e over GF(p), by packed-int order.
+
+    A candidate with f(0) = 0 or f(1) = 0 is divisible by X or X - 1, so
+    for e >= 2 it is skipped with no irreducibility test.
+    """
     base = _cached_field(p, 1, (0, 1))
     for packed in range(p**e, 2 * p**e):
         coeffs = [(packed // p**i) % p for i in range(e + 1)]
-        if is_irreducible(base, Poly(base, coeffs)):
+        if coeffs[0] and sum(coeffs) % p and is_irreducible(base, Poly(base, coeffs)):
             return tuple(coeffs)
     raise errors.InternalInvariantError("no irreducible modulus found")
 

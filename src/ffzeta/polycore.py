@@ -15,9 +15,10 @@ operands); a tracer can time them per domain.  Over a field the scalar
 loops are the tests' references for the field's own.  Two products
 need a field: ``modpow`` runs on ``gf.Field.residue_ops``, one int per
 residue over a prime field and a list of coefficient logs over an
-extension field, and ``PolyRing.dot``, each matrix entry of
-``polymat`` over F[t], on ``gf.Field.poly_dot``, a sum of products
-reduced once.
+extension field, and ``PolyRing.dot``, each entry of a ``polymat``
+matrix product over F[t], on ``gf.Field.poly_dot``, a sum of products
+reduced once (``polymat.charpoly`` calls ``poly_dot`` on coefficient
+lists itself).
 
 Domains are compared by identity: ``gf.make_field`` and ``polyring``
 return one cached instance per ring, so polynomials over equal rings

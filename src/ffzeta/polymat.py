@@ -2,14 +2,15 @@
 
 Matrices are plain lists of lists whose entries belong to an explicit
 domain (finite field elements or polynomials over a finite field).
-Determinants and characteristic polynomials are division-free, using only
-``mul``, ``add``, ``neg`` and ``dot``: ``det`` expands row by row over
-memoized column-subset minors, at most d * 2^(d-1) ring products for a
-d x d matrix, over any domain; ``charpoly`` is Berkowitz's recursion over
-the entry ring on each strongly connected block, O(d^4) ring products.
-``mat_mul`` and ``charpoly`` build every sum of products as one
-``dom.dot``, which is ``PolyRing.dot``, so their entry ring is F[t] over
-a field: one ``poly_dot`` of the field per entry, reduced once.  Powers
+Determinants and characteristic polynomials are division-free: ``det``
+expands row by row over memoized column-subset minors, with ``mul``,
+``add`` and ``neg``, at most d * 2^(d-1) ring products for a d x d
+matrix, over any domain; ``charpoly`` is Berkowitz's recursion on each
+strongly connected block (``block_charpolys``), O(d^4) products, over
+F[t] for a field F.  ``mat_mul`` builds every entry as one ``dom.dot``,
+which over F[t] is ``PolyRing.dot``; ``charpoly`` runs on the entries'
+coefficient lists, each sum of products one ``poly_dot`` of the field,
+reduced once, and builds ``Poly`` entries only for its result.  Powers
 go through ``polycore.power``, and diagonalization through a gcd-driven
 Smith reduction that needs a Euclidean entry ring (polynomials over a
 field).
@@ -17,7 +18,6 @@ field).
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from typing import NamedTuple
 
@@ -90,44 +90,76 @@ def det(dom, A: list):
 
 
 def charpoly(ring, A: list) -> Poly:
-    """det(X*I - A), monic of degree d: ``_berkowitz`` on each strongly
-    connected block of A's nonzero pattern (A is block triangular ordered by
-    them), multiplied.  reach[i], the bitmask of the j that i reaches, i
-    included, is closed by Warshall's rule; rows of equal reach are a block."""
-    bits = [1 << j for j in range(len(A))]
-    reach = [sum(compress(bits, row)) | bit for row, bit in zip(A, bits)]
-    for k, bit in enumerate(bits):
-        via = reach[k]
-        reach = [r | via if r & bit else r for r in reach]
-    blocks = [[i for i, r in enumerate(reach) if r == key] for key in dict.fromkeys(reach)]
-    subs = [A] if len(blocks) == 1 else [[[A[i][j] for j in b] for i in b] for b in blocks]
-    polys = [_berkowitz(ring, M) for M in subs]
-    f = math.prod(polys[1:], start=polys[0]) if polys else Poly(ring, [ring.one])
+    """det(X*I - A), monic of degree d, over ring = F[t]: the product of
+    ``block_charpolys``, one ``poly_dot`` per X-coefficient of each step;
+    ``Poly`` entries are built only for the result."""
+    field = ring.base
+    polys = block_charpolys(field, A)
+    c = polys[0] if polys else [[field.one]]
+    for b in polys[1:]:
+        c += [[]] * (len(b) - 1)
+        c = [_dot(field, c[i::-1], b) for i in range(len(c))]
+    f = Poly(ring, [Poly(field, x) for x in c])
     if f.degree != len(A) or not f.is_monic():
         raise errors.InternalInvariantError("characteristic polynomial not monic")
     return f
 
 
-def _berkowitz(ring, A: list) -> Poly:
-    """det(X*I - A) by Berkowitz's recursion.
+def block_charpolys(field, A: list) -> list:
+    """The charpolys det(X*I - B) of the strongly connected blocks B of A's
+    nonzero pattern, A over F[t] (A is block triangular ordered by them, so
+    charpoly(A) is their product), each by ``_berkowitz`` on coefficient
+    lists: a list over X, low degree first, of coefficient lists over
+    field, low degree first, with no trailing zeros.  reach[i], the bitmask
+    of the j that i reaches, i included, is closed by Warshall's rule; rows
+    of equal reach are a block."""
+    rows = [[x.coeffs for x in row] for row in A]
+    bits = [1 << j for j in range(len(rows))]
+    reach = [sum(compress(bits, row)) | bit for row, bit in zip(rows, bits)]
+    for k, bit in enumerate(bits):
+        via = reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    blocks = [[i for i, r in enumerate(reach) if r == key] for key in dict.fromkeys(reach)]
+    if len(blocks) == 1:
+        return [_berkowitz(field, rows)]
+    return [_berkowitz(field, [[rows[i][j] for j in b] for i in b]) for b in blocks]
+
+
+def _dot(field, xs, ys) -> list:
+    """sum xs[i] * ys[i] over coefficient lists as one ``poly_dot`` of the
+    field, with no trailing zeros: [] when every product is zero."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
+    if not pairs:
+        return []
+    out = field.poly_dot(pairs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _berkowitz(field, A: list) -> list:
+    """det(X*I - A) by Berkowitz's recursion, for A a matrix of coefficient
+    lists over field, as a list over X of coefficient lists, both low
+    degree first.
 
     c is the charpoly of the leading r x r block M, highest coefficient
     first.  With a = A[r][r] and R, S the rest of row r and column r, the
     next block's is c times the lower-triangular Toeplitz matrix with first
     column 1, -a, -R.S, -R.M.S, ..., -R.M^(r-1).S (Inf. Process. Lett. 18,
-    1984).  Division-free: only ring's dot and neg, so ring is F[t].
+    1984).  Division-free: every sum of products is one ``_dot``.
     """
-    c = [ring.one]
+    neg = field.poly_neg
+    c = [[field.one]]
     for r, row in enumerate(A):
         S = [A[i][r] for i in range(r)]
-        col = [ring.one, ring.neg(row[r])]
+        col = [[field.one], neg(row[r])]
         for k in range(r):
             if k:
-                S = [ring.dot(A[i], S) for i in range(r)]
-            col.append(ring.neg(ring.dot(row, S)))
-        c.append(ring.zero)
-        c = [ring.dot(c[i::-1], col) for i in range(r + 2)]
-    return Poly(ring, c[::-1])
+                S = [_dot(field, A[i], S) for i in range(r)]
+            col.append(neg(_dot(field, row, S)))
+        c.append([])
+        c = [_dot(field, c[i::-1], col) for i in range(r + 2)]
+    return c[::-1]
 
 
 def companion(ring, f: Poly) -> list:

@@ -1,5 +1,6 @@
 """Entropy, periodic point counts by several routes, and the tiny-case oracle."""
 
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import felems, tmat, tpoly, tpolys
 from ffzeta import errors, make_field
+from ffzeta.corpus import block_cap_system
 from ffzeta.dynamics import (
     INT_RENDER_CAP,
     Entropy,
@@ -21,12 +23,14 @@ from ffzeta.dynamics import (
     nk_table,
     system_data,
 )
+from ffzeta.newton import polygon
 from ffzeta.polycore import Poly, polyring
-from ffzeta.polymat import identity, mat_mul
+from ffzeta.polymat import block_charpolys, charpoly, det, identity, mat_mul
 
 F2 = make_field(2)
 F3 = make_field(3)
 F7 = make_field(7)
+F4 = make_field(2, 2)
 
 SHIFT2 = tmat(F2, [[(0, 1)]])  # multiplication by t on one coordinate
 DIAG62 = tmat(F7, [[(6,), (0,)], [(0,), (2,)]])
@@ -123,6 +127,93 @@ class TestEntropy:
         else:
             with pytest.raises(errors.SingularMatrixError, match="determinant is zero"):
                 system_data(F2, A)
+
+
+def block_triangular(field, sizes, degrees, rng):
+    """A nonsingular matrix over F[t], block upper triangular with diagonal
+    blocks of the given sizes and entry degrees (0: constant blocks), its
+    rows and columns then permuted at random.  Each block holds a cycle of
+    nonzero entries, so the blocks are the strongly connected components;
+    its other entries are zero or not at random, and so are those above
+    the blocks (degree <= 2)."""
+    d = sum(sizes)
+    block = [b for b, n in enumerate(sizes) for _ in range(n)]
+    first = [sum(sizes[:b]) for b in block]
+    cycle = {(i, first[i] + (i - first[i] + 1) % sizes[block[i]]) for i in range(d)}
+
+    def entry(deg):
+        return Poly(field, [rng.randrange(field.q) for _ in range(deg)] + [rng.randrange(1, field.q)])
+
+    def draw():
+        A = [[Poly(field)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                if block[i] > block[j] or ((i, j) not in cycle and rng.random() < 0.5):
+                    continue
+                A[i][j] = entry(degrees[block[i]] if block[i] == block[j] else 2)
+        return A
+
+    A = draw()
+    while not det(polyring(field), A):
+        A = draw()
+    perm = rng.sample(range(d), d)
+    return [[A[i][j] for j in perm] for i in perm]
+
+
+class TestEntropyByBlocks:
+    """entropy adds up the Gauss norms of the blocks' charpolys; the Newton
+    polygon of the whole charpoly is the reference."""
+
+    @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
+    @pytest.mark.parametrize(
+        "sizes, degrees",
+        [((2, 1, 3), (0, 0, 0)), ((2, 1, 3), (2, 1, 3)), ((1, 2, 2, 3), (0, 2, 0, 1)), ((5,), (2,))],
+        ids=["constant", "t-dependent", "mixed", "one-dense-block"],
+    )
+    def test_matches_polygon(self, field, sizes, degrees):
+        rng = random.Random(f"entropy/{field.q}/{sizes}/{degrees}")
+        ring = polyring(field)
+        for _ in range(3):
+            A = block_triangular(field, sizes, degrees, rng)
+            assert len(block_charpolys(field, A)) == len(sizes)
+            E = polygon(charpoly(ring, A)).entropy_exponent
+            assert entropy(field, A) == Entropy(E, field.q)
+
+    def test_block_cap_system(self):
+        field, A = block_cap_system()
+        assert len(block_charpolys(field, A)) == 3
+        E = polygon(charpoly(polyring(field), A)).entropy_exponent
+        assert entropy(field, A) == Entropy(E, field.q)
+
+    def test_no_block_product_and_no_hull(self, monkeypatch):
+        from ffzeta import newton, polymat
+
+        def forbidden(*args):
+            raise AssertionError("entropy built the product or its hull")
+
+        field, A = block_cap_system()
+        want = entropy(field, A)
+        monkeypatch.setattr(polymat, "charpoly", forbidden)
+        monkeypatch.setattr(newton, "polygon", forbidden)
+        assert entropy(field, A) == want
+
+    # over GF(7): the constant block {1, 2} has det 1*6 - 2*3 = 0, and the
+    # block {0} is t + 1
+    CONSTANT_SINGULAR = [[[1, 1], [0], [0]], [[0, 1], [1], [2]], [[5], [3], [6]]]
+
+    def test_singular_constant_block(self, capsys, tmp_path):
+        from ffzeta.cli import main
+
+        A = tmat(F7, self.CONSTANT_SINGULAR)
+        blocks = block_charpolys(F7, A)
+        assert sorted(bool(P[0]) for P in blocks) == [False, True]
+        with pytest.raises(errors.SingularMatrixError, match="determinant is zero"):
+            entropy(F7, A)
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"p": 7, "d": 3, "matrix": self.CONSTANT_SINGULAR}))
+        assert main(["entropy", str(path)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: matrix determinant is zero\n")
 
 
 class TestNkRoutes:
@@ -249,7 +340,6 @@ class TestFixedPointRoutes:
             assert fixed_points_bruteforce(F2, A, cap=10**5) == direct.as_int(2)
 
 
-F4 = make_field(2, 2)
 F9 = make_field(3, 2)
 
 # GF(2), d = 3, entry degree 1, all-ones leading matrix (corpus-routes shapes)

@@ -86,6 +86,34 @@ class TestMakeField:
         assert F4.modulus == (1, 1, 1)
         assert F9.modulus == (1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "p, e",
+        [(2, 2), (2, 8), (2, 16), (2, 20), (3, 2), (3, 5), (3, 10), (5, 3), (7, 2),
+         (257, 2), (1021, 2)],
+    )
+    def test_default_modulus_skips_roots_zero_and_one(self, monkeypatch, p, e):
+        """The search tests no candidate with f(0) = 0 or f(1) = 0 for
+        irreducibility, and finds the modulus of the search that tests
+        every candidate."""
+        base = make_field(p)
+
+        def unfiltered():
+            for packed in range(p**e, 2 * p**e):
+                coeffs = [(packed // p**i) % p for i in range(e + 1)]
+                if is_irreducible(base, Poly(base, coeffs)):
+                    return tuple(coeffs)
+
+        tested = []
+
+        def recording(field, f):
+            tested.append(f.coeffs)
+            return is_irreducible(field, f)
+
+        want = unfiltered()
+        monkeypatch.setattr(gf, "is_irreducible", recording)
+        assert gf._default_modulus.__wrapped__(p, e) == want
+        assert tested and all(cs[0] and sum(cs) % p for cs in tested)
+
     def test_modulus_validation(self):
         with pytest.raises(errors.MalformedInputError, match="modulus is reducible"):
             make_field(2, 2, modulus=(1, 0, 1))  # (X+1)^2

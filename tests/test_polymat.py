@@ -237,7 +237,8 @@ def permuted_blocks(field, sizes, rng, diagonal=False):
 
 class TestCharpolyBlocks:
     """charpoly splits A along the strongly connected components of its
-    nonzero pattern and multiplies the blocks' Berkowitz charpolys."""
+    nonzero pattern (``block_charpolys``) and multiplies the blocks'
+    Berkowitz charpolys, on coefficient lists."""
 
     @pytest.mark.parametrize("field", [F2, F7, F4], ids=repr)
     @pytest.mark.parametrize("sizes", [(2, 3), (1, 2, 1), (3, 1, 2), (1, 1, 1, 1, 1), (4, 2)])
@@ -280,9 +281,9 @@ class TestCharpolyBlocks:
         ring = polyring(F7)
         berkowitz, sizes = polymat._berkowitz, []
 
-        def counted(ring, M):
+        def counted(field, M):
             sizes.append(len(M))
-            return berkowitz(ring, M)
+            return berkowitz(field, M)
 
         monkeypatch.setattr(polymat, "_berkowitz", counted)
         A = permuted_blocks(F7, (3, 1, 2, 2), random.Random(1), diagonal=True)
@@ -295,9 +296,11 @@ class TestCharpolyBlocks:
 
 
 class TestSumsStayInTheKernel:
-    """``mat_mul`` and ``charpoly`` over F[t] build each entry as one
-    ``poly_dot`` of the field: no product or sum of one pair reaches the
-    generic ``Domain.poly_mul`` or ``Domain.poly_add`` over a field."""
+    """``mat_mul`` over F[t] builds each entry as one ``PolyRing.dot``, and
+    ``charpoly`` each sum of products on coefficient lists, block product
+    included: each is one ``poly_dot`` of the field, and no product or
+    sum of one pair reaches the generic ``Domain.poly_mul`` or
+    ``Domain.poly_add`` over a field."""
 
     @pytest.mark.parametrize("field", [F2, F7, F4, F9], ids=repr)
     def test_products_and_charpoly(self, field, monkeypatch):
@@ -310,8 +313,11 @@ class TestSumsStayInTheKernel:
             return Poly(field, [rng.randrange(field.q) for _ in range(n)])
 
         A = [[entry() for _ in range(4)] for _ in range(4)]
+        # two blocks, so that charpoly multiplies block charpolys
+        B = A[:2] + [[Poly(field)] * 2 + row[2:] for row in A[2:]]
         ring = polyring(field)
-        want = (mat_mul(ring, A, A), charpoly(ring, A))
+        want = (mat_mul(ring, A, A), charpoly(ring, A), charpoly(ring, B))
+        assert len(polymat.block_charpolys(field, B)) >= 2
         for name in ("poly_add", "poly_mul"):
             generic = getattr(Domain, name)
 
@@ -321,7 +327,7 @@ class TestSumsStayInTheKernel:
                 return generic(dom, xs, ys)
 
             monkeypatch.setattr(Domain, name, guarded)
-        assert (mat_mul(ring, A, A), charpoly(ring, A)) == want
+        assert (mat_mul(ring, A, A), charpoly(ring, A), charpoly(ring, B)) == want
 
 
 class TestMatpow:
